@@ -16,8 +16,9 @@ type conn = {
          -1 while it is empty.  Drip-feeding bytes without ever completing
          a frame does NOT reset it — only consuming everything does — so
          it bounds how long a partial frame may sit in the buffer. *)
-  outq : Bytes.t Queue.t;
-  mutable out_off : int;  (* offset into the head of [outq] *)
+  mutable outbuf : Bytes.t;
+  mutable out_off : int;  (* first unwritten byte *)
+  mutable out_len : int;  (* end of queued data *)
   mutable on_data : conn -> unit;
   mutable on_close : conn -> unit;
 }
@@ -48,6 +49,7 @@ type t = {
   mutable max_input : int option;
       (* close a connection whose unconsumed input grows past this *)
   mutable registry : Sim.Registry.t option;  (* netio_* drop counters *)
+  mutable writes : int;  (* write syscalls issued, for tests *)
 }
 
 (* the realtime engine owns the wall clock: lib/realtime is R1-exempt
@@ -79,6 +81,7 @@ let create () =
     partial_timeout = None;
     max_input = None;
     registry = None;
+    writes = 0;
   }
 
 let now t = wall () -. t.t0
@@ -104,11 +107,6 @@ let after t delay fn =
   t.timer_seq <- t.timer_seq + 1;
   Sim.Event_queue.add t.timers (now t +. delay, t.timer_seq, fn)
 
-let rec every t period fn =
-  after t period (fun () ->
-      fn ();
-      every t period fn)
-
 (* Best-effort: a stop racing the loop's own teardown may find the wake
    pipe already closed (EBADF) — the loop is gone either way. *)
 let wake t =
@@ -121,6 +119,13 @@ let stop t =
 
 let noop_data (_ : conn) = ()
 let noop_close (_ : conn) = ()
+
+(* An output region is allocated on first use (inbound peer links never
+   write) at [out_small] bytes.  A burst may grow it past [out_cap], but
+   once drained it shrinks back, so a connection does not keep a
+   burst's footprint alive. *)
+let out_small = 4096
+let out_cap = 65536
 
 let make_conn t fd ~connected =
   Unix.set_nonblock fd;
@@ -137,8 +142,9 @@ let make_conn t fd ~connected =
       in_off = 0;
       in_len = 0;
       stale_since = -1.;
-      outq = Queue.create ();
+      outbuf = Bytes.empty;
       out_off = 0;
+      out_len = 0;
       on_data = noop_data;
       on_close = noop_close;
     }
@@ -153,6 +159,8 @@ let set_callbacks c ~on_data ~on_close =
 let close t c =
   if not c.closing then begin
     c.closing <- true;
+    c.out_off <- 0;
+    c.out_len <- 0;
     t.conns <- List.filter (fun o -> o.cid <> c.cid) t.conns;
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
     c.on_close c
@@ -193,45 +201,63 @@ let connect t ~host ~port =
   in
   make_conn t fd ~connected
 
-(* ---- buffered output ---- *)
+(* ---- buffered output ----
 
-let flush_out t c =
-  if c.connected && not c.closing then
-    try
-      let progress = ref true in
-      while !progress && not (Queue.is_empty c.outq) do
-        let chunk = Queue.peek c.outq in
-        let len = Bytes.length chunk - c.out_off in
-        let n = Unix.write c.fd chunk c.out_off len in
-        if n = len then begin
-          ignore (Queue.pop c.outq);
-          c.out_off <- 0
-        end
-        else begin
-          c.out_off <- c.out_off + n;
-          progress := false
-        end
-      done
-    with
-    | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | Unix.Unix_error _ -> close t c
+   Each connection owns one contiguous output region, shaped like the
+   input one: [outbuf.[out_off, out_len)] is queued and unwritten.
+   Enqueueing blits into it, so a flush is a single write over the
+   whole range however many frames were queued. *)
 
-let send t c bytes =
-  if not c.closing then begin
-    Queue.add bytes c.outq;
-    flush_out t c
+let pending_out c = c.out_len > c.out_off
+
+(* Room for [n] more bytes at the end of the region: slide the live
+   range to the front when the written prefix is at least as long as it
+   (so each byte is moved O(1) times), otherwise grow. *)
+let reserve c n =
+  let cap = Bytes.length c.outbuf in
+  if c.out_len + n > cap then begin
+    let live = c.out_len - c.out_off in
+    if live + n <= cap && c.out_off >= live then
+      Bytes.blit c.outbuf c.out_off c.outbuf 0 live
+    else begin
+      let bigger = Bytes.create (max (max (cap * 2) out_small) (live + n)) in
+      Bytes.blit c.outbuf c.out_off bigger 0 live;
+      c.outbuf <- bigger
+    end;
+    c.out_off <- 0;
+    c.out_len <- live
   end
 
-let send_buffer t c buf =
-  if Buffer.length buf > 0 then send t c (Buffer.to_bytes buf)
+(* One write over everything queued.  A short write (socket buffer
+   full, or the runtime's per-call cap) leaves the rest in place; the
+   loop resumes it once select reports the socket writable. *)
+let flush t c =
+  if c.connected && (not c.closing) && pending_out c then begin
+    t.writes <- t.writes + 1;
+    match Unix.single_write c.fd c.outbuf c.out_off (c.out_len - c.out_off) with
+    | n ->
+        c.out_off <- c.out_off + n;
+        if c.out_off = c.out_len then begin
+          c.out_off <- 0;
+          c.out_len <- 0;
+          if Bytes.length c.outbuf > out_cap then
+            c.outbuf <- Bytes.create out_small
+        end
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error _ -> close t c
+  end
 
-(* Queue without flushing: lets a caller coalesce many small frames
-   into one write.  Pair with [flush] once the burst is assembled. *)
-let enqueue c bytes = if not c.closing then Queue.add bytes c.outq
+let enqueue c bytes =
+  if not c.closing then begin
+    let n = Bytes.length bytes in
+    reserve c n;
+    Bytes.blit bytes 0 c.outbuf c.out_len n;
+    c.out_len <- c.out_len + n
+  end
 
-let flush t c = if not (Queue.is_empty c.outq) then flush_out t c
-
-let pending_out c = not (Queue.is_empty c.outq)
+let send t c bytes =
+  enqueue c bytes;
+  flush t c
 
 let closing c = c.closing
 
@@ -289,10 +315,10 @@ let write_ready t c =
     match Unix.getsockopt_error c.fd with
     | None ->
         c.connected <- true;
-        flush_out t c
+        flush t c
     | Some _ -> close t c
   end
-  else flush_out t c
+  else flush t c
 
 (* ---- the loop ---- *)
 
@@ -425,4 +451,8 @@ module Private = struct
 
   let paused_listeners t =
     List.length (List.filter (fun l -> l.pause_until > now t) t.listeners)
+
+  let writes t = t.writes
+
+  let out_capacity c = Bytes.length c.outbuf
 end

@@ -68,17 +68,21 @@ val conn_id : conn -> int
 (** Loop-unique id, for keying tables without physical equality. *)
 
 val send : t -> conn -> Bytes.t -> unit
-(** Queue bytes for writing; attempts an eager write when possible. *)
-
-val send_buffer : t -> conn -> Buffer.t -> unit
-(** [send] the current contents of a buffer (which is not cleared). *)
+(** [enqueue] then {!flush}: the bytes join any queued output and the
+    whole queue goes out in one write. *)
 
 val enqueue : conn -> Bytes.t -> unit
-(** Queue bytes without flushing, so many small frames coalesce into one
-    [write].  Call {!flush} once the burst is assembled. *)
+(** Append bytes to the connection's output region without writing
+    (the bytes are copied; the caller may reuse its buffer).  Frames
+    enqueued between two flushes leave in a single write.  No-op on a
+    closed connection. *)
 
 val flush : t -> conn -> unit
-(** Flush any queued output now (no-op when the queue is empty). *)
+(** Issue one write over everything queued (no-op when nothing is, or
+    while a nonblocking connect is still pending).  Whatever the socket
+    does not take — a full send buffer, or more than one write call
+    carries — stays queued, and the loop resumes it when select reports
+    the socket writable.  A write error closes the connection. *)
 
 val closing : conn -> bool
 (** True once the connection has been closed (callbacks may race a
@@ -96,9 +100,6 @@ val close : t -> conn -> unit
 
 val after : t -> float -> (unit -> unit) -> unit
 (** One-shot timer: run the closure [delay] seconds from now. *)
-
-val every : t -> float -> (unit -> unit) -> unit
-(** Periodic timer (re-arms itself after each firing). *)
 
 val step : t -> float -> unit
 (** One select iteration with the given timeout ceiling: fire due
@@ -125,4 +126,11 @@ module Private : sig
 
   val paused_listeners : t -> int
   (** Number of listeners currently inside their backoff window. *)
+
+  val writes : t -> int
+  (** Write calls issued on connections since [create] (successful,
+      short, or failed). *)
+
+  val out_capacity : conn -> int
+  (** Current size of the connection's output region in bytes. *)
 end

@@ -171,6 +171,23 @@ let maybe_decide ctx st =
     else st
   end
 
+(* A chosen instance needs no more 2b tallies: drop every ballot's. *)
+let drop_p2b instance p2b =
+  Seq.fold_left
+    (fun m (key, _) -> IBmap.remove key m)
+    p2b
+    (Seq.take_while
+       (fun ((i, _), _) -> i = instance)
+       (IBmap.to_seq_from (instance, min_int) p2b))
+
+(* The proposal made for a now-chosen instance is done with, unless it
+   lost the instance to another command: that one stays, so
+   [adopt_ballot] still finds it as an orphan to re-forward. *)
+let drop_proposed instance cmd proposed =
+  match Imap.find_opt instance proposed with
+  | Some c when Command.equal c cmd -> Imap.remove instance proposed
+  | Some _ | None -> proposed
+
 let learn_chosen ctx st instance cmd =
   if Imap.mem instance st.chosen then st
   else begin
@@ -184,6 +201,11 @@ let learn_chosen ctx st instance cmd =
       {
         st with
         chosen = Imap.add instance cmd st.chosen;
+        p2b = drop_p2b instance st.p2b;
+        proposed = drop_proposed instance cmd st.proposed;
+        proposed_ids =
+          (if Command.is_noop cmd then st.proposed_ids
+           else Iset.remove cmd.Command.id st.proposed_ids);
         chosen_ids =
           (if Command.is_noop cmd then st.chosen_ids
            else Iset.add cmd.Command.id st.chosen_ids);
@@ -365,17 +387,20 @@ let handle_2a ctx st b instance cmd =
   else st
 
 let handle_2b ctx st ~src b instance cmd =
-  let key = (instance, b) in
-  let who, c =
-    match IBmap.find_opt key st.p2b with
-    | Some (q, c) -> (q, c)
-    | None -> (Quorum.create ~n:(n_of st), cmd)
-  in
-  if not (Command.equal c cmd) then st
+  if Imap.mem instance st.chosen then st
   else begin
-    let who = Quorum.add who src in
-    let st = { st with p2b = IBmap.add key (who, c) st.p2b } in
-    if Quorum.reached who then learn_chosen ctx st instance cmd else st
+    let key = (instance, b) in
+    let who, c =
+      match IBmap.find_opt key st.p2b with
+      | Some (q, c) -> (q, c)
+      | None -> (Quorum.create ~n:(n_of st), cmd)
+    in
+    if not (Command.equal c cmd) then st
+    else begin
+      let who = Quorum.add who src in
+      let st = { st with p2b = IBmap.add key (who, c) st.p2b } in
+      if Quorum.reached who then learn_chosen ctx st instance cmd else st
+    end
   end
 
 let handle_forward ctx st cmd =

@@ -5,7 +5,13 @@
    Delivery discipline: a protocol handler must never run re-entrantly
    (the state is threaded functionally through a single mutable slot),
    so self-addressed sends/broadcasts go through [selfq] and are drained
-   by [service] after the current handler returns. *)
+   by [service] after the current handler returns.
+
+   Output discipline: handlers only enqueue.  Peer messages and client
+   responses collect in each connection's output region, and [service]
+   flushes every touched connection once, after it goes quiet — one
+   write per connection per pass, so a peer is woken once with the
+   whole pass's traffic rather than mid-pass by its first message. *)
 
 module Netio = Realtime.Netio
 
@@ -53,6 +59,7 @@ type t = {
   peers : Netio.conn option array;  (* own outbound link per peer *)
   kinds : (int, kind) Hashtbl.t;  (* inbound conn_id -> role *)
   clients : (int, Netio.conn) Hashtbl.t;
+  touched : (int, Netio.conn) Hashtbl.t;  (* clients with unflushed output *)
   selfq : (int * Smr_messages.t) Queue.t;
   backlog : Command.t Queue.t;  (* accepted, not yet injected *)
   reply_map : (int, int * int * float) Hashtbl.t;
@@ -141,11 +148,29 @@ let rec ensure_peer t j =
           | exception _ ->
               Netio.after t.io 0.2 (fun () -> ensure_peer t j))
 
-let send_peer t j msg =
+(* [frame] is an encoded [Wire.Peer]; [service] flushes the link *)
+let send_frame t j frame =
   ensure_peer t j;
   match t.peers.(j) with
-  | Some c -> Netio.send t.io c (Wire.to_bytes (Wire.Peer msg))
+  | Some c -> Netio.enqueue c frame
   | None -> Sim.Registry.inc ~proc:t.cfg.id t.registry "serve_dropped_sends"
+
+let send_peer t j msg = send_frame t j (Wire.to_bytes (Wire.Peer msg))
+
+(* responses to a client likewise wait for the end of the pass *)
+let respond t conn seq reply =
+  Netio.enqueue conn (Wire.to_bytes (Wire.Response { seq; reply }));
+  Hashtbl.replace t.touched (Netio.conn_id conn) conn
+
+let flush_output t =
+  (* snapshot first: a failed write closes the connection, and its
+     on_close removes it from [touched] *)
+  (* lint: allow R3 — flush order across distinct clients is moot *)
+  let conns = Hashtbl.fold (fun _ conn acc -> conn :: acc) t.touched [] in
+  Hashtbl.clear t.touched;
+  List.iter (fun conn -> Netio.flush t.io conn) conns;
+  (* a flush with nothing queued is free *)
+  Array.iter (function Some c -> Netio.flush t.io c | None -> ()) t.peers
 
 (* ---- protocol driving ---- *)
 
@@ -162,8 +187,11 @@ let rec make_ctx t : (Smr_messages.t, Multi_paxos.state) Sim.Runtime.ctx =
     send = (fun ~dst msg -> deliver t dst msg);
     broadcast =
       (fun msg ->
+        (* encoded once, the same bytes enqueued on every peer link *)
+        let frame = Wire.to_bytes (Wire.Peer msg) in
         for j = 0 to t.n - 1 do
-          deliver t j msg
+          if j = t.cfg.id then Queue.add (t.cfg.id, msg) t.selfq
+          else send_frame t j frame
         done);
     set_timer =
       (fun ~local_delay ~tag ->
@@ -198,8 +226,6 @@ and apply_chosen t =
   | None -> ()
   | Some st ->
       let upto = Multi_paxos.chosen_upto st in
-      (* coalesce the whole batch's responses per client into one write *)
-      let touched = Hashtbl.create 8 in
       while t.applied_upto < upto do
         (match Multi_paxos.chosen_at st t.applied_upto with
         | None -> ()
@@ -221,19 +247,12 @@ and apply_chosen t =
                       "serve_commit_latency_delta" (lat /. t.cfg.delta);
                     Sim.Registry.inc ~proc:t.cfg.id t.registry
                       "serve_committed";
-                    (match Hashtbl.find_opt t.clients cid with
-                    | Some conn ->
-                        Netio.enqueue conn
-                          (Wire.to_bytes
-                             (Wire.Response
-                                { seq; reply = Wire.reply_of_kv r }));
-                        Hashtbl.replace touched cid conn
-                    | None -> ()))
+                    match Hashtbl.find_opt t.clients cid with
+                    | Some conn -> respond t conn seq (Wire.reply_of_kv r)
+                    | None -> ())
               replies);
         t.applied_upto <- t.applied_upto + 1
-      done;
-      (* lint: allow R3 — flush order across distinct clients is moot *)
-      Hashtbl.iter (fun _ conn -> Netio.flush t.io conn) touched
+      done
 
 (* Fold the client backlog into decrees, up to the pipelining window. *)
 and maybe_inject t =
@@ -266,7 +285,8 @@ and maybe_inject t =
   done;
   !injected
 
-(* Drain self-deliveries, apply, inject — until quiescent. *)
+(* Drain self-deliveries, apply, inject — until quiescent; then flush
+   everything the pass enqueued. *)
 and service t =
   if not t.dispatching then begin
     t.dispatching <- true;
@@ -288,7 +308,8 @@ and service t =
      with e ->
        t.dispatching <- false;
        raise e);
-    t.dispatching <- false
+    t.dispatching <- false;
+    flush_output t
   end
 
 (* ---- frames ---- *)
@@ -302,13 +323,7 @@ let accept_request t conn seq (cmd : Command.t) =
          client-chosen inner ids would alias the server-stamped uid
          namespace keying [reply_map] and the exactly-once cache. *)
       Sim.Registry.inc ~proc:t.cfg.id t.registry "serve_rejected";
-      Netio.send t.io conn
-        (Wire.to_bytes
-           (Wire.Response
-              {
-                seq;
-                reply = Wire.R_error "request must not carry a batch command";
-              }))
+      respond t conn seq (Wire.R_error "request must not carry a batch command")
   | Command.Set _ | Command.Add _ | Command.Noop | Command.Kv_get _
   | Command.Kv_put _ | Command.Kv_cas _ -> (
       match Command.make ~id:(fresh_uid t) cmd.Command.op with
@@ -318,9 +333,7 @@ let accept_request t conn seq (cmd : Command.t) =
           Sim.Registry.inc ~proc:t.cfg.id t.registry "serve_requests";
           Queue.add cmd t.backlog
       | exception Invalid_argument reason ->
-          Netio.send t.io conn
-            (Wire.to_bytes
-               (Wire.Response { seq; reply = Wire.R_error reason })))
+          respond t conn seq (Wire.R_error reason))
 
 let on_frame t conn msg =
   let cid = Netio.conn_id conn in
@@ -454,6 +467,7 @@ let create cfg =
       peers = Array.make n None;
       kinds = Hashtbl.create 16;
       clients = Hashtbl.create 16;
+      touched = Hashtbl.create 16;
       selfq = Queue.create ();
       backlog = Queue.create ();
       reply_map = Hashtbl.create 1024;
@@ -486,7 +500,8 @@ let create cfg =
           ~on_close:(fun c ->
             let cid = Netio.conn_id c in
             Hashtbl.remove t.kinds cid;
-            Hashtbl.remove t.clients cid));
+            Hashtbl.remove t.clients cid;
+            Hashtbl.remove t.touched cid));
   t.peer_ports.(cfg.id) <- t.port;
   t.ctx <- Some (make_ctx t);
   t

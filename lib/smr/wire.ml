@@ -176,23 +176,25 @@ let w_payload b = function
       w_s64 b seq;
       w_reply b reply
 
-let encode buf msg =
+(* The frame is allocated once, at its exact size: the payload is
+   built in a scratch buffer, blitted once behind a header-sized gap,
+   and the header (which needs the payload's length and CRC) is written
+   in place. *)
+let to_bytes msg =
   let payload = Buffer.create 64 in
   w_payload payload msg;
   let len = Buffer.length payload in
-  let body = Buffer.to_bytes payload in
-  Buffer.add_char buf 'E';
-  Buffer.add_char buf 'S';
-  w_u8 buf version;
-  w_u8 buf (tag_of msg);
-  w_u32 buf len;
-  w_u32 buf (crc32 body 0 len);
-  Buffer.add_bytes buf body
+  let frame = Bytes.create (header_len + len) in
+  Buffer.blit payload 0 frame header_len len;
+  Bytes.set frame 0 'E';
+  Bytes.set frame 1 'S';
+  Bytes.set_uint8 frame 2 version;
+  Bytes.set_uint8 frame 3 (tag_of msg);
+  Bytes.set_int32_be frame 4 (Int32.of_int len);
+  Bytes.set_int32_be frame 8 (Int32.of_int (crc32 frame header_len len));
+  frame
 
-let to_bytes msg =
-  let b = Buffer.create 64 in
-  encode b msg;
-  Buffer.to_bytes b
+let encode buf msg = Buffer.add_bytes buf (to_bytes msg)
 
 (* ---- payload readers ---- *)
 

@@ -53,7 +53,7 @@ val encode : Buffer.t -> t -> unit
 (** Append one complete frame (header + payload) to [buf]. *)
 
 val to_bytes : t -> Bytes.t
-(** [encode] into a fresh buffer. *)
+(** One complete frame as a freshly allocated, exactly sized [Bytes.t]. *)
 
 val decode :
   Bytes.t ->

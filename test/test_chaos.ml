@@ -163,6 +163,107 @@ let test_netio_accept_backoff () =
     (Sim.Registry.counter_total reg "netio_accept_backoffs");
   Netio.shutdown t
 
+(* ---- netio output coalescing -------------------------------------- *)
+
+(* A Netio connection writing to a plain blocking socket the test reads
+   by hand, so the reader's pace is under the test's control. *)
+let raw_pair t =
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_INET (Netio.resolve localhost, 0));
+  Unix.listen lsock 1;
+  let port =
+    match Unix.getsockname lsock with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "listener has no port"
+  in
+  let c = Netio.connect t ~host:localhost ~port in
+  let reader, _ = Unix.accept lsock in
+  Unix.close lsock;
+  Unix.setsockopt_float reader Unix.SO_RCVTIMEO 5.0;
+  (c, reader)
+
+(* read exactly [n] bytes from the blocking reader, stepping [t] between
+   reads of at most [chunk] bytes so the writer resumes partial writes *)
+let read_exactly t reader ~chunk n =
+  let out = Bytes.create n in
+  let got = ref 0 in
+  while !got < n do
+    Netio.step t 0.;
+    match Unix.read reader out !got (Stdlib.min chunk (n - !got)) with
+    | 0 -> Alcotest.failf "reader saw EOF after %d of %d bytes" !got n
+    | k -> got := !got + k
+  done;
+  out
+
+(* k distinct frames: frame i is [len] copies of byte (i mod 251) *)
+let frames ~k ~len =
+  Array.init k (fun i -> Bytes.make len (Char.chr (i mod 251)))
+
+let test_netio_one_write_per_flush () =
+  let t = Netio.create () in
+  let c, reader = raw_pair t in
+  (* the marker proves the nonblocking connect completed *)
+  Netio.send t c (Bytes.of_string "!");
+  Alcotest.(check string) "marker" "!"
+    (Bytes.to_string (read_exactly t reader ~chunk:1 1));
+  let fs = frames ~k:50 ~len:40 in
+  let before = Netio.Private.writes t in
+  Array.iter (Netio.enqueue c) fs;
+  Alcotest.(check int) "enqueue writes nothing" before
+    (Netio.Private.writes t);
+  Netio.flush t c;
+  let got = read_exactly t reader ~chunk:65536 (50 * 40) in
+  Alcotest.(check bool) "bytes arrive in order" true
+    (Bytes.equal got (Bytes.concat Bytes.empty (Array.to_list fs)));
+  Alcotest.(check int) "50 frames, one flush: one write" (before + 1)
+    (Netio.Private.writes t);
+  Netio.flush t c;
+  Alcotest.(check int) "flushing an empty queue writes nothing" (before + 1)
+    (Netio.Private.writes t);
+  Unix.close reader;
+  Netio.shutdown t
+
+let test_netio_partial_writes_resume () =
+  let t = Netio.create () in
+  let c, reader = raw_pair t in
+  (* 6 MiB in 1 KiB frames: far past the socket buffers, so the flush
+     is short and the loop has to finish it across many passes *)
+  let fs = frames ~k:6144 ~len:1024 in
+  Array.iter (Netio.enqueue c) fs;
+  Alcotest.(check bool) "region grew to hold the burst" true
+    (Netio.Private.out_capacity c >= 6144 * 1024);
+  Netio.flush t c;
+  let got = read_exactly t reader ~chunk:16384 (6144 * 1024) in
+  Alcotest.(check bool) "burst arrives byte-identical and in order" true
+    (Bytes.equal got (Bytes.concat Bytes.empty (Array.to_list fs)));
+  Alcotest.(check bool) "the burst took several writes" true
+    (Netio.Private.writes t > 1);
+  Alcotest.(check int) "drained region shrank back" 4096
+    (Netio.Private.out_capacity c);
+  Unix.close reader;
+  Netio.shutdown t
+
+let test_netio_close_drops_output () =
+  let t = Netio.create () in
+  let c, reader = raw_pair t in
+  let closed = ref false in
+  Netio.set_callbacks c ~on_data:(fun _ -> ()) ~on_close:(fun _ -> closed := true);
+  Netio.send t c (Bytes.of_string "!");
+  ignore (read_exactly t reader ~chunk:1 1);
+  let writes = Netio.Private.writes t in
+  Netio.enqueue c (Bytes.make 1000 'q');
+  Netio.close t c;
+  Alcotest.(check bool) "on_close fired" true !closed;
+  Netio.enqueue c (Bytes.make 10 'z');
+  Netio.flush t c;
+  Netio.step t 0.;
+  Alcotest.(check int) "queued output never written" writes
+    (Netio.Private.writes t);
+  Alcotest.(check int) "reader sees EOF, no bytes" 0
+    (Unix.read reader (Bytes.create 16) 0 16);
+  Unix.close reader;
+  Netio.shutdown t
+
 (* ---- proxy over a live cluster ------------------------------------ *)
 
 let empty_schedule =
@@ -380,6 +481,12 @@ let suite =
       test_netio_input_overflow;
     Alcotest.test_case "netio backs off a failing accept" `Quick
       test_netio_accept_backoff;
+    Alcotest.test_case "netio: one write per flush" `Quick
+      test_netio_one_write_per_flush;
+    Alcotest.test_case "netio: partial writes resume intact" `Quick
+      test_netio_partial_writes_resume;
+    Alcotest.test_case "netio: close drops queued output" `Quick
+      test_netio_close_drops_output;
     Alcotest.test_case "recovery verdicts" `Quick test_recovery_check;
     Alcotest.test_case "empty schedule is transparent" `Slow
       test_proxy_transparent;
