@@ -2,17 +2,17 @@
 
    Two halves:
    1. Bechamel micro-benchmarks — one [Test.make] per experiment table,
-      each timing one representative execution of that experiment's
-      scenario (so the cost of regenerating each table is itself
-      tracked), plus substrate micro-benches (event queue, PRNG, the
-      ordering oracle).
-   2. The experiment tables themselves (E1-E9, A1, A2): the rows that
+      each timing that table's representative run
+      ({!Harness.Experiments.representative}, untraced), so the cost of
+      regenerating each table is itself tracked — plus substrate
+      micro-benches (event queues, PRNG, the ordering oracle).
+   2. The experiment tables themselves (E1-E11, A1-A4): the rows that
       reproduce each of the paper's quantitative claims.
 
    BENCH_SPEED=full widens the sweeps (more sizes, more seeds);
    BENCH_SKIP_MICRO=1 skips the expensive per-experiment bechamel half —
-   the cheap substrate micro-benches (event queue, PRNG, heaps, oracle)
-   always run, so micro_ns_per_run is never empty.
+   the cheap substrate micro-benches (event queues, PRNG, oracle) always
+   run, so micro_ns_per_run is never empty.
 
    A third section benchmarks the model checker itself (layered-BFS
    throughput, visited-table footprint, serial-vs-parallel speedup);
@@ -28,237 +28,27 @@ let ts = 0.5
 
 (* --- representative single runs, one per experiment table ----------- *)
 
-let run_modified_paxos ~n ~network ~faults ~injections () =
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~seed:42L ~network ~faults ()
-  in
-  let cfg = Dgl.Config.make ~n ~delta () in
-  Sim.Engine.run ~injections sc (Dgl.Modified_paxos.protocol cfg)
-
-let e1_once () =
-  let n = 9 in
-  let victims = Harness.Adversaries.faulty_minority ~n in
-  ignore
-    (run_modified_paxos ~n ~network:Sim.Network.deterministic_after_ts
-       ~faults:(Sim.Fault.make ~initially_down:victims [])
-       ~injections:
-         (Harness.Adversaries.dgl_session1_injections ~n ~from:ts
-            ~spacing:(2. *. delta) ~victims)
-       ())
-
-let e2_once () =
-  let n = 9 in
-  let victims = Harness.Adversaries.faulty_minority ~n in
-  let faults = Sim.Fault.make ~initially_down:victims [] in
-  let t0 =
-    Harness.Adversaries.traditional_first_start ~ts ~theta:(2. *. delta)
-      ~stabilize_delay:delta
-  in
-  let injections =
-    Harness.Adversaries.paxos_aligned_injections ~n ~delta ~t0 ~leader:0
-      ~victims
-  in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~seed:42L
-      ~network:Sim.Network.deterministic_after_ts ~faults ()
-  in
-  let oracle = Baselines.Leader_election.make ~n ~ts ~delta ~faults () in
-  ignore
-    (Sim.Engine.run ~injections sc
-       (Baselines.Traditional_paxos.protocol ~n ~delta ~oracle ()))
-
-let e3_once () =
-  let n = 9 in
-  let dead = List.init (Consensus.Quorum.majority n - 1) (fun i -> i) in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~seed:42L
-      ~network:Sim.Network.silent_until_ts
-      ~faults:(Sim.Fault.make ~initially_down:dead [])
-      ()
-  in
-  ignore
-    (Sim.Engine.run sc (Baselines.Rotating_coordinator.protocol ~n ~delta ()))
-
-let e4_once () =
-  let n = 5 in
-  let faults =
-    Sim.Fault.crash_then_restart ~crash_at:(ts /. 2.)
-      ~restart_at:(ts +. (20. *. delta))
-      2
-  in
-  ignore
-    (run_modified_paxos ~n
-       ~network:(Sim.Network.eventually_synchronous ())
-       ~faults ~injections:[] ())
-
-let e5_once () =
-  let n = 9 in
-  let victims = Harness.Adversaries.faulty_minority ~n in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~seed:42L
-      ~network:Sim.Network.silent_until_ts
-      ~faults:(Sim.Fault.make ~initially_down:victims [])
-      ()
-  in
-  ignore
-    (Sim.Engine.run sc
-       (Bconsensus.Modified_b_consensus.protocol ~n ~delta ~rho:0. ()))
-
-let e6_once () =
-  let n = 5 in
-  let cfg = Dgl.Config.make ~n ~delta ~epsilon:delta () in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~seed:42L
-      ~network:Sim.Network.silent_until_ts ()
-  in
-  ignore (Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg))
-
-let e7_once () =
-  let n = 5 in
-  let cfg = Dgl.Config.make ~n ~delta () in
-  let options = { Dgl.Modified_paxos.default_options with prestart = true } in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts:0. ~delta ~seed:42L
-      ~network:Sim.Network.deterministic_after_ts ()
-  in
-  ignore (Sim.Engine.run sc (Dgl.Modified_paxos.protocol ~options cfg))
-
-let e8_once () =
-  let n = 5 in
-  let cfg = Dgl.Config.make ~n ~delta ~sigma:(8. *. delta) () in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~seed:42L
-      ~network:Sim.Network.silent_until_ts ()
-  in
-  ignore (Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg))
-
-let e9_once () =
-  let n = 5 in
-  let cfg = Dgl.Config.make ~n ~delta ~rho:0.05 () in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~rho:0.05 ~seed:42L
-      ~network:Sim.Network.silent_until_ts ()
-  in
-  ignore (Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg))
-
-let a1_once () =
-  let n = 9 in
-  let victims = Harness.Adversaries.faulty_minority ~n in
-  let cfg = Dgl.Config.make ~n ~delta () in
-  let options =
-    { Dgl.Modified_paxos.default_options with session_gate = false }
-  in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~seed:42L
-      ~network:Sim.Network.deterministic_after_ts
-      ~faults:(Sim.Fault.make ~initially_down:victims [])
-      ()
-  in
-  ignore
-    (Sim.Engine.run
-       ~injections:
-         (Harness.Adversaries.dgl_high_session_injections ~n ~from:ts
-            ~spacing:(3. *. delta) ~victims)
-       sc
-       (Dgl.Modified_paxos.protocol ~options cfg))
-
-let a2_once () =
-  let n = 9 in
-  let tuning =
-    {
-      (Bconsensus.Modified_b_consensus.default_tuning ~delta) with
-      hold_back = 0.5 *. delta;
-    }
-  in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~seed:42L
-      ~network:(Sim.Network.eventually_synchronous ())
-      ~horizon:(ts +. (500. *. delta))
-      ()
-  in
-  ignore
-    (Sim.Engine.run sc
-       (Bconsensus.Modified_b_consensus.protocol ~tuning ~n ~delta ~rho:0. ()))
-
-let e10_once () =
-  let n = 5 in
-  let cfg = Dgl.Config.make ~n ~delta () in
-  let workloads =
-    Array.init n (fun p ->
-        if p <> 1 then []
-        else
-          List.init 4 (fun k ->
-              ( 0.2 +. (10. *. delta *. float_of_int k),
-                Smr.Command.make ~id:k (Smr.Command.Add 1) )))
-  in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts:0. ~delta ~seed:42L
-      ~network:Sim.Network.deterministic_after_ts ~horizon:1.0 ()
-  in
-  ignore (Sim.Engine.run sc (Smr.Multi_paxos.protocol cfg ~workloads))
-
-let a3_once () =
-  let n = 5 in
-  let tuning =
-    {
-      (Bconsensus.Modified_b_consensus.default_tuning ~delta) with
-      epsilon = delta;
-      jump = false;
-    }
-  in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts:(25. *. delta) ~delta ~seed:42L
-      ~network:(Sim.Network.partitioned_until_ts [ List.init (n - 1) Fun.id ])
-      ~horizon:(25. *. delta +. 2.) ()
-  in
-  ignore
-    (Sim.Engine.run sc
-       (Bconsensus.Modified_b_consensus.protocol ~tuning ~n ~delta ~rho:0. ()))
-
-let e11_once () =
-  let n = 9 in
-  let dead = List.init (n - Consensus.Quorum.majority n) Fun.id in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~seed:42L
-      ~network:Sim.Network.deterministic_after_ts
-      ~faults:(Sim.Fault.make ~initially_down:dead [])
-      ~horizon:(ts +. 1.0) ()
-  in
-  ignore (Sim.Engine.run sc (Baselines.Heartbeat_omega.protocol ~n ~delta ()))
-
-let a4_once () =
-  let n = 5 in
-  let cfg = Dgl.Config.make ~n ~delta () in
-  let workloads =
-    Array.init n (fun p ->
-        if p <> 1 then []
-        else [ (0.1, Smr.Command.make ~id:0 (Smr.Command.Add 1)) ])
-  in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts:0. ~delta ~seed:42L
-      ~network:Sim.Network.always_synchronous ~stop_on_all_decided:false
-      ~horizon:1.0 ()
-  in
-  ignore
-    (Sim.Engine.run sc
-       (Smr.Multi_paxos.protocol ~progress_gate:false cfg ~workloads))
+(* The bechamel name of each experiment's single run, keyed by id. *)
+let run_names =
+  [
+    ("e1", "modified-paxos-run");
+    ("e2", "traditional-paxos-run");
+    ("e3", "rotating-coordinator-run");
+    ("e4", "restart-run");
+    ("e5", "b-consensus-run");
+    ("e6", "epsilon-run");
+    ("e7", "prestart-run");
+    ("e8", "sigma-run");
+    ("e9", "drift-run");
+    ("e10", "smr-run");
+    ("e11", "omega-run");
+    ("a1", "ungated-run");
+    ("a2", "holdback-run");
+    ("a3", "nojump-run");
+    ("a4", "progress-gate-run");
+  ]
 
 (* --- substrate micro-benches ---------------------------------------- *)
-
-let heap_churn () =
-  let cmp (a1, i1) (a2, i2) =
-    let c = Float.compare a1 a2 in
-    if c <> 0 then c else Int.compare i1 i2
-  in
-  let h = ref (Sim.Pairing_heap.empty ~cmp) in
-  for i = 0 to 999 do
-    h := Sim.Pairing_heap.insert !h (float_of_int ((i * 7919) mod 997), i)
-  done;
-  for _ = 0 to 999 do
-    match Sim.Pairing_heap.pop_min !h with
-    | Some (_, rest) -> h := rest
-    | None -> ()
-  done
 
 (* The engine's actual queue since the packed-event rework: five unboxed
    int fields per event, int-compare ordering.  Keeps the historical
@@ -321,7 +111,6 @@ let oracle_churn () =
    whole simulated execution per sample. *)
 let cheap_cases =
   [
-    Test.make ~name:"substrate/pairing-heap-1k" (Staged.stage heap_churn);
     Test.make ~name:"substrate/event-queue-1k" (Staged.stage event_queue_churn);
     Test.make ~name:"substrate/generic-event-queue-1k"
       (Staged.stage generic_event_queue_churn);
@@ -330,23 +119,15 @@ let cheap_cases =
   ]
 
 let expensive_cases =
-  [
-      Test.make ~name:"e1/modified-paxos-run" (Staged.stage e1_once);
-      Test.make ~name:"e2/traditional-paxos-run" (Staged.stage e2_once);
-      Test.make ~name:"e3/rotating-coordinator-run" (Staged.stage e3_once);
-      Test.make ~name:"e4/restart-run" (Staged.stage e4_once);
-      Test.make ~name:"e5/b-consensus-run" (Staged.stage e5_once);
-      Test.make ~name:"e6/epsilon-run" (Staged.stage e6_once);
-      Test.make ~name:"e7/prestart-run" (Staged.stage e7_once);
-      Test.make ~name:"e8/sigma-run" (Staged.stage e8_once);
-      Test.make ~name:"e9/drift-run" (Staged.stage e9_once);
-      Test.make ~name:"a1/ungated-run" (Staged.stage a1_once);
-      Test.make ~name:"a2/holdback-run" (Staged.stage a2_once);
-      Test.make ~name:"e10/smr-run" (Staged.stage e10_once);
-      Test.make ~name:"e11/omega-run" (Staged.stage e11_once);
-    Test.make ~name:"a3/nojump-run" (Staged.stage a3_once);
-    Test.make ~name:"a4/progress-gate-run" (Staged.stage a4_once);
-  ]
+  List.map
+    (fun id ->
+      match Harness.Experiments.representative id with
+      | Some run ->
+          Test.make
+            ~name:(id ^ "/" ^ List.assoc id run_names)
+            (Staged.stage (fun () -> ignore (run ~record_trace:false)))
+      | None -> invalid_arg ("bench: no representative for " ^ id))
+    Harness.Experiments.ids
 
 (* [run_micro cases] prints the human table and returns
    [(name, ns_per_run option, r_square option)] rows for the JSON dump. *)
@@ -562,6 +343,24 @@ let chaos_stats ?metrics ~commands ~pipeline () =
 
 let chaos_metric_names = [ "chaos_commands_per_s"; "chaos_faults_injected" ]
 
+(* --- code size --------------------------------------------------------- *)
+
+(* Lines of lib/ and bin/ (.ml and .mli) that hold a token: the size of
+   the program, tracked so simplifications show their shrink.  [None]
+   when the sources are not on disk (e.g. an installed binary). *)
+let loc_stats () =
+  match Lint.Driver.find_root () with
+  | None -> None
+  | Some root ->
+      let lib = Lint.Driver.code_lines ~root [ "lib" ]
+      and bin = Lint.Driver.code_lines ~root [ "bin" ] in
+      Printf.printf
+        "code size: %d lines in lib/, %d in bin/ (non-blank, non-comment)\n\n%!"
+        lib bin;
+      Some (lib, bin)
+
+let loc_metric_names = [ "loc_lib"; "loc_bin" ]
+
 (* --- smoke mode ------------------------------------------------------- *)
 
 (* [--smoke]: the cheap micro-benches plus the engine/allocation
@@ -575,10 +374,12 @@ let smoke () =
   ignore (engine_stats () : float * float * float);
   ignore (serve_stats ~commands:5_000 ~pipeline:128 () : float * float * float);
   ignore (chaos_stats ~commands:2_000 ~pipeline:64 () : float * int);
+  let loc = loc_stats () in
   let produced =
     List.sort_uniq String.compare
       (List.map (fun (name, _, _) -> name) micro
-      @ engine_metric_names @ serve_metric_names @ chaos_metric_names)
+      @ engine_metric_names @ serve_metric_names @ chaos_metric_names
+      @ if loc = None then [] else loc_metric_names)
   in
   let schema_path =
     match Lint.Driver.find_root () with
@@ -642,7 +443,7 @@ let json_float f =
 let json_opt_float = function Some f -> json_float f | None -> "null"
 
 let write_results ~path ~speed ~domains ~wall ~serial_wall ~micro ~metrics
-    ~mcheck ~fuzz ~engine ~serve ~chaos ~invariants_ok ~lint =
+    ~mcheck ~fuzz ~engine ~serve ~chaos ~invariants_ok ~lint ~loc =
   let mc_states, mc_wall, mc_states_per_s, mc_visited_mb, mc_speedup =
     mcheck
   in
@@ -692,6 +493,13 @@ let write_results ~path ~speed ~domains ~wall ~serial_wall ~micro ~metrics
       p "  \"lint_findings\": null,\n";
       p "  \"lint_rules_run\": null,\n";
       p "  \"lint_callgraph_nodes\": null,\n");
+  (match loc with
+  | Some (lib, bin) ->
+      p "  \"loc_lib\": %d,\n" lib;
+      p "  \"loc_bin\": %d,\n" bin
+  | None ->
+      p "  \"loc_lib\": null,\n";
+      p "  \"loc_bin\": null,\n");
   p "  \"metrics\": %s,\n" (Sim.Registry.to_json metrics);
   p "  \"micro_ns_per_run\": [";
   List.iteri
@@ -887,7 +695,8 @@ let () =
     in
     chaos_stats ~metrics ~commands ~pipeline:128 ()
   in
+  let loc = loc_stats () in
   let path = "BENCH_RESULTS.json" in
   write_results ~path ~speed:speed_name ~domains ~wall ~serial_wall ~micro
-    ~metrics ~mcheck ~fuzz ~engine ~serve ~chaos ~invariants_ok ~lint;
+    ~metrics ~mcheck ~fuzz ~engine ~serve ~chaos ~invariants_ok ~lint ~loc;
   Format.printf "(wrote %s)@." path

@@ -788,14 +788,12 @@ let trace_impl id import export filters timeline stats =
                 failwith
                   (Printf.sprintf "unknown experiment %S (try: %s)" id
                      (String.concat ", " Harness.Experiments.ids))
-            | Some rp ->
-                Format.printf "replayed %s: scenario %a@."
-                  rp.Harness.Experiments.replay_id Sim.Scenario.pp
-                  rp.Harness.Experiments.scenario;
-                ( rp.Harness.Experiments.trace,
-                  rp.Harness.Experiments.proposals,
-                  rp.Harness.Experiments.timer_bounds,
-                  Some rp.Harness.Experiments.metrics )))
+            | Some Harness.Experiments.
+                     { replay_id; scenario; trace; metrics; proposals;
+                       timer_bounds; _ } ->
+                Format.printf "replayed %s: scenario %a@." replay_id
+                  Sim.Scenario.pp scenario;
+                (trace, proposals, timer_bounds, Some metrics)))
   in
   print_trace_summary Format.std_formatter trace;
   (match export with
@@ -839,7 +837,8 @@ let trace_cmd =
       value
       & pos 0 (some string) None
       & info [] ~docv:"ID"
-          ~doc:"Experiment id to replay with tracing on (e1..e11, a1..a4).")
+          ~doc:("Experiment id to replay with tracing on: "
+               ^ String.concat ", " Harness.Experiments.ids))
   in
   let import_arg =
     Arg.(

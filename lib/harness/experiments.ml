@@ -110,41 +110,50 @@ let drain_notes ~reg ~pass_note = function
       ("SAFETY VIOLATIONS DETECTED:" :: notes)
       @ [ pass_note; metrics_note reg ]
 
+(* Every [*_run] function below builds one engine run of its table: the
+   scenario, protocol, faults, injections and horizon of the row named
+   by its arguments, for one seed.  The tables, {!headline}, the traced
+   replays and bench's single runs all go through them. *)
+
+let mp_cfg n = Dgl.Config.make ~n ~delta ()
+
 (* ------------------------------------------------------------------ *)
 (* E1: modified Paxos decides in O(delta), independent of N            *)
 (* ------------------------------------------------------------------ *)
 
+(* E1's two adversaries: the deterministic net with session-1 obsolete
+   ballots from the faulty minority, or ([~lossy]) the 50%-loss random
+   pre-TS net with no injections. *)
+let e1_run ~n ~lossy ~record_trace seed =
+  let victims = Adversaries.faulty_minority ~n in
+  let network, injections =
+    if lossy then (Sim.Network.eventually_synchronous (), [])
+    else
+      ( Sim.Network.deterministic_after_ts,
+        Adversaries.dgl_session1_injections ~n ~from:ts ~spacing:(2. *. delta)
+          ~victims )
+  in
+  let sc =
+    Sim.Scenario.make ~name:"e1" ~n ~ts ~delta ~seed ~network
+      ~faults:(Sim.Fault.make ~initially_down:victims [])
+      ~record_trace ()
+  in
+  Sim.Engine.run ~injections sc (Dgl.Modified_paxos.protocol (mp_cfg n))
+
 let e1 ?(speed = Quick) () =
-  let cfg_for n = Dgl.Config.make ~n ~delta () in
-  let bound = Dgl.Config.decision_bound (cfg_for 3) /. delta in
+  let bound = Dgl.Config.decision_bound (mp_cfg 3) /. delta in
   let rows, notes, reg =
     par_collect (sizes speed) (fun obs n ->
         let victims = Adversaries.faulty_minority ~n in
-        let faults = Sim.Fault.make ~initially_down:victims [] in
         let live = Measure.procs ~n ~except:victims () in
-        let run ~network ~injections seed =
-          let sc =
-            Sim.Scenario.make ~name:"e1" ~n ~ts ~delta ~seed ~network ~faults
-              ()
-          in
-          let r = Sim.Engine.run ~injections sc (Dgl.Modified_paxos.protocol (cfg_for n)) in
-          check obs r;
-          Measure.worst_latency r ~procs:live ~from_time:ts ~delta
-        in
-        let lat_det =
+        let over ~lossy =
           Measure.over_seeds ~seeds:(seeds speed) ~base:seed_base (fun seed ->
-              run ~network:Sim.Network.deterministic_after_ts
-                ~injections:
-                  (Adversaries.dgl_session1_injections ~n ~from:ts
-                     ~spacing:(2. *. delta) ~victims)
-                seed)
+              let r = e1_run ~n ~lossy ~record_trace:false seed in
+              check obs r;
+              Measure.worst_latency r ~procs:live ~from_time:ts ~delta)
         in
-        let lat_rand =
-          Measure.over_seeds ~seeds:(seeds speed) ~base:seed_base (fun seed ->
-              run
-                ~network:(Sim.Network.eventually_synchronous ())
-                ~injections:[] seed)
-        in
+        let lat_det = over ~lossy:false in
+        let lat_rand = over ~lossy:true in
         let all = lat_det @ lat_rand in
         let worst = List.fold_left Float.max 0. all in
         [
@@ -175,27 +184,30 @@ let e1 ?(speed = Quick) () =
 (* E2: traditional Paxos, O(N delta) under obsolete ballots            *)
 (* ------------------------------------------------------------------ *)
 
+let e2_run ~n ~record_trace seed =
+  let victims = Adversaries.faulty_minority ~n in
+  let faults = Sim.Fault.make ~initially_down:victims [] in
+  let t0 =
+    Adversaries.traditional_first_start ~ts ~theta:(2. *. delta)
+      ~stabilize_delay:delta
+  in
+  let sc =
+    Sim.Scenario.make ~name:"e2" ~n ~ts ~delta ~seed
+      ~network:Sim.Network.deterministic_after_ts ~faults ~record_trace ()
+  in
+  let oracle = Baselines.Leader_election.make ~n ~ts ~delta ~faults () in
+  Sim.Engine.run
+    ~injections:
+      (Adversaries.paxos_aligned_injections ~n ~delta ~t0 ~leader:0 ~victims)
+    sc
+    (Baselines.Traditional_paxos.protocol ~n ~delta ~oracle ())
+
 let e2 ?(speed = Quick) () =
-  let theta = 2. *. delta in
   let rows, notes, reg =
     par_collect (sizes speed) (fun obs n ->
         let victims = Adversaries.faulty_minority ~n in
-        let faults = Sim.Fault.make ~initially_down:victims [] in
         let live = Measure.procs ~n ~except:victims () in
-        let t0 =
-          Adversaries.traditional_first_start ~ts ~theta ~stabilize_delay:delta
-        in
-        let injections =
-          Adversaries.paxos_aligned_injections ~n ~delta ~t0 ~leader:0
-            ~victims
-        in
-        let sc =
-          Sim.Scenario.make ~name:"e2" ~n ~ts ~delta ~seed:seed_base
-            ~network:Sim.Network.deterministic_after_ts ~faults ()
-        in
-        let oracle = Baselines.Leader_election.make ~n ~ts ~delta ~faults () in
-        let proto = Baselines.Traditional_paxos.protocol ~n ~delta ~oracle () in
-        let r = Sim.Engine.run ~injections sc proto in
+        let r = e2_run ~n ~record_trace:false seed_base in
         check obs r;
         let worst = Measure.worst_latency r ~procs:live ~from_time:ts ~delta in
         let k = List.length victims in
@@ -226,21 +238,28 @@ let e2 ?(speed = Quick) () =
 (* E3: rotating coordinator, O(N delta) with dead coordinators         *)
 (* ------------------------------------------------------------------ *)
 
+(* The [⌈N/2⌉ - 1] lowest ids: E3's first coordinators, and the ids a
+   lowest-id-alive elector would trust in E11. *)
+let dead_low_ids n = List.init (n - Consensus.Quorum.majority n) Fun.id
+
+let e3_run ~n ~record_trace seed =
+  let sc =
+    Sim.Scenario.make ~name:"e3" ~n ~ts ~delta ~seed
+      ~network:Sim.Network.silent_until_ts
+      ~faults:(Sim.Fault.make ~initially_down:(dead_low_ids n) [])
+      ~record_trace ()
+  in
+  Sim.Engine.run sc (Baselines.Rotating_coordinator.protocol ~n ~delta ())
+
 let e3 ?(speed = Quick) () =
   let rows, notes, reg =
     par_collect (sizes speed) (fun obs n ->
-        let f = n - Consensus.Quorum.majority n in
-        let dead = List.init f (fun i -> i) in
-        let faults = Sim.Fault.make ~initially_down:dead [] in
+        let dead = dead_low_ids n in
+        let f = List.length dead in
         let live = Measure.procs ~n ~except:dead () in
         let lats =
           Measure.over_seeds ~seeds:(seeds speed) ~base:seed_base (fun seed ->
-              let sc =
-                Sim.Scenario.make ~name:"e3" ~n ~ts ~delta ~seed
-                  ~network:Sim.Network.silent_until_ts ~faults ()
-              in
-              let proto = Baselines.Rotating_coordinator.protocol ~n ~delta () in
-              let r = Sim.Engine.run sc proto in
+              let r = e3_run ~n ~record_trace:false seed in
               check obs r;
               Measure.worst_latency r ~procs:live ~from_time:ts ~delta)
         in
@@ -272,34 +291,36 @@ let e3 ?(speed = Quick) () =
 (* E4: restart after TS decides within O(delta) of the restart         *)
 (* ------------------------------------------------------------------ *)
 
-let e4 ?(speed = Quick) () =
+(* Process 2 crashes before TS and restarts [offset] deltas after it. *)
+let e4_restart_at offset = ts +. (offset *. delta)
+
+let e4_run ~offset ~record_trace seed =
   let n = 5 in
-  let cfg = Dgl.Config.make ~n ~delta () in
-  let bound = Dgl.Config.restart_bound cfg /. delta in
+  let restart_at = e4_restart_at offset in
+  let sc =
+    Sim.Scenario.make ~name:"e4" ~n ~ts ~delta ~seed
+      ~network:(Sim.Network.eventually_synchronous ())
+      ~faults:(Sim.Fault.crash_then_restart ~crash_at:(ts /. 2.) ~restart_at 2)
+      ~horizon:(restart_at +. (200. *. delta))
+      ~record_trace ()
+  in
+  Sim.Engine.run sc (Dgl.Modified_paxos.protocol (mp_cfg n))
+
+let e4 ?(speed = Quick) () =
+  let bound = Dgl.Config.restart_bound (mp_cfg 5) /. delta in
   let offsets = [ 10.; 20.; 40.; 80. ] in
   let rows, notes, reg =
-    par_collect offsets (fun obs off ->
-        let restart_at = ts +. (off *. delta) in
-        let faults =
-          Sim.Fault.crash_then_restart ~crash_at:(ts /. 2.) ~restart_at 2
-        in
+    par_collect offsets (fun obs offset ->
         let lats =
           Measure.over_seeds ~seeds:(seeds speed) ~base:seed_base (fun seed ->
-              let sc =
-                Sim.Scenario.make ~name:"e4" ~n ~ts ~delta ~seed
-                  ~network:(Sim.Network.eventually_synchronous ())
-                  ~faults
-                  ~horizon:(restart_at +. (200. *. delta))
-                  ()
-              in
-              let r = Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg) in
+              let r = e4_run ~offset ~record_trace:false seed in
               check obs r;
-              Measure.worst_latency r ~procs:[ 2 ] ~from_time:restart_at
-                ~delta)
+              Measure.worst_latency r ~procs:[ 2 ]
+                ~from_time:(e4_restart_at offset) ~delta)
         in
         let worst = List.fold_left Float.max 0. lats in
         [
-          Printf.sprintf "TS + %.0f delta" off;
+          Printf.sprintf "TS + %.0f delta" offset;
           Report.cell_f (Sim.Metrics.mean lats);
           Report.cell_latency worst;
           Report.cell_f bound;
@@ -326,30 +347,37 @@ let e4 ?(speed = Quick) () =
 (* E5: modified B-Consensus decides in O(delta), independent of N      *)
 (* ------------------------------------------------------------------ *)
 
+(* E5's two pre-TS networks: silent, or ([~lossy]) 50%-loss random. *)
+let e5_run ~n ~lossy ~record_trace seed =
+  let sc =
+    Sim.Scenario.make ~name:"e5" ~n ~ts ~delta ~seed
+      ~network:
+        (if lossy then Sim.Network.eventually_synchronous ()
+         else Sim.Network.silent_until_ts)
+      ~faults:
+        (Sim.Fault.make ~initially_down:(Adversaries.faulty_minority ~n) [])
+      ~record_trace ()
+  in
+  Sim.Engine.run sc
+    (Bconsensus.Modified_b_consensus.protocol ~n ~delta ~rho:0. ())
+
 let e5 ?(speed = Quick) () =
-  let dgl_ref = Dgl.Config.decision_bound (Dgl.Config.make ~n:3 ~delta ()) /. delta in
+  let dgl_ref = Dgl.Config.decision_bound (mp_cfg 3) /. delta in
   let rows, notes, reg =
     par_collect (sizes speed) (fun obs n ->
-        let victims = Adversaries.faulty_minority ~n in
-        let faults = Sim.Fault.make ~initially_down:victims [] in
-        let live = Measure.procs ~n ~except:victims () in
-        let run ~network seed =
-          let sc =
-            Sim.Scenario.make ~name:"e5" ~n ~ts ~delta ~seed ~network ~faults
-              ()
-          in
-          let proto =
-            Bconsensus.Modified_b_consensus.protocol ~n ~delta ~rho:0. ()
-          in
-          let r = Sim.Engine.run sc proto in
+        let live =
+          Measure.procs ~n ~except:(Adversaries.faulty_minority ~n) ()
+        in
+        let run ~lossy seed =
+          let r = e5_run ~n ~lossy ~record_trace:false seed in
           check obs r;
           Measure.worst_latency r ~procs:live ~from_time:ts ~delta
         in
         let lats =
           Measure.over_seeds ~seeds:(seeds speed) ~base:seed_base
-            (run ~network:Sim.Network.silent_until_ts)
+            (run ~lossy:false)
           @ Measure.over_seeds ~seeds:(seeds speed) ~base:7777L
-              (run ~network:(Sim.Network.eventually_synchronous ()))
+              (run ~lossy:true)
         in
         let worst = List.fold_left Float.max 0. lats in
         [
@@ -379,46 +407,56 @@ let e5 ?(speed = Quick) () =
 (* E6: epsilon trade-off, messages vs latency                          *)
 (* ------------------------------------------------------------------ *)
 
+let e6_cfg eps_factor =
+  let epsilon = eps_factor *. delta in
+  let sigma = Float.max (5. *. delta) (4. *. delta +. epsilon) in
+  Dgl.Config.make ~n:5 ~delta ~epsilon ~sigma ()
+
+let e6_window = 30. *. delta
+
+(* The latency run (silent until TS), or with [~rate] the message-rate
+   run: stable from time 0 and kept running past the decision for two
+   {!e6_window}s; the table reads its rate from the trace. *)
+let e6_run ~eps_factor ~rate ~record_trace seed =
+  let n = 5 in
+  let sc =
+    if rate then
+      Sim.Scenario.make ~name:"e6rate" ~n ~ts:0. ~delta ~seed
+        ~network:Sim.Network.always_synchronous ~stop_on_all_decided:false
+        ~record_trace ~horizon:(2. *. e6_window) ()
+    else
+      Sim.Scenario.make ~name:"e6lat" ~n ~ts ~delta ~seed
+        ~network:Sim.Network.silent_until_ts
+        ~horizon:(ts +. (300. *. delta))
+        ~record_trace ()
+  in
+  Sim.Engine.run sc (Dgl.Modified_paxos.protocol (e6_cfg eps_factor))
+
 let e6 ?(speed = Quick) () =
   let n = 5 in
   let eps_factors = [ 0.125; 0.25; 0.5; 1.; 2.; 4. ] in
-  let window = 30. *. delta in
   let rows, notes, reg =
     par_collect eps_factors (fun obs f ->
-        let epsilon = f *. delta in
-        let sigma = Float.max (5. *. delta) (4. *. delta +. epsilon) in
-        let cfg = Dgl.Config.make ~n ~delta ~epsilon ~sigma () in
-        let bound = Dgl.Config.decision_bound cfg /. delta in
-        (* latency: silent-before-TS scenario *)
+        let bound = Dgl.Config.decision_bound (e6_cfg f) /. delta in
+        let run ~rate ~record_trace seed =
+          let r = e6_run ~eps_factor:f ~rate ~record_trace seed in
+          check obs r;
+          r
+        in
         let lats =
           Measure.over_seeds ~seeds:(seeds speed) ~base:seed_base (fun seed ->
-              let sc =
-                Sim.Scenario.make ~name:"e6lat" ~n ~ts ~delta ~seed
-                  ~network:Sim.Network.silent_until_ts
-                  ~horizon:(ts +. (300. *. delta))
-                  ()
-              in
-              let r = Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg) in
-              check obs r;
+              let r = run ~rate:false ~record_trace:false seed in
               Measure.worst_latency r
                 ~procs:(Measure.procs ~n ())
                 ~from_time:ts ~delta)
         in
-        (* steady-state message rate: keep running past the decision *)
         let rate =
-          let sc =
-            Sim.Scenario.make ~name:"e6rate" ~n ~ts:0. ~delta ~seed:seed_base
-              ~network:Sim.Network.always_synchronous
-              ~stop_on_all_decided:false ~record_trace:true
-              ~horizon:(2. *. window) ()
-          in
-          let r = Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg) in
-          check obs r;
+          let r = run ~rate:true ~record_trace:true seed_base in
           let sends =
-            Sim.Trace.sends_in_window r.Sim.Engine.trace ~lo:window
-              ~hi:(2. *. window)
+            Sim.Trace.sends_in_window r.Sim.Engine.trace ~lo:e6_window
+              ~hi:(2. *. e6_window)
           in
-          float_of_int sends /. (window /. delta) /. float_of_int n
+          float_of_int sends /. (e6_window /. delta) /. float_of_int n
         in
         let worst = List.fold_left Float.max 0. lats in
         [
@@ -451,24 +489,25 @@ let e6 ?(speed = Quick) () =
 (* E7: stable case, phase 1 pre-executed                               *)
 (* ------------------------------------------------------------------ *)
 
-let e7 ?(speed = Quick) () =
+let e7_run ~prestart ~record_trace seed =
   let n = 5 in
-  ignore speed;
-  let run obs ~prestart =
-    let options = { Dgl.Modified_paxos.default_options with prestart } in
-    let cfg = Dgl.Config.make ~n ~delta () in
-    let sc =
-      Sim.Scenario.make
-        ~name:(if prestart then "e7-prestarted" else "e7-cold")
-        ~n ~ts:0. ~delta ~seed:seed_base
-        ~network:Sim.Network.deterministic_after_ts ()
-    in
-    let r = Sim.Engine.run sc (Dgl.Modified_paxos.protocol ~options cfg) in
-    check obs r;
-    Measure.worst_latency r ~procs:(Measure.procs ~n ()) ~from_time:0. ~delta
+  let options = { Dgl.Modified_paxos.default_options with prestart } in
+  let sc =
+    Sim.Scenario.make
+      ~name:(if prestart then "e7-prestarted" else "e7-cold")
+      ~n ~ts:0. ~delta ~seed ~network:Sim.Network.deterministic_after_ts
+      ~record_trace ()
   in
+  Sim.Engine.run sc (Dgl.Modified_paxos.protocol ~options (mp_cfg n))
+
+let e7 ?(speed = Quick) () =
+  ignore speed;
   let lats, notes, reg =
-    par_collect [ true; false ] (fun obs prestart -> run obs ~prestart)
+    par_collect [ true; false ] (fun obs prestart ->
+        let r = e7_run ~prestart ~record_trace:false seed_base in
+        check obs r;
+        Measure.worst_latency r ~procs:(Measure.procs ~n:5 ()) ~from_time:0.
+          ~delta)
   in
   let pre, cold =
     match lats with [ a; b ] -> (a, b) | _ -> assert false
@@ -500,24 +539,27 @@ let e7 ?(speed = Quick) () =
 (* E8: sigma sensitivity                                               *)
 (* ------------------------------------------------------------------ *)
 
+let e8_cfg sigma_factor =
+  Dgl.Config.make ~n:5 ~delta ~sigma:(sigma_factor *. delta) ()
+
+let e8_run ~sigma_factor ~record_trace seed =
+  let sc =
+    Sim.Scenario.make ~name:"e8" ~n:5 ~ts ~delta ~seed
+      ~network:Sim.Network.silent_until_ts ~record_trace ()
+  in
+  Sim.Engine.run sc (Dgl.Modified_paxos.protocol (e8_cfg sigma_factor))
+
 let e8 ?(speed = Quick) () =
-  let n = 5 in
   let sigmas = [ 4.05; 5.; 6.; 8.; 10. ] in
   let rows, notes, reg =
     par_collect sigmas (fun obs s ->
-        let sigma = s *. delta in
-        let cfg = Dgl.Config.make ~n ~delta ~sigma () in
-        let bound = Dgl.Config.decision_bound cfg /. delta in
+        let bound = Dgl.Config.decision_bound (e8_cfg s) /. delta in
         let lats =
           Measure.over_seeds ~seeds:(seeds speed) ~base:seed_base (fun seed ->
-              let sc =
-                Sim.Scenario.make ~name:"e8" ~n ~ts ~delta ~seed
-                  ~network:Sim.Network.silent_until_ts ()
-              in
-              let r = Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg) in
+              let r = e8_run ~sigma_factor:s ~record_trace:false seed in
               check obs r;
               Measure.worst_latency r
-                ~procs:(Measure.procs ~n ())
+                ~procs:(Measure.procs ~n:5 ())
                 ~from_time:ts ~delta)
         in
         let worst = List.fold_left Float.max 0. lats in
@@ -547,23 +589,26 @@ let e8 ?(speed = Quick) () =
 (* E9: clock drift                                                     *)
 (* ------------------------------------------------------------------ *)
 
+let e9_cfg rho = Dgl.Config.make ~n:5 ~delta ~rho ()
+
+let e9_run ~rho ~record_trace seed =
+  let sc =
+    Sim.Scenario.make ~name:"e9" ~n:5 ~ts ~delta ~rho ~seed
+      ~network:Sim.Network.silent_until_ts ~record_trace ()
+  in
+  Sim.Engine.run sc (Dgl.Modified_paxos.protocol (e9_cfg rho))
+
 let e9 ?(speed = Quick) () =
-  let n = 5 in
   let rhos = [ 0.; 0.02; 0.05; 0.1 ] in
   let rows, notes, reg =
     par_collect rhos (fun obs rho ->
-        let cfg = Dgl.Config.make ~n ~delta ~rho () in
-        let bound = Dgl.Config.decision_bound cfg /. delta in
+        let bound = Dgl.Config.decision_bound (e9_cfg rho) /. delta in
         let lats =
           Measure.over_seeds ~seeds:(seeds speed) ~base:seed_base (fun seed ->
-              let sc =
-                Sim.Scenario.make ~name:"e9" ~n ~ts ~delta ~rho ~seed
-                  ~network:Sim.Network.silent_until_ts ()
-              in
-              let r = Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg) in
+              let r = e9_run ~rho ~record_trace:false seed in
               check obs r;
               Measure.worst_latency r
-                ~procs:(Measure.procs ~n ())
+                ~procs:(Measure.procs ~n:5 ())
                 ~from_time:ts ~delta)
         in
         let worst = List.fold_left Float.max 0. lats in
@@ -594,38 +639,42 @@ let e9 ?(speed = Quick) () =
 (* A1: session-gate ablation                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The gated algorithm against its worst admissible adversary (session-1
+   ballots), or the ungated one against session-1000k ballots. *)
+let a1_run ~n ~gated ~record_trace seed =
+  let victims = Adversaries.faulty_minority ~n in
+  let options =
+    { Dgl.Modified_paxos.default_options with session_gate = gated }
+  in
+  let injections =
+    if gated then
+      Adversaries.dgl_session1_injections ~n ~from:ts ~spacing:(2. *. delta)
+        ~victims
+    else
+      Adversaries.dgl_high_session_injections ~n ~from:ts
+        ~spacing:(3. *. delta) ~victims
+  in
+  let sc =
+    Sim.Scenario.make ~name:"a1" ~n ~ts ~delta ~seed
+      ~network:Sim.Network.deterministic_after_ts
+      ~faults:(Sim.Fault.make ~initially_down:victims [])
+      ~record_trace ()
+  in
+  Sim.Engine.run ~injections sc
+    (Dgl.Modified_paxos.protocol ~options (mp_cfg n))
+
 let a1 ?(speed = Quick) () =
   let rows, notes, reg =
     par_collect (sizes speed) (fun obs n ->
         let victims = Adversaries.faulty_minority ~n in
-        let faults = Sim.Fault.make ~initially_down:victims [] in
         let live = Measure.procs ~n ~except:victims () in
-        let cfg = Dgl.Config.make ~n ~delta () in
-        let run ~gate ~injections =
-          let options =
-            { Dgl.Modified_paxos.default_options with session_gate = gate }
-          in
-          let sc =
-            Sim.Scenario.make ~name:"a1" ~n ~ts ~delta ~seed:seed_base
-              ~network:Sim.Network.deterministic_after_ts ~faults ()
-          in
-          let r =
-            Sim.Engine.run ~injections sc
-              (Dgl.Modified_paxos.protocol ~options cfg)
-          in
+        let run ~gated =
+          let r = a1_run ~n ~gated ~record_trace:false seed_base in
           check obs r;
           Measure.worst_latency r ~procs:live ~from_time:ts ~delta
         in
-        let high =
-          Adversaries.dgl_high_session_injections ~n ~from:ts
-            ~spacing:(3. *. delta) ~victims
-        in
-        let admissible =
-          Adversaries.dgl_session1_injections ~n ~from:ts
-            ~spacing:(2. *. delta) ~victims
-        in
-        let ungated = run ~gate:false ~injections:high in
-        let gated = run ~gate:true ~injections:admissible in
+        let ungated = run ~gated:false in
+        let gated = run ~gated:true in
         [
           string_of_int n;
           string_of_int (List.length victims);
@@ -654,33 +703,33 @@ let a1 ?(speed = Quick) () =
 (* A2: oracle hold-back ablation                                       *)
 (* ------------------------------------------------------------------ *)
 
-let a2 ?(speed = Quick) () =
+let a2_run ~hold_back_factor ~record_trace seed =
   let n = 9 in
+  let tuning =
+    {
+      (Bconsensus.Modified_b_consensus.default_tuning ~delta) with
+      hold_back = hold_back_factor *. delta;
+    }
+  in
+  let sc =
+    Sim.Scenario.make ~name:"a2" ~n ~ts ~delta ~seed
+      ~network:Sim.Network.silent_until_ts
+      ~horizon:(ts +. (500. *. delta))
+      ~record_trace ()
+  in
+  Sim.Engine.run sc
+    (Bconsensus.Modified_b_consensus.protocol ~tuning ~n ~delta ~rho:0. ())
+
+let a2 ?(speed = Quick) () =
   let factors = [ 0.; 0.5; 1.; 2.; 4. ] in
   let rows, notes, reg =
     par_collect factors (fun obs f ->
-        let tuning =
-          {
-            (Bconsensus.Modified_b_consensus.default_tuning ~delta) with
-            hold_back = f *. delta;
-          }
-        in
         let lats =
           Measure.over_seeds ~seeds:(seeds speed) ~base:seed_base (fun seed ->
-              let sc =
-                Sim.Scenario.make ~name:"a2" ~n ~ts ~delta ~seed
-                  ~network:Sim.Network.silent_until_ts
-                  ~horizon:(ts +. (500. *. delta))
-                  ()
-              in
-              let proto =
-                Bconsensus.Modified_b_consensus.protocol ~tuning ~n ~delta
-                  ~rho:0. ()
-              in
-              let r = Sim.Engine.run sc proto in
+              let r = a2_run ~hold_back_factor:f ~record_trace:false seed in
               check obs r;
               Measure.worst_latency r
-                ~procs:(Measure.procs ~n ())
+                ~procs:(Measure.procs ~n:9 ())
                 ~from_time:ts ~delta)
         in
         let worst = List.fold_left Float.max 0. lats in
@@ -711,34 +760,45 @@ let a2 ?(speed = Quick) () =
 (* E10: state machine replication, stable-case commit cost             *)
 (* ------------------------------------------------------------------ *)
 
-let e10 ?(speed = Quick) () =
+let e10_gap = 10. *. delta
+
+let e10_commands = 6
+
+(* Commands go to follower 1 from 20 deltas after TS (TS = 0 when
+   stable from the start), one every {!e10_gap}. *)
+let e10_start ~stable_from_start =
+  (if stable_from_start then 0. else ts) +. (20. *. delta)
+
+let e10_run ~stable_from_start ~record_trace seed =
   let n = 5 in
+  let start = e10_start ~stable_from_start in
+  let workloads =
+    Array.init n (fun p ->
+        if p <> 1 then []
+        else
+          List.init e10_commands (fun k ->
+              ( start +. (e10_gap *. float_of_int k),
+                Smr.Command.make ~id:k (Smr.Command.Add 1) )))
+  in
+  let sc =
+    Sim.Scenario.make ~name:"e10" ~n
+      ~ts:(if stable_from_start then 0. else ts)
+      ~delta ~seed
+      ~network:
+        (if stable_from_start then Sim.Network.deterministic_after_ts
+         else Sim.Network.eventually_synchronous ())
+      ~record_trace
+      ~horizon:
+        (start +. (float_of_int e10_commands *. e10_gap) +. (100. *. delta))
+      ()
+  in
+  Sim.Engine.run sc (Smr.Multi_paxos.protocol (mp_cfg n) ~workloads)
+
+let e10 ?(speed = Quick) () =
   ignore speed;
-  let gap = 10. *. delta in
-  let per_proc = 6 in
-  let submitter = 1 in
   let run obs ~stable_from_start =
-    let ts' = if stable_from_start then 0. else ts in
-    let start = ts' +. (20. *. delta) in
-    let workloads =
-      Array.init n (fun p ->
-          if p <> submitter then []
-          else
-            List.init per_proc (fun k ->
-                ( start +. (gap *. float_of_int k),
-                  Smr.Command.make ~id:k (Smr.Command.Add 1) )))
-    in
-    let cfg = Dgl.Config.make ~n ~delta () in
-    let sc =
-      Sim.Scenario.make ~name:"e10" ~n ~ts:ts' ~delta ~seed:seed_base
-        ~network:
-          (if stable_from_start then Sim.Network.deterministic_after_ts
-           else Sim.Network.eventually_synchronous ())
-        ~record_trace:true
-        ~horizon:(start +. (float_of_int per_proc *. gap) +. (100. *. delta))
-        ()
-    in
-    let r = Sim.Engine.run sc (Smr.Multi_paxos.protocol cfg ~workloads) in
+    let start = e10_start ~stable_from_start in
+    let r = e10_run ~stable_from_start ~record_trace:true seed_base in
     record_metrics obs r;
     (* SMR decisions are log checksums, so only the agreement half of the
        safety check applies (checksum equality = identical applied logs). *)
@@ -773,7 +833,7 @@ let e10 ?(speed = Quick) () =
        epsilon gossip, the paper's "unavoidable cost of fast recovery",
        reported as a background rate. *)
     let window_lo = start
-    and window_hi = start +. (float_of_int per_proc *. gap) in
+    and window_hi = start +. (float_of_int e10_commands *. e10_gap) in
     let phase2 = ref 0 and gossip = ref 0 in
     Sim.Trace.fold_window
       (fun () e ->
@@ -784,7 +844,7 @@ let e10 ?(speed = Quick) () =
             | _ -> incr gossip)
         | _ -> ())
       () r.Sim.Engine.trace ~lo:window_lo ~hi:window_hi;
-    let phase2_per_cmd = float_of_int !phase2 /. float_of_int per_proc in
+    let phase2_per_cmd = float_of_int !phase2 /. float_of_int e10_commands in
     let gossip_rate =
       float_of_int !gossip /. ((window_hi -. window_lo) /. delta)
     in
@@ -849,48 +909,51 @@ let e10 ?(speed = Quick) () =
 (* A3: round jumping vs executing all rounds (original B-Consensus)    *)
 (* ------------------------------------------------------------------ *)
 
+(* Process 4 is partitioned from the majority from boot until TS' =
+   [isolation] deltas.  With [~probe] the run stops at the heal instant
+   (the horizon sits a hair above TS', as validation requires horizon >
+   ts, far below the minimum post-heal delivery delay of 0.05 delta), so
+   the table can read how many rounds the majority burned through. *)
+let a3_run ~probe ~isolation ~jump ~record_trace seed =
+  let n = 5 in
+  let ts' = isolation *. delta in
+  let tuning =
+    {
+      (Bconsensus.Modified_b_consensus.default_tuning ~delta) with
+      epsilon = delta;
+      jump;
+    }
+  in
+  let network = Sim.Network.partitioned_until_ts [ List.init (n - 1) Fun.id ] in
+  let sc =
+    if probe then
+      Sim.Scenario.make ~name:"a3-probe" ~n ~ts:ts' ~delta ~seed ~network
+        ~horizon:(ts' +. 1e-9) ~stop_on_all_decided:false ~record_trace ()
+    else
+      Sim.Scenario.make ~name:"a3" ~n ~ts:ts' ~delta ~seed ~network
+        ~record_trace
+        ~horizon:(ts' +. (500. *. delta))
+        ()
+  in
+  Sim.Engine.run sc
+    (Bconsensus.Modified_b_consensus.protocol ~tuning ~n ~delta ~rho:0. ())
+
 let a3 ?(speed = Quick) () =
   ignore speed;
-  let n = 5 in
-  let straggler = n - 1 in
+  let straggler = 4 in
   let partition_lengths = [ 25.; 50.; 100. ] in
-  let run obs ~jump ~ts' =
-    let tuning =
-      {
-        (Bconsensus.Modified_b_consensus.default_tuning ~delta) with
-        epsilon = delta;
-        jump;
-      }
-    in
-    let network =
-      Sim.Network.partitioned_until_ts [ List.init (n - 1) Fun.id ]
-    in
-    let proto =
-      Bconsensus.Modified_b_consensus.protocol ~tuning ~n ~delta ~rho:0. ()
-    in
+  let run obs ~jump ~isolation =
+    let ts' = isolation *. delta in
     (* probe: how many rounds did the majority group burn through? *)
     let probe =
-      Sim.Engine.run
-        (* stop at the heal instant: the horizon sits a hair above [ts']
-           (validation requires horizon > ts), far below the minimum
-           post-heal delivery delay of [0.05 * delta] *)
-        (Sim.Scenario.make ~name:"a3-probe" ~n ~ts:ts' ~delta ~seed:seed_base
-           ~network ~horizon:(ts' +. 1e-9) ~stop_on_all_decided:false ())
-        proto
+      a3_run ~probe:true ~isolation ~jump ~record_trace:false seed_base
     in
     let rounds_behind =
       match probe.Sim.Engine.final_states.(0) with
       | Some st -> Bconsensus.Modified_b_consensus.round st
       | None -> -1
     in
-    let r =
-      Sim.Engine.run
-        (Sim.Scenario.make ~name:"a3" ~n ~ts:ts' ~delta ~seed:seed_base
-           ~network ~record_trace:true
-           ~horizon:(ts' +. (500. *. delta))
-           ())
-        proto
-    in
+    let r = a3_run ~probe:false ~isolation ~jump ~record_trace:true seed_base in
     record_metrics obs probe;
     record_metrics obs r;
     (match r.Sim.Engine.agreement_violation with
@@ -910,9 +973,8 @@ let a3 ?(speed = Quick) () =
   in
   let rows, notes, reg =
     par_collect partition_lengths (fun obs len ->
-        let ts' = len *. delta in
-        let rounds, lat_jump, vol_jump = run obs ~jump:true ~ts' in
-        let _, lat_nojump, vol_nojump = run obs ~jump:false ~ts' in
+        let rounds, lat_jump, vol_jump = run obs ~jump:true ~isolation:len in
+        let _, lat_nojump, vol_nojump = run obs ~jump:false ~isolation:len in
         [
           Printf.sprintf "%.0f delta" len;
           string_of_int rounds;
@@ -956,27 +1018,48 @@ let a3 ?(speed = Quick) () =
 (* E11: electing a leader is the same problem                          *)
 (* ------------------------------------------------------------------ *)
 
+let e11_tuning = Baselines.Heartbeat_omega.default_tuning ~delta
+
+(* The dead low ids, and with [~stale] their stale heartbeats, spaced one
+   trust window apart so each buys a full window of misplaced trust. *)
+let e11_run ~n ~stale ~record_trace seed =
+  let dead = dead_low_ids n in
+  let spacing =
+    e11_tuning.Baselines.Heartbeat_omega.timeout -. (0.1 *. delta)
+  in
+  let injections =
+    if not stale then []
+    else
+      List.concat_map
+        (fun v ->
+          let at = ts +. (float_of_int v *. spacing) in
+          List.filter_map
+            (fun dst ->
+              if List.mem dst dead then None
+              else
+                Some
+                  (at, v, dst, Baselines.Heartbeat_omega.Heartbeat { id = v }))
+            (List.init n Fun.id))
+        dead
+  in
+  let sc =
+    Sim.Scenario.make ~name:"e11" ~n ~ts ~delta ~seed
+      ~network:Sim.Network.deterministic_after_ts
+      ~faults:(Sim.Fault.make ~initially_down:dead [])
+      ~horizon:(ts +. (1000. *. delta))
+      ~record_trace ()
+  in
+  Sim.Engine.run ~injections sc
+    (Baselines.Heartbeat_omega.protocol ~tuning:e11_tuning ~n ~delta ())
+
 let e11 ?(speed = Quick) () =
   let rows, notes, reg =
     par_collect (sizes speed) (fun obs n ->
-        let k = n - Consensus.Quorum.majority n in
-        (* the DEAD processes are the lowest ids: the ones a
-           lowest-id-alive elector would trust *)
-        let dead = List.init k Fun.id in
-        let faults = Sim.Fault.make ~initially_down:dead [] in
+        let dead = dead_low_ids n in
+        let k = List.length dead in
         let live = Measure.procs ~n ~except:dead () in
-        let tuning = Baselines.Heartbeat_omega.default_tuning ~delta in
-        let run ~injections =
-          let sc =
-            Sim.Scenario.make ~name:"e11" ~n ~ts ~delta ~seed:seed_base
-              ~network:Sim.Network.deterministic_after_ts ~faults
-              ~horizon:(ts +. (1000. *. delta))
-              ()
-          in
-          let r =
-            Sim.Engine.run ~injections sc
-              (Baselines.Heartbeat_omega.protocol ~tuning ~n ~delta ())
-          in
+        let run ~stale =
+          let r = e11_run ~n ~stale ~record_trace:false seed_base in
           record_metrics obs r;
           (* all live processes must settle on the lowest live id *)
           List.iter
@@ -992,28 +1075,8 @@ let e11 ?(speed = Quick) () =
             live;
           Measure.worst_latency r ~procs:live ~from_time:ts ~delta
         in
-        (* stale heartbeats of the dead low ids, spaced one trust window
-           apart so each buys a full window of misplaced trust *)
-        let spacing = tuning.Baselines.Heartbeat_omega.timeout -. (0.1 *. delta) in
-        let injections =
-          List.concat_map
-            (fun i ->
-              let v = List.nth dead i in
-              let at = ts +. (float_of_int i *. spacing) in
-              List.filter_map
-                (fun dst ->
-                  if List.mem dst dead then None
-                  else
-                    Some
-                      ( at,
-                        v,
-                        dst,
-                        Baselines.Heartbeat_omega.Heartbeat { id = v } ))
-                (List.init n Fun.id))
-            (List.init k Fun.id)
-        in
-        let clean = run ~injections:[] in
-        let attacked = run ~injections in
+        let clean = run ~stale:false in
+        let attacked = run ~stale:true in
         [
           string_of_int n;
           string_of_int k;
@@ -1046,28 +1109,31 @@ let e11 ?(speed = Quick) () =
 (* A4: the SMR progress gate (stable leadership)                       *)
 (* ------------------------------------------------------------------ *)
 
+let a4_horizon = 3.0
+
+(* Five commands to follower 1, then idle until {!a4_horizon}. *)
+let a4_run ~progress_gate ~record_trace seed =
+  let n = 5 in
+  let workloads =
+    Array.init n (fun p ->
+        if p <> 1 then []
+        else
+          List.init 5 (fun k ->
+              ( 0.1 +. (20. *. delta *. float_of_int k),
+                Smr.Command.make ~id:k (Smr.Command.Add 1) )))
+  in
+  let sc =
+    Sim.Scenario.make ~name:"a4" ~n ~ts:0. ~delta ~seed
+      ~network:Sim.Network.always_synchronous ~stop_on_all_decided:false
+      ~horizon:a4_horizon ~record_trace ()
+  in
+  Sim.Engine.run sc
+    (Smr.Multi_paxos.protocol ~progress_gate (mp_cfg n) ~workloads)
+
 let a4 ?(speed = Quick) () =
   ignore speed;
-  let n = 5 in
-  let horizon = 3.0 in
   let run obs ~progress_gate =
-    let cfg = Dgl.Config.make ~n ~delta () in
-    let workloads =
-      Array.init n (fun p ->
-          if p <> 1 then []
-          else
-            List.init 5 (fun k ->
-                ( 0.1 +. (20. *. delta *. float_of_int k),
-                  Smr.Command.make ~id:k (Smr.Command.Add 1) )))
-    in
-    let sc =
-      Sim.Scenario.make ~name:"a4" ~n ~ts:0. ~delta ~seed:seed_base
-        ~network:Sim.Network.always_synchronous ~stop_on_all_decided:false
-        ~horizon ()
-    in
-    let r =
-      Sim.Engine.run sc (Smr.Multi_paxos.protocol ~progress_gate cfg ~workloads)
-    in
+    let r = a4_run ~progress_gate ~record_trace:false seed_base in
     record_metrics obs r;
     (match r.Sim.Engine.agreement_violation with
     | Some _ -> obs.notes := "SAFETY: A4 log divergence" :: !(obs.notes)
@@ -1081,7 +1147,7 @@ let a4 ?(speed = Quick) () =
       Array.for_all (fun v -> v <> None) r.Sim.Engine.decision_values
     in
     ( sessions,
-      float_of_int r.Sim.Engine.messages_sent /. (horizon /. delta),
+      float_of_int r.Sim.Engine.messages_sent /. (a4_horizon /. delta),
       converged )
   in
   let variants, notes, reg =
@@ -1136,101 +1202,108 @@ let headline ?(speed = Quick) () =
   List.concat
     (Measure.par_map
        (fun n ->
-      let victims = Adversaries.faulty_minority ~n in
-      let faults = Sim.Fault.make ~initially_down:victims [] in
-      let live = Measure.procs ~n ~except:victims () in
-      let lat r = Measure.worst_latency r ~procs:live ~from_time:ts ~delta in
-      (* modified Paxos under its worst admissible adversary *)
-      let m =
-        let sc =
-          Sim.Scenario.make ~name:"headline-m" ~n ~ts ~delta ~seed:seed_base
-            ~network:Sim.Network.deterministic_after_ts ~faults ()
-        in
-        lat
-          (Sim.Engine.run
-             ~injections:
-               (Adversaries.dgl_session1_injections ~n ~from:ts
-                  ~spacing:(2. *. delta) ~victims)
-             sc
-             (Dgl.Modified_paxos.protocol (Dgl.Config.make ~n ~delta ())))
-      in
-      (* traditional Paxos under aligned obsolete ballots *)
-      let t =
-        let t0 =
-          Adversaries.traditional_first_start ~ts ~theta:(2. *. delta)
-            ~stabilize_delay:delta
-        in
-        let sc =
-          Sim.Scenario.make ~name:"headline-t" ~n ~ts ~delta ~seed:seed_base
-            ~network:Sim.Network.deterministic_after_ts ~faults ()
-        in
-        let oracle = Baselines.Leader_election.make ~n ~ts ~delta ~faults () in
-        lat
-          (Sim.Engine.run
-             ~injections:
-               (Adversaries.paxos_aligned_injections ~n ~delta ~t0 ~leader:0
-                  ~victims)
-             sc
-             (Baselines.Traditional_paxos.protocol ~n ~delta ~oracle ()))
-      in
-      (* rotating coordinator with its first coordinators dead *)
-      let rc =
-        let dead = List.init (List.length victims) Fun.id in
-        let faults = Sim.Fault.make ~initially_down:dead [] in
-        let sc =
-          Sim.Scenario.make ~name:"headline-r" ~n ~ts ~delta ~seed:seed_base
-            ~network:Sim.Network.silent_until_ts ~faults ()
-        in
-        let r =
-          Sim.Engine.run sc (Baselines.Rotating_coordinator.protocol ~n ~delta ())
-        in
-        Measure.worst_latency r
-          ~procs:(Measure.procs ~n ~except:dead ())
-          ~from_time:ts ~delta
-      in
-      [
-        (Printf.sprintf "n=%-2d modified Paxos" n, m);
-        (Printf.sprintf "n=%-2d traditional Paxos" n, t);
-        (Printf.sprintf "n=%-2d rotating coord." n, rc);
-      ])
+         let lat ~dead r =
+           Measure.worst_latency r
+             ~procs:(Measure.procs ~n ~except:dead ())
+             ~from_time:ts ~delta
+         in
+         let minority = Adversaries.faulty_minority ~n in
+         let m =
+           lat ~dead:minority
+             (e1_run ~n ~lossy:false ~record_trace:false seed_base)
+         in
+         let t = lat ~dead:minority (e2_run ~n ~record_trace:false seed_base) in
+         let rc =
+           lat ~dead:(dead_low_ids n) (e3_run ~n ~record_trace:false seed_base)
+         in
+         [
+           (Printf.sprintf "n=%-2d modified Paxos" n, m);
+           (Printf.sprintf "n=%-2d traditional Paxos" n, t);
+           (Printf.sprintf "n=%-2d rotating coord." n, rc);
+         ])
        (sizes speed))
 
 (* ------------------------------------------------------------------ *)
+(* The experiment list: each table with its representative run         *)
+(* ------------------------------------------------------------------ *)
 
-let table =
+(* One row of a table, at [seed_base], with its state type erased so
+   the list is uniform.  [timer_bounds] and [validity] say how the
+   invariant checker judges its trace: session-timer window for
+   modified Paxos, and whether decided values are proposals (not for
+   SMR log checksums or elected leader ids). *)
+type representative = {
+  run : record_trace:bool -> unit Sim.Engine.run_result;
+  timer_bounds : (float * float) option;
+  validity : bool;
+}
+
+let rep ?timer_bounds ?(validity = true) run =
+  {
+    run =
+      (fun ~record_trace ->
+        let r = run ~record_trace seed_base in
+        {
+          r with
+          Sim.Engine.final_states =
+            Array.map (fun _ -> None) r.Sim.Engine.final_states;
+        });
+    timer_bounds;
+    validity;
+  }
+
+(* Modified-Paxos session timers must stay inside [4 delta, sigma]. *)
+let timers cfg = (delta, cfg.Dgl.Config.sigma)
+
+let experiments =
   [
-    ("e1", e1);
-    ("e2", e2);
-    ("e3", e3);
-    ("e4", e4);
-    ("e5", e5);
-    ("e6", e6);
-    ("e7", e7);
-    ("e8", e8);
-    ("e9", e9);
-    ("e10", e10);
-    ("e11", e11);
-    ("a1", a1);
-    ("a2", a2);
-    ("a3", a3);
-    ("a4", a4);
+    ( "e1",
+      e1,
+      rep ~timer_bounds:(timers (mp_cfg 9)) (e1_run ~n:9 ~lossy:false) );
+    ("e2", e2, rep (e2_run ~n:9));
+    ("e3", e3, rep (e3_run ~n:9));
+    ("e4", e4, rep ~timer_bounds:(timers (mp_cfg 5)) (e4_run ~offset:20.));
+    ("e5", e5, rep (e5_run ~n:9 ~lossy:false));
+    ( "e6",
+      e6,
+      rep ~timer_bounds:(timers (e6_cfg 1.))
+        (e6_run ~eps_factor:1. ~rate:false) );
+    ("e7", e7, rep ~timer_bounds:(timers (mp_cfg 5)) (e7_run ~prestart:true));
+    ( "e8",
+      e8,
+      rep ~timer_bounds:(timers (e8_cfg 8.)) (e8_run ~sigma_factor:8.) );
+    ("e9", e9, rep ~timer_bounds:(timers (e9_cfg 0.05)) (e9_run ~rho:0.05));
+    ("e10", e10, rep ~validity:false (e10_run ~stable_from_start:true));
+    ("e11", e11, rep ~validity:false (e11_run ~n:9 ~stale:true));
+    ( "a1",
+      a1,
+      rep ~timer_bounds:(timers (mp_cfg 9)) (a1_run ~n:9 ~gated:false) );
+    ("a2", a2, rep (a2_run ~hold_back_factor:0.5));
+    ("a3", a3, rep (a3_run ~probe:false ~isolation:25. ~jump:false));
+    ("a4", a4, rep ~validity:false (a4_run ~progress_gate:false));
   ]
 
-let by_id id = List.assoc_opt (String.lowercase_ascii id) table
+let find id =
+  let id = String.lowercase_ascii id in
+  List.find_opt (fun (i, _, _) -> i = id) experiments
 
-let ids = List.map fst table
+let by_id id = Option.map (fun (_, table, _) -> table) (find id)
+
+let ids = List.map (fun (id, _, _) -> id) experiments
 
 (* The whole suite is itself a sweep: experiments fan out alongside their
    own rows (nested [par_map] is deadlock-free), and results come back
    in table order. *)
 let all ?(speed = Quick) () =
   Measure.par_map
-    (fun ((_, f) : _ * (?speed:speed -> unit -> Report.table)) ->
-      f ~speed ())
-    table
+    (fun ((_, table, _) : _ * (?speed:speed -> unit -> Report.table) * _) ->
+      table ~speed ())
+    experiments
+
+let representative id = Option.map (fun (_, _, rp) -> rp.run) (find id)
 
 (* ------------------------------------------------------------------ *)
-(* Traced replays: one representative run per experiment               *)
+(* Traced replays                                                      *)
 (* ------------------------------------------------------------------ *)
 
 type replay = {
@@ -1243,248 +1316,22 @@ type replay = {
   invariants : Invariants.report;
 }
 
-(* Wrap a finished run.  [validity] is off for protocols whose decided
-   values are not proposals (SMR log checksums, elected leader ids). *)
-let finish ~replay_id ?timer_bounds ~validity (r : _ Sim.Engine.run_result) =
-  let proposals =
-    if validity then Some r.Sim.Engine.scenario.Sim.Scenario.proposals
-    else None
-  in
-  {
-    replay_id;
-    scenario = r.Sim.Engine.scenario;
-    trace = r.Sim.Engine.trace;
-    metrics = r.Sim.Engine.metrics;
-    proposals;
-    timer_bounds;
-    invariants = Invariants.check ?proposals ?timer_bounds r.Sim.Engine.trace;
-  }
-
-(* Each replay mirrors the representative single run bench/main.ml times
-   for the same experiment id (same sizes, same adversary, same seed),
-   with tracing on. *)
 let replay id =
-  let id = String.lowercase_ascii id in
-  let seed = seed_base in
-  let mk_mp ?options ~n ~cfg ~network ?faults ?horizon ~injections ~sc_ts ()
-      =
-    let sc =
-      Sim.Scenario.make ~name:("replay-" ^ id) ~n ~ts:sc_ts ~delta ~seed
-        ~network ?faults ?horizon ~record_trace:true ()
-    in
-    let r =
-      Sim.Engine.run ~injections sc (Dgl.Modified_paxos.protocol ?options cfg)
-    in
-    finish ~replay_id:id
-      ~timer_bounds:(delta, cfg.Dgl.Config.sigma)
-      ~validity:true r
-  in
-  match id with
-  | "e1" ->
-      let n = 9 in
-      let victims = Adversaries.faulty_minority ~n in
-      Some
-        (mk_mp ~n
-           ~cfg:(Dgl.Config.make ~n ~delta ())
-           ~network:Sim.Network.deterministic_after_ts
-           ~faults:(Sim.Fault.make ~initially_down:victims [])
-           ~injections:
-             (Adversaries.dgl_session1_injections ~n ~from:ts
-                ~spacing:(2. *. delta) ~victims)
-           ~sc_ts:ts ())
-  | "e2" ->
-      let n = 9 in
-      let victims = Adversaries.faulty_minority ~n in
-      let faults = Sim.Fault.make ~initially_down:victims [] in
-      let t0 =
-        Adversaries.traditional_first_start ~ts ~theta:(2. *. delta)
-          ~stabilize_delay:delta
+  Option.map
+    (fun (replay_id, _, { run; timer_bounds; validity }) ->
+      let r = run ~record_trace:true in
+      let proposals =
+        if validity then Some r.Sim.Engine.scenario.Sim.Scenario.proposals
+        else None
       in
-      let sc =
-        Sim.Scenario.make ~name:"replay-e2" ~n ~ts ~delta ~seed
-          ~network:Sim.Network.deterministic_after_ts ~faults
-          ~record_trace:true ()
-      in
-      let oracle = Baselines.Leader_election.make ~n ~ts ~delta ~faults () in
-      Some
-        (finish ~replay_id:id ~validity:true
-           (Sim.Engine.run
-              ~injections:
-                (Adversaries.paxos_aligned_injections ~n ~delta ~t0 ~leader:0
-                   ~victims)
-              sc
-              (Baselines.Traditional_paxos.protocol ~n ~delta ~oracle ())))
-  | "e3" ->
-      let n = 9 in
-      let dead = List.init (Consensus.Quorum.majority n - 1) Fun.id in
-      let sc =
-        Sim.Scenario.make ~name:"replay-e3" ~n ~ts ~delta ~seed
-          ~network:Sim.Network.silent_until_ts
-          ~faults:(Sim.Fault.make ~initially_down:dead [])
-          ~record_trace:true ()
-      in
-      Some
-        (finish ~replay_id:id ~validity:true
-           (Sim.Engine.run sc
-              (Baselines.Rotating_coordinator.protocol ~n ~delta ())))
-  | "e4" ->
-      let n = 5 in
-      Some
-        (mk_mp ~n
-           ~cfg:(Dgl.Config.make ~n ~delta ())
-           ~network:(Sim.Network.eventually_synchronous ())
-           ~faults:
-             (Sim.Fault.crash_then_restart ~crash_at:(ts /. 2.)
-                ~restart_at:(ts +. (20. *. delta))
-                2)
-           ~injections:[] ~sc_ts:ts ())
-  | "e5" ->
-      let n = 9 in
-      let victims = Adversaries.faulty_minority ~n in
-      let sc =
-        Sim.Scenario.make ~name:"replay-e5" ~n ~ts ~delta ~seed
-          ~network:Sim.Network.silent_until_ts
-          ~faults:(Sim.Fault.make ~initially_down:victims [])
-          ~record_trace:true ()
-      in
-      Some
-        (finish ~replay_id:id ~validity:true
-           (Sim.Engine.run sc
-              (Bconsensus.Modified_b_consensus.protocol ~n ~delta ~rho:0. ())))
-  | "e6" ->
-      let n = 5 in
-      Some
-        (mk_mp ~n
-           ~cfg:(Dgl.Config.make ~n ~delta ~epsilon:delta ())
-           ~network:Sim.Network.silent_until_ts ~injections:[] ~sc_ts:ts ())
-  | "e7" ->
-      let n = 5 in
-      Some
-        (mk_mp ~n
-           ~options:{ Dgl.Modified_paxos.default_options with prestart = true }
-           ~cfg:(Dgl.Config.make ~n ~delta ())
-           ~network:Sim.Network.deterministic_after_ts ~injections:[]
-           ~sc_ts:0. ())
-  | "e8" ->
-      let n = 5 in
-      Some
-        (mk_mp ~n
-           ~cfg:(Dgl.Config.make ~n ~delta ~sigma:(8. *. delta) ())
-           ~network:Sim.Network.silent_until_ts ~injections:[] ~sc_ts:ts ())
-  | "e9" ->
-      let n = 5 in
-      let cfg = Dgl.Config.make ~n ~delta ~rho:0.05 () in
-      let sc =
-        Sim.Scenario.make ~name:"replay-e9" ~n ~ts ~delta ~rho:0.05 ~seed
-          ~network:Sim.Network.silent_until_ts ~record_trace:true ()
-      in
-      Some
-        (finish ~replay_id:id
-           ~timer_bounds:(delta, cfg.Dgl.Config.sigma)
-           ~validity:true
-           (Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg)))
-  | "a1" ->
-      let n = 9 in
-      let victims = Adversaries.faulty_minority ~n in
-      Some
-        (mk_mp ~n
-           ~options:
-             { Dgl.Modified_paxos.default_options with session_gate = false }
-           ~cfg:(Dgl.Config.make ~n ~delta ())
-           ~network:Sim.Network.deterministic_after_ts
-           ~faults:(Sim.Fault.make ~initially_down:victims [])
-           ~injections:
-             (Adversaries.dgl_high_session_injections ~n ~from:ts
-                ~spacing:(3. *. delta) ~victims)
-           ~sc_ts:ts ())
-  | "a2" ->
-      let n = 9 in
-      let tuning =
-        {
-          (Bconsensus.Modified_b_consensus.default_tuning ~delta) with
-          hold_back = 0.5 *. delta;
-        }
-      in
-      let sc =
-        Sim.Scenario.make ~name:"replay-a2" ~n ~ts ~delta ~seed
-          ~network:(Sim.Network.eventually_synchronous ())
-          ~horizon:(ts +. (500. *. delta))
-          ~record_trace:true ()
-      in
-      Some
-        (finish ~replay_id:id ~validity:true
-           (Sim.Engine.run sc
-              (Bconsensus.Modified_b_consensus.protocol ~tuning ~n ~delta
-                 ~rho:0. ())))
-  | "e10" ->
-      let n = 5 in
-      let cfg = Dgl.Config.make ~n ~delta () in
-      let workloads =
-        Array.init n (fun p ->
-            if p <> 1 then []
-            else
-              List.init 4 (fun k ->
-                  ( 0.2 +. (10. *. delta *. float_of_int k),
-                    Smr.Command.make ~id:k (Smr.Command.Add 1) )))
-      in
-      let sc =
-        Sim.Scenario.make ~name:"replay-e10" ~n ~ts:0. ~delta ~seed
-          ~network:Sim.Network.deterministic_after_ts ~horizon:1.0
-          ~record_trace:true ()
-      in
-      Some
-        (finish ~replay_id:id ~validity:false
-           (Sim.Engine.run sc (Smr.Multi_paxos.protocol cfg ~workloads)))
-  | "a3" ->
-      let n = 5 in
-      let tuning =
-        {
-          (Bconsensus.Modified_b_consensus.default_tuning ~delta) with
-          epsilon = delta;
-          jump = false;
-        }
-      in
-      let sc =
-        Sim.Scenario.make ~name:"replay-a3" ~n ~ts:(25. *. delta) ~delta
-          ~seed
-          ~network:
-            (Sim.Network.partitioned_until_ts [ List.init (n - 1) Fun.id ])
-          ~horizon:((25. *. delta) +. 2.)
-          ~record_trace:true ()
-      in
-      Some
-        (finish ~replay_id:id ~validity:true
-           (Sim.Engine.run sc
-              (Bconsensus.Modified_b_consensus.protocol ~tuning ~n ~delta
-                 ~rho:0. ())))
-  | "e11" ->
-      let n = 9 in
-      let dead = List.init (n - Consensus.Quorum.majority n) Fun.id in
-      let sc =
-        Sim.Scenario.make ~name:"replay-e11" ~n ~ts ~delta ~seed
-          ~network:Sim.Network.deterministic_after_ts
-          ~faults:(Sim.Fault.make ~initially_down:dead [])
-          ~horizon:(ts +. 1.0) ~record_trace:true ()
-      in
-      Some
-        (finish ~replay_id:id ~validity:false
-           (Sim.Engine.run sc
-              (Baselines.Heartbeat_omega.protocol ~n ~delta ())))
-  | "a4" ->
-      let n = 5 in
-      let cfg = Dgl.Config.make ~n ~delta () in
-      let workloads =
-        Array.init n (fun p ->
-            if p <> 1 then []
-            else [ (0.1, Smr.Command.make ~id:0 (Smr.Command.Add 1)) ])
-      in
-      let sc =
-        Sim.Scenario.make ~name:"replay-a4" ~n ~ts:0. ~delta ~seed
-          ~network:Sim.Network.always_synchronous ~stop_on_all_decided:false
-          ~horizon:1.0 ~record_trace:true ()
-      in
-      Some
-        (finish ~replay_id:id ~validity:false
-           (Sim.Engine.run sc
-              (Smr.Multi_paxos.protocol ~progress_gate:false cfg ~workloads)))
-  | _ -> None
+      {
+        replay_id;
+        scenario = r.Sim.Engine.scenario;
+        trace = r.Sim.Engine.trace;
+        metrics = r.Sim.Engine.metrics;
+        proposals;
+        timer_bounds;
+        invariants =
+          Invariants.check ?proposals ?timer_bounds r.Sim.Engine.trace;
+      })
+    (find id)

@@ -82,10 +82,36 @@ val all : ?speed:speed -> unit -> Report.table list
     size.  Feed to {!Report.bar_chart}. *)
 val headline : ?speed:speed -> unit -> (string * float) list
 
-(** Look an experiment up by id ("e1" ... "a2", case-insensitive). *)
+(** Look an experiment up by id ("e1" ... "a4", case-insensitive). *)
 val by_id : string -> (?speed:speed -> unit -> Report.table) option
 
 val ids : string list
+
+(** {1 Representative runs}
+
+    Each experiment names one row of its own table as its
+    representative: the first seed of that row, built by the same run
+    function, with the same arguments, as the table uses.  The rows are
+
+    - E1: n = 9, session-1 obsolete ballots (deterministic net);
+    - E2: n = 9; E3: n = 9;
+    - E4: restart at TS + 20 delta;
+    - E5: n = 9, silent pre-TS net;
+    - E6: epsilon = delta, the latency run;
+    - E7: phase 1 pre-executed;
+    - E8: sigma = 8 delta; E9: rho = 0.05;
+    - E10: stable from the start;
+    - E11: n = 9 under stale heartbeats;
+    - A1: n = 9, ungated; A2: hold-back 0.5 delta;
+    - A3: 25 delta isolation, without jumping;
+    - A4: progress gate off. *)
+
+(** [representative id] runs the representative row of [id]
+    (case-insensitive); [None] for unknown ids.  The result's
+    [final_states] are erased.  [record_trace] does not change the run,
+    only whether its trace is kept. *)
+val representative :
+  string -> (record_trace:bool -> unit Sim.Engine.run_result) option
 
 (** {1 Aggregate run metrics}
 
@@ -103,10 +129,9 @@ val metrics_snapshot : unit -> Sim.Registry.t
 
 (** {1 Traced replays}
 
-    One representative, fully-traced run per experiment id — the same
-    scenario bench/main.ml times for that id.  This is what the
-    [consensus_sim trace] subcommand replays and what the invariant
-    tests check. *)
+    The representative run of an experiment, with tracing on.  This is
+    what the [consensus_sim trace] subcommand replays and what the
+    invariant tests check. *)
 
 type replay = {
   replay_id : string;  (** lower-cased experiment id *)
@@ -121,6 +146,7 @@ type replay = {
   invariants : Invariants.report;  (** checker verdict on the trace *)
 }
 
-(** [replay id] runs the representative scenario for [id]
-    (case-insensitive) with tracing on; [None] for unknown ids. *)
+(** [replay id] runs the first seed of the named table row (see
+    {!representative}) for [id] (case-insensitive) with tracing on, and
+    checks its trace; [None] for unknown ids. *)
 val replay : string -> replay option

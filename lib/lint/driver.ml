@@ -155,6 +155,28 @@ let gather_files ~root paths =
   in
   (List.sort (fun (_, a) (_, b) -> String.compare a b) files, missing)
 
+(* Lines holding at least one token, so blank lines and comment-only
+   lines (docstrings included) do not count.  Tokens arrive in source
+   order; a token spanning lines (a multi-line string) counts each. *)
+let code_lines_of_source source =
+  let lexbuf = Lexing.from_string source in
+  Lexer.init ();
+  let rec go ~last count =
+    match Lexer.token lexbuf with
+    | Parser.EOF -> count
+    | _ ->
+        let first = max lexbuf.lex_start_p.pos_lnum (last + 1)
+        and final = lexbuf.lex_curr_p.pos_lnum in
+        go ~last:(max last final) (count + max 0 (final - first + 1))
+  in
+  go ~last:0 0
+
+let code_lines ?(root = ".") paths =
+  let files, _ = gather_files ~root paths in
+  List.fold_left
+    (fun acc (disk, _) -> acc + code_lines_of_source (read_file disk))
+    0 files
+
 (* [paths] are repo-relative; [root] is the directory they resolve
    against. *)
 let run ?(root = ".") ?(baseline = Baseline.empty) ?(paths = default_paths) ()

@@ -57,6 +57,11 @@ val run :
     are never descended into (explicitly requested paths are walked
     regardless). *)
 
+val code_lines : ?root:string -> string list -> int
+(** Lines of the [.ml]/[.mli] files under [paths] (walked as {!run}
+    walks them) that hold at least one token of the compiler's lexer:
+    blank and comment-only lines, docstrings included, do not count. *)
+
 val call_graph_dot : ?root:string -> ?paths:string list -> unit -> string
 (** The phase-2 call graph as Graphviz dot (entry points boxed,
     reachable nodes shaded); unparsable files are skipped. *)

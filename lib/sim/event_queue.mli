@@ -1,16 +1,15 @@
-(** Mutable array-backed binary min-heap, the simulator's event queue.
+(** Mutable array-backed binary min-heap: the generic priority queue,
+    behind the [Netio] timers ({!Packed_queue} is the engine's).
 
-    The functional {!Pairing_heap} allocates a node per insert and churns
-    the minor heap on every [pop_min]; this heap stores elements in a
-    flat array that grows in place (doubling), so the steady state of the
-    event loop allocates nothing.  One heap drives one {!Engine.run} and
-    is never shared across domains.
+    Elements sit in a flat array that grows in place (doubling), so a
+    steady state of adds and pops allocates nothing.  A heap is never
+    shared across domains.
 
     The heap is a min-heap with respect to the comparison supplied at
     creation.  Binary heaps are not stable, so callers that need
-    deterministic order among equal keys must make the comparison total —
-    the engine folds its insertion sequence number into [cmp], preserving
-    the [(time, seq)] order of the functional queue exactly. *)
+    deterministic order among equal keys must make the comparison total,
+    e.g. by folding an insertion sequence number into [cmp] as the
+    [Netio] timers do. *)
 
 type 'a t
 

@@ -1,6 +1,6 @@
-(* The mutable binary-heap event queue must be observationally identical
-   to the functional pairing heap it replaced: same drain order under the
-   engine's (time, seq) comparison, including time ties. *)
+(* The mutable binary-heap event queue against a sorted-list model: same
+   drain order under the engine's (time, seq) comparison, including time
+   ties, and the same answer on every pop of an add/pop interleaving. *)
 
 let cmp (t1, s1) (t2, s2) =
   let c = compare (t1 : float) t2 in
@@ -73,67 +73,70 @@ let arbitrary_workload =
       String.concat ";"
         (List.map (fun (t, s) -> Printf.sprintf "(%g,%d)" t s) evs))
 
-let prop_drains_like_pairing_heap =
-  QCheck.Test.make ~name:"drains in Pairing_heap.to_sorted_list order"
-    ~count:500 arbitrary_workload (fun evs ->
-      Sim.Event_queue.drain_sorted (Sim.Event_queue.of_list ~cmp evs)
-      = Sim.Pairing_heap.to_sorted_list (Sim.Pairing_heap.of_list ~cmp evs))
+(* [cmp] is total (seq is unique), so the model is exactly a sorted list:
+   [add] merges one element in, the minimum is the head. *)
+let model_add m ev = List.merge cmp [ ev ] m
 
-let prop_interleaved_matches_pairing_heap =
-  (* Random add/pop interleavings against the pairing heap as the model:
-     both structures must agree on every pop, not just on full drains. *)
-  QCheck.Test.make ~name:"interleaved add/pop matches pairing heap"
-    ~count:300
-    QCheck.(list (pair bool (int_bound 15)))
-    (fun ops ->
+let prop_drains_like_model =
+  QCheck.Test.make ~name:"drains in sorted-list model order" ~count:500
+    arbitrary_workload (fun evs ->
+      Sim.Event_queue.drain_sorted (Sim.Event_queue.of_list ~cmp evs)
+      = List.sort cmp evs)
+
+(* Random add/pop interleavings; an added element's seq is its
+   operation's index, unique like the engine's event numbers. *)
+let interleaving = QCheck.(list (pair bool (int_bound 15)))
+
+let prop_interleaved_matches_model =
+  (* both structures must agree on every pop, not just on full drains *)
+  QCheck.Test.make ~name:"interleaved add/pop matches sorted-list model"
+    ~count:300 interleaving (fun ops ->
       let q = Sim.Event_queue.create ~cmp () in
-      let h = ref (Sim.Pairing_heap.empty ~cmp) in
+      let m = ref [] in
       List.for_all
-        (fun (is_add, t) ->
+        (fun (seq, (is_add, t)) ->
           if is_add then begin
-            let ev = (float_of_int t /. 4., Sim.Pairing_heap.size !h) in
+            let ev = (float_of_int t /. 4., seq) in
             Sim.Event_queue.add q ev;
-            h := Sim.Pairing_heap.insert !h ev;
+            m := model_add !m ev;
             true
           end
           else
-            match (Sim.Event_queue.pop_min q, Sim.Pairing_heap.pop_min !h) with
-            | None, None -> true
-            | Some x, Some (y, rest) ->
-                h := rest;
+            match (Sim.Event_queue.pop_min q, !m) with
+            | None, [] -> true
+            | Some x, y :: rest ->
+                m := rest;
                 x = y
             | _ -> false)
-        ops)
+        (List.mapi (fun i op -> (i, op)) ops))
 
-let prop_exn_interleaved_matches_pairing_heap =
+let prop_exn_interleaved_matches_model =
   (* Same model check as above, but through the non-allocating accessors:
      [peek_min_exn]/[pop_min_exn] guarded by [is_empty] must agree with
-     the pairing heap on every operation, so the engine's hot path and
-     the option API are observationally the same queue. *)
-  QCheck.Test.make ~name:"exn accessors match pairing heap" ~count:300
-    QCheck.(list (pair bool (int_bound 15)))
-    (fun ops ->
+     the model on every operation, so the engine's hot path and the
+     option API are observationally the same queue. *)
+  QCheck.Test.make ~name:"exn accessors match sorted-list model" ~count:300
+    interleaving (fun ops ->
       let q = Sim.Event_queue.create ~cmp () in
-      let h = ref (Sim.Pairing_heap.empty ~cmp) in
+      let m = ref [] in
       List.for_all
-        (fun (is_add, t) ->
+        (fun (seq, (is_add, t)) ->
           if is_add then begin
-            let ev = (float_of_int t /. 4., Sim.Pairing_heap.size !h) in
+            let ev = (float_of_int t /. 4., seq) in
             Sim.Event_queue.add q ev;
-            h := Sim.Pairing_heap.insert !h ev;
+            m := model_add !m ev;
             true
           end
-          else if Sim.Event_queue.is_empty q then
-            Sim.Pairing_heap.pop_min !h = None
+          else if Sim.Event_queue.is_empty q then !m = []
           else
             let peeked = Sim.Event_queue.peek_min_exn q in
             let popped = Sim.Event_queue.pop_min_exn q in
-            match Sim.Pairing_heap.pop_min !h with
-            | None -> false
-            | Some (y, rest) ->
-                h := rest;
+            match !m with
+            | [] -> false
+            | y :: rest ->
+                m := rest;
                 peeked = y && popped = y)
-        ops)
+        (List.mapi (fun i op -> (i, op)) ops))
 
 let suite =
   [
@@ -142,7 +145,7 @@ let suite =
     Alcotest.test_case "basic order" `Quick test_basic_order;
     Alcotest.test_case "grows in place" `Quick test_grows_from_tiny_capacity;
     Alcotest.test_case "seq tie-break" `Quick test_ties_resolved_by_seq;
-    QCheck_alcotest.to_alcotest prop_drains_like_pairing_heap;
-    QCheck_alcotest.to_alcotest prop_interleaved_matches_pairing_heap;
-    QCheck_alcotest.to_alcotest prop_exn_interleaved_matches_pairing_heap;
+    QCheck_alcotest.to_alcotest prop_drains_like_model;
+    QCheck_alcotest.to_alcotest prop_interleaved_matches_model;
+    QCheck_alcotest.to_alcotest prop_exn_interleaved_matches_model;
   ]

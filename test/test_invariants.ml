@@ -241,6 +241,30 @@ let test_all_replays_pass () =
             (Sim.Trace.length rp.Harness.Experiments.trace > 0))
     Harness.Experiments.ids
 
+(* --- tracing does not perturb a run --------------------------------- *)
+
+(* A replay claims to be its table row's run with the trace kept; that
+   holds only if recording the trace changes nothing the protocols see. *)
+let test_tracing_does_not_perturb () =
+  List.iter
+    (fun id ->
+      match Harness.Experiments.representative id with
+      | None -> Alcotest.fail (id ^ ": no representative")
+      | Some run ->
+          let plain = run ~record_trace:false
+          and traced = run ~record_trace:true in
+          Alcotest.(check (array (option int)))
+            (id ^ ": decision values")
+            plain.Sim.Engine.decision_values traced.Sim.Engine.decision_values;
+          Alcotest.(check int)
+            (id ^ ": messages sent")
+            plain.Sim.Engine.messages_sent traced.Sim.Engine.messages_sent;
+          Alcotest.(check int)
+            (id ^ ": events processed")
+            plain.Sim.Engine.events_processed
+            traced.Sim.Engine.events_processed)
+    Harness.Experiments.ids
+
 let suite =
   [
     Alcotest.test_case "clean trace passes" `Quick test_clean_trace_passes;
@@ -259,4 +283,6 @@ let suite =
       test_corrupted_jsonl_flagged;
     Alcotest.test_case "all 15 experiment replays pass" `Slow
       test_all_replays_pass;
+    Alcotest.test_case "tracing does not perturb a run" `Slow
+      test_tracing_does_not_perturb;
   ]
