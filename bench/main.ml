@@ -5,14 +5,15 @@
       each timing that table's representative run
       ({!Harness.Experiments.representative}, untraced), so the cost of
       regenerating each table is itself tracked — plus substrate
-      micro-benches (event queues, PRNG, the ordering oracle).
+      micro-benches (event queues, PRNG, the ordering oracle, the wire
+      codec on a 1 KiB put frame).
    2. The experiment tables themselves (E1-E11, A1-A4): the rows that
       reproduce each of the paper's quantitative claims.
 
    BENCH_SPEED=full widens the sweeps (more sizes, more seeds);
    BENCH_SKIP_MICRO=1 skips the expensive per-experiment bechamel half —
-   the cheap substrate micro-benches (event queues, PRNG, oracle) always
-   run, so micro_ns_per_run is never empty.
+   the cheap substrate micro-benches (event queues, PRNG, oracle, wire
+   codec) always run, so micro_ns_per_run is never empty.
 
    A third section benchmarks the model checker itself (layered-BFS
    throughput, visited-table footprint, serial-vs-parallel speedup);
@@ -106,6 +107,28 @@ let oracle_churn () =
   done;
   ignore (Bconsensus.Ordering_oracle.due !o ~now_local:10.)
 
+(* One 1 KiB put request frame through the socket codec, encode then
+   decode: the live path's per-frame cost on large values, a payload
+   CRC on each side included. *)
+let wire_put_1k_msg =
+  Smr.Wire.Request
+    {
+      seq = 1;
+      cmd =
+        Smr.Command.make ~id:1
+          (Smr.Command.Kv_put
+             {
+               key = "key-000001";
+               value = String.init 1024 (fun i -> Char.chr (i land 0xff));
+             });
+    }
+
+let wire_put_1k () =
+  let b = Smr.Wire.to_bytes wire_put_1k_msg in
+  match Smr.Wire.decode b ~pos:0 ~avail:(Bytes.length b) with
+  | Ok _ -> ()
+  | Error _ -> invalid_arg "bench: wire-put-1k frame failed to decode"
+
 (* The cheap substrate micro-benches always run (microseconds each);
    BENCH_SKIP_MICRO only drops the per-experiment half, which re-times a
    whole simulated execution per sample. *)
@@ -116,6 +139,7 @@ let cheap_cases =
       (Staged.stage generic_event_queue_churn);
     Test.make ~name:"substrate/prng-1k" (Staged.stage prng_draws);
     Test.make ~name:"substrate/ordering-oracle-200" (Staged.stage oracle_churn);
+    Test.make ~name:"substrate/wire-put-1k" (Staged.stage wire_put_1k);
   ]
 
 let expensive_cases =

@@ -1216,7 +1216,11 @@ let serve_impl id cluster bind delta batch window snapshot seed verbose =
       in
       Printf.printf "replica %d serving on %s:%d (batch %d, window %d)\n%!"
         id host (Smr.Replica.port r) batch window;
-      Smr.Replica.run r;
+      (try Smr.Replica.run r
+       with Smr.Replica.Bad_snapshot msg ->
+         Printf.eprintf "serve: refusing to boot from a bad snapshot: %s\n"
+           msg;
+         exit 3);
       let reg = Smr.Replica.registry r in
       (* kv_checksum=/kv_applied= are parsed by the chaos campaign's
          agreement check — keep them machine-readable *)

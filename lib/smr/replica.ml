@@ -419,29 +419,35 @@ let write_snapshot t =
       Sim.Registry.inc ~proc:t.cfg.id t.registry "serve_snapshots"
   | (Some _ | None), _ -> ()
 
+exception Bad_snapshot of string
+
+(* [None] only when the file is absent.  A file that exists but does
+   not hold exactly one acceptor-state frame (torn write, flipped bit,
+   wrong tag) would otherwise boot the member empty, forgetting the
+   promises and votes it already gave — so it is refused instead. *)
 let load_snapshot path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic -> (
-      let len = in_channel_length ic in
-      let bytes = really_input_string ic len |> Bytes.of_string in
-      close_in ic;
-      match Wire.decode bytes ~pos:0 ~avail:len with
-      | Ok (Wire.Peer m, _) -> (
-          match m with
-          | Smr_messages.M1b { mbal; votes; chosen_upto } ->
-              Some
-                {
-                  Multi_paxos.e_mbal = mbal;
-                  e_votes = votes;
-                  e_chosen_upto = chosen_upto;
-                }
-          | Smr_messages.M1a _ | Smr_messages.M2a _ | Smr_messages.M2b _
-          | Smr_messages.Forward _ | Smr_messages.Chosen_digest _
-          | Smr_messages.Chosen _ ->
-              None)
-      | Ok ((Wire.Hello _ | Wire.Request _ | Wire.Response _), _) -> None
-      | Error (`Need_more | `Error _) -> None)
+  if not (Sys.file_exists path) then None
+  else
+    let bad why = raise (Bad_snapshot (Printf.sprintf "%s: %s" path why)) in
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error e -> bad e
+    | s -> (
+        let bytes = Bytes.of_string s in
+        let len = Bytes.length bytes in
+        match Wire.decode bytes ~pos:0 ~avail:len with
+        | Ok (Wire.Peer (Smr_messages.M1b { mbal; votes; chosen_upto }), used)
+          when used = len ->
+            Some
+              {
+                Multi_paxos.e_mbal = mbal;
+                e_votes = votes;
+                e_chosen_upto = chosen_upto;
+              }
+        | Ok (msg, used) when used = len ->
+            bad ("holds " ^ Wire.info msg ^ ", not acceptor state")
+        | Ok (_, used) -> bad (Printf.sprintf "%d trailing bytes" (len - used))
+        | Error `Need_more -> bad "truncated frame"
+        | Error (`Error e) -> bad (Format.asprintf "%a" Wire.pp_error e))
 
 (* ---- lifecycle ---- *)
 
@@ -507,6 +513,15 @@ let create cfg =
   t
 
 let run t =
+  let restored =
+    match t.cfg.snapshot with
+    | None -> None
+    | Some path -> (
+        try load_snapshot path
+        with Bad_snapshot _ as e ->
+          Netio.shutdown t.io;
+          raise e)
+  in
   t.running <- true;
   for j = 0 to t.n - 1 do
     ensure_peer t j
@@ -514,11 +529,7 @@ let run t =
   (match t.ctx with
   | None -> ()
   | Some ctx -> (
-      match
-        match t.cfg.snapshot with
-        | Some path -> load_snapshot path
-        | None -> None
-      with
+      match restored with
       | Some e ->
           log t "restoring from snapshot (chosen_upto %d)"
             e.Multi_paxos.e_chosen_upto;

@@ -65,10 +65,17 @@ val set_peer_ports : t -> int array -> unit
 (** Override the peers' ports before {!run} — for tests that bind every
     replica on port [0] and exchange the real ports afterwards. *)
 
+exception Bad_snapshot of string
+(** The snapshot file exists but cannot be read, or does not decode to
+    acceptor state; the payload names the file and the reason. *)
+
 val run : t -> unit
 (** Serve until {!stop}: boot the protocol (or restore it from the
     snapshot file when one exists), then run the event loop.  On exit a
-    final snapshot is written and every socket is closed. *)
+    final snapshot is written and every socket is closed.  Only an
+    absent snapshot file boots the member empty: an unreadable or
+    undecodable one raises {!Bad_snapshot} (after closing the sockets)
+    rather than forget the promises and votes it recorded. *)
 
 val stop : t -> unit
 (** Stop {!run} from any thread or signal handler. *)

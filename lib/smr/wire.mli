@@ -65,8 +65,10 @@ val decode :
     [`Need_more] when the buffer holds only a frame prefix. *)
 
 val crc32 : Bytes.t -> int -> int -> int
-(** [crc32 buf off len] — IEEE CRC-32 of a byte range (exposed for the
-    spec's worked example and the tests). *)
+(** [crc32 buf off len] — IEEE CRC-32 of the [len] bytes of [buf] from
+    [off] (exposed for the spec's worked example and the tests).  Raises
+    [Invalid_argument] when [off < 0], [len < 0] or
+    [off + len > Bytes.length buf]. *)
 
 val reply_of_kv : Kv_state.reply -> reply
 

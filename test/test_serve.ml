@@ -172,6 +172,48 @@ let test_batching_counts () =
         true
         (batches > 0 && batches < 1_000))
 
+(* A snapshot that exists but does not decode must stop the boot: a
+   member that came up empty instead would forget the promises and
+   votes it recorded.  Only an absent file means a fresh member. *)
+let test_corrupt_snapshot_refused () =
+  let path = Filename.temp_file "replica" ".snap" in
+  Sys.remove path;
+  let boot () =
+    let r =
+      Replica.create
+        {
+          (Replica.default_config ~id:0 ~cluster:[| (localhost, 0) |]) with
+          delta;
+          snapshot = Some path;
+        }
+    in
+    (* stopped up front, [run] boots (or restores), skips the event
+       loop and writes its final snapshot *)
+    Replica.stop r;
+    Replica.run r;
+    Sim.Registry.counter_total (Replica.registry r) "serve_restores"
+  in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      Alcotest.(check int) "an absent snapshot boots fresh" 0 (boot ());
+      let snap =
+        Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+      in
+      Alcotest.(check int) "an intact snapshot restores" 1 (boot ());
+      let i = Wire.header_len in
+      Bytes.set snap i (Char.chr (Char.code (Bytes.get snap i) lxor 0x01));
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_bytes oc snap);
+      match boot () with
+      | _ -> Alcotest.fail "booted from a snapshot with a flipped payload byte"
+      | exception Replica.Bad_snapshot msg ->
+          Alcotest.(check bool)
+            ("the error names the file and the CRC: " ^ msg)
+            true
+            (String.starts_with ~prefix:path msg
+            && String.ends_with ~suffix:"payload CRC mismatch" msg))
+
 let suite =
   [
     Alcotest.test_case "kv semantics over the loopback cluster" `Quick
@@ -182,4 +224,6 @@ let suite =
       test_client_batch_rejected;
     Alcotest.test_case "batching folds commands into decrees" `Quick
       test_batching_counts;
+    Alcotest.test_case "a corrupt snapshot refuses to boot" `Quick
+      test_corrupt_snapshot_refused;
   ]

@@ -195,6 +195,67 @@ let prop_bad_crc =
       done;
       !ok)
 
+(* The bytewise table loop [Wire.crc32] used before slicing-by-8: the
+   reference the fast path must agree with on every range. *)
+let crc32_reference =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  fun bytes off len ->
+    let c = ref 0xffffffff in
+    for i = off to off + len - 1 do
+      c :=
+        table.((!c lxor Char.code (Bytes.get bytes i)) land 0xff)
+        lxor (!c lsr 8)
+    done;
+    !c lxor 0xffffffff
+
+(* A random buffer of 80 bytes to just over 4 KiB and one random range
+   inside it, possibly running to the buffer's end. *)
+let arb_crc_case =
+  QCheck.make
+    ~print:(fun (s, off, len) ->
+      Printf.sprintf "buffer of %d bytes, off %d, len %d" (String.length s)
+        off len)
+    QCheck.Gen.(
+      string_size (int_range 80 4200) >>= fun s ->
+      let n = String.length s in
+      int_bound n >>= fun off ->
+      map (fun len -> (s, off, len)) (int_bound (n - off)))
+
+let prop_crc_slicing =
+  QCheck.Test.make ~name:"wire: crc32 matches the bytewise reference"
+    ~count:200 arb_crc_case (fun (s, off, len) ->
+      let b = Bytes.of_string s in
+      (* every offset mod 8 against every length 0-64, so each position
+         of the 8-byte stride and every tail length is hit *)
+      let ok = ref (Wire.crc32 b off len = crc32_reference b off len) in
+      for off = 0 to 7 do
+        for len = 0 to 64 do
+          if Wire.crc32 b off len <> crc32_reference b off len then
+            ok := false
+        done
+      done;
+      !ok)
+
+let test_crc_bad_range () =
+  let b = Bytes.make 16 'x' in
+  let raises name off len =
+    match Wire.crc32 b off len with
+    | _ -> Alcotest.failf "%s: crc32 %d %d did not raise" name off len
+    | exception Invalid_argument _ -> ()
+  in
+  raises "negative offset" (-1) 4;
+  raises "negative length" 0 (-1);
+  raises "range past the end" 9 8;
+  raises "offset past the end" 17 0;
+  Alcotest.(check int) "empty range at the end" 0 (Wire.crc32 b 16 0)
+
 (* --- directed cases --------------------------------------------------- *)
 
 let hex_to_bytes s =
@@ -275,9 +336,10 @@ let test_crc_vector () =
 
 let suite =
   List.map (fun t -> QCheck_alcotest.to_alcotest t)
-    [ prop_roundtrip; prop_truncated; prop_bad_crc ]
+    [ prop_roundtrip; prop_truncated; prop_bad_crc; prop_crc_slicing ]
   @ [
       Alcotest.test_case "crc32 check vector" `Quick test_crc_vector;
+      Alcotest.test_case "crc32 rejects a bad range" `Quick test_crc_bad_range;
       Alcotest.test_case "WIRE.md request hexdump" `Quick test_wire_md_request;
       Alcotest.test_case "WIRE.md response hexdump" `Quick
         test_wire_md_response;
