@@ -762,15 +762,15 @@ let print_trace_summary fmt trace =
       Format.fprintf fmt "  p%d decided %d at %a@." p v Sim.Sim_time.pp t)
     (Sim.Trace.decisions trace)
 
+(* Whole-file read that also works on pipes (e.g. /dev/stdin), whose
+   length is unknown up front. *)
+let read_whole_file path = In_channel.with_open_bin path In_channel.input_all
+
 let trace_impl id import export filters timeline stats =
   let trace, proposals, timer_bounds, metrics =
     match import with
     | Some path ->
-        let ic = open_in_bin path in
-        let len = in_channel_length ic in
-        let s = really_input_string ic len in
-        close_in ic;
-        (match Sim.Trace.of_jsonl s with
+        (match Sim.Trace.of_jsonl (read_whole_file path) with
         | Ok t ->
             Format.printf "imported %d entries from %s@." (Sim.Trace.length t)
               path;
@@ -1054,7 +1054,7 @@ let lint_cmd =
 let realtime_impl proto n delta ts seed =
   let cfg =
     {
-      Realtime.Threads_engine.n;
+      Realtime.Netio_engine.n;
       delta;
       ts;
       duration = ts +. Float.max 2.0 (200. *. delta);
@@ -1065,8 +1065,8 @@ let realtime_impl proto n delta ts seed =
     }
   in
   let proposals = Array.init n (fun i -> 100 + i) in
-  let run p = Realtime.Threads_engine.run cfg ~proposals p in
-  let r =
+  let run p = Realtime.Netio_engine.run cfg ~proposals p in
+  let r : Realtime.Netio_engine.result =
     match proto with
     | Modified_paxos ->
         run (Dgl.Modified_paxos.protocol (Dgl.Config.make ~n ~delta ()))
@@ -1078,7 +1078,7 @@ let realtime_impl proto n delta ts seed =
            leader oracle and workload plumbing are simulator-side)"
   in
   Format.printf
-    "real threads, wall clock: delta = %.0f ms, silent until %.0f ms@."
+    "Netio loop, wall clock: delta = %.0f ms, silent until %.0f ms@."
     (delta *. 1000.) (ts *. 1000.);
   Array.iteri
     (fun p d ->
@@ -1088,17 +1088,17 @@ let realtime_impl proto n delta ts seed =
             p v (t *. 1000.)
             ((t -. ts) /. delta)
       | None -> Format.printf "  p%d: no decision by the deadline@." p)
-    r.Realtime.Threads_engine.decisions;
-  Format.printf "messages: %d sent, %d delivered, %d dropped@."
-    r.Realtime.Threads_engine.messages_sent r.messages_delivered
-    r.messages_dropped;
-  if r.Realtime.Threads_engine.agreement_violation then
-    Format.printf "AGREEMENT VIOLATION@.";
+    r.decisions;
+  Format.printf "messages: %d sent, %d delivered, %d dropped@." r.messages_sent
+    r.messages_delivered r.messages_dropped;
+  if r.agreement_violation then Format.printf "AGREEMENT VIOLATION@.";
   (* The same trace-driven checker the simulator uses: wall-clock trace,
      so no timer bounds, but agreement/causality/monotonicity apply. *)
-  Format.printf "%a@." Harness.Invariants.pp
-    (Harness.Invariants.check ~proposals
-       r.Realtime.Threads_engine.trace)
+  let report = Harness.Invariants.check ~proposals r.trace in
+  Format.printf "%a@." Harness.Invariants.pp report;
+  let undecided = Array.exists Option.is_none r.decisions in
+  if r.agreement_violation || undecided || not (Harness.Invariants.ok report)
+  then exit 1
 
 let realtime_cmd =
   let delta_rt =
@@ -1115,8 +1115,15 @@ let realtime_cmd =
   Cmd.v
     (Cmd.info "realtime"
        ~doc:
-         "Run the protocol over OS threads and wall-clock delays instead \
-          of the simulator.")
+         "Run the protocol on a wall-clock event loop with real delays \
+          instead of the simulator.  Exits non-zero unless every process \
+          decides, agreement holds and the trace invariants pass."
+       ~exits:
+         (Cmd.Exit.info 1
+            ~doc:
+              "when a process does not decide by the deadline, on an \
+               agreement violation, or on a trace-invariant violation."
+         :: Cmd.Exit.defaults))
     Term.(const realtime_impl $ proto_arg $ n_arg $ delta_rt $ ts_rt $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1609,13 +1616,6 @@ let fuzz_cmd =
 (* chaos                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let read_whole_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
 (* A chaos corpus file is the schedule document plus the load shape
    that exposed the failure, so `replay` re-runs the exact campaign. *)
 let chaos_entry_to_json schedule ~commands ~pipeline =
@@ -1865,23 +1865,20 @@ let replay_chaos path j =
 let replay_impl paths =
   if paths = [] then
     failwith "replay: give at least one corpus file (test/corpus/*.json)";
-  let is_chaos path =
-    match Sim.Json.parse (read_whole_file path) with
-    | Error _ -> None
-    | Ok j -> (
-        match Sim.Json.member_opt "format" j with
-        | Some (Sim.Json.Str f) when f = Chaos.Schedule.format_tag -> Some j
-        | Some _ | None -> None)
-  in
   let ok =
     List.fold_left
       (fun ok path ->
-        match is_chaos path with
-        | Some j ->
+        let j =
+          match Sim.Json.parse (read_whole_file path) with
+          | Ok j -> j
+          | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
+        in
+        match Sim.Json.member_opt "format" j with
+        | Some (Sim.Json.Str f) when f = Chaos.Schedule.format_tag ->
             replay_chaos path j;
             ok
-        | None -> (
-            match Harness.Fuzz.load_entry path with
+        | Some _ | None -> (
+            match Harness.Fuzz.entry_of_json j with
             | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
             | Ok entry -> (
                 match Harness.Fuzz.replay entry with

@@ -199,21 +199,28 @@ let quiesce_replicas replicas =
   in
   go 0 None 0
 
-let run_in_process cfg =
-  let sched = cfg.schedule in
-  let n = sched.Schedule.n in
-  let reg = Sim.Registry.create () in
-  let proxy = Proxy.create ~schedule:sched ~registry:reg () in
+type cluster = {
+  proxy : Proxy.t;
+  registry : Sim.Registry.t;
+  replicas : Smr.Replica.t array;
+  fronts : (string * int) array;
+  wall_t0 : float;
+  stop : unit -> unit;
+}
+
+let start_in_process ?(verbose = false) sched =
+  let registry = Sim.Registry.create () in
+  let proxy = Proxy.create ~schedule:sched ~registry () in
   let fronts = Proxy.fronts proxy in
   let replicas =
-    Array.init n (fun i ->
+    Array.init sched.Schedule.n (fun i ->
         Smr.Replica.create
           {
             (Smr.Replica.default_config ~id:i ~cluster:fronts) with
             bind = Some ("127.0.0.1", 0);
             delta = sched.Schedule.delta;
             seed = Int64.to_int sched.Schedule.seed;
-            verbose = cfg.verbose;
+            verbose;
           })
   in
   Proxy.set_backends proxy
@@ -224,12 +231,19 @@ let run_in_process cfg =
   let replica_threads =
     Array.map (fun r -> Thread.create Smr.Replica.run r) replicas
   in
-  let finish () =
+  let stop () =
     Array.iter Smr.Replica.stop replicas;
     Array.iter Thread.join replica_threads;
     Proxy.stop proxy;
     Thread.join proxy_thread;
     Proxy.shutdown proxy
+  in
+  { proxy; registry; replicas; fronts; wall_t0; stop }
+
+let run_in_process cfg =
+  let n = cfg.schedule.Schedule.n in
+  let { registry = reg; replicas; fronts; wall_t0; stop = finish; _ } =
+    start_in_process ~verbose:cfg.verbose cfg.schedule
   in
   let outcome_report = run_client cfg fronts in
   let checks = ref (base_checks cfg outcome_report) in
@@ -305,13 +319,8 @@ let reserve_port () =
   port
 
 let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> ""
-  | ic ->
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      s
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error _ -> ""
 
 (* pull "<token>=<int>" out of a replica's shutdown line *)
 let parse_tagged log token =

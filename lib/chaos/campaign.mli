@@ -54,6 +54,22 @@ type outcome = {
       (** the proxy's [chaos_*] (and its loop's [netio_*]) counters *)
 }
 
+(** A cluster of [n] replicas behind the proxy, each replica and the
+    proxy running its loop on a thread of this process — the
+    [In_process] mode's setup, exposed so tests can reach the replica
+    registries and KV state directly. *)
+type cluster = {
+  proxy : Proxy.t;
+  registry : Sim.Registry.t;  (** the proxy's counters *)
+  replicas : Smr.Replica.t array;
+  fronts : (string * int) array;  (** the proxy's client-facing endpoints *)
+  wall_t0 : float;  (** wall time the schedule's clock started *)
+  stop : unit -> unit;  (** stop and join every loop, close the proxy *)
+}
+
+val start_in_process : ?verbose:bool -> Schedule.t -> cluster
+(** Replica seeds come from the schedule's seed. *)
+
 val run : config -> outcome
 (** Raises [Invalid_argument] on a malformed config; everything else —
     including a cluster that never makes progress — surfaces as failed

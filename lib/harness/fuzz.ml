@@ -633,12 +633,7 @@ let save_entry ~dir e =
   path
 
 let load_entry path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
   | contents ->
       let* j = Sim.Json.parse contents in

@@ -2,7 +2,7 @@
 
     Every check here is computed from a {!Sim.Trace.t} alone, so it
     applies equally to a live {!Sim.Engine} run, a
-    {!Realtime.Threads_engine} run, or a trace re-imported from JSONL.
+    {!Realtime.Netio_engine} run, or a trace re-imported from JSONL.
     The checks:
 
     - {b agreement}: all [Decide] entries carry the same value;

@@ -68,12 +68,7 @@ let to_string t = String.concat "\n" (List.map entry_to_string t) ^ "\n"
 
 let load path =
   if not (Sys.file_exists path) then Ok empty
-  else
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    of_string s
+  else of_string (In_channel.with_open_bin path In_channel.input_all)
 
 let matches e (f : Rules.finding) =
   e.rule = f.rule && String.equal e.file f.file

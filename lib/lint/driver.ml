@@ -40,12 +40,7 @@ let ok r = r.findings = [] && r.errors = []
 (* Parsing one file                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let parse_error_message path = function
   | Syntaxerr.Error _ -> Printf.sprintf "%s: syntax error" path

@@ -18,7 +18,7 @@
 
 (** The context handle is the capability record of {!Runtime}; it is
     abstract to protocols, which use the wrappers below.  Other executors
-    (e.g. the thread-based one in [lib/realtime]) construct their own
+    (e.g. [Realtime.Netio_engine], on the wall clock) construct their own
     {!Runtime.ctx} and run the very same protocol records. *)
 type ('msg, 'state) ctx = ('msg, 'state) Runtime.ctx
 

@@ -1,9 +1,9 @@
 (** The capability record protocols run against.
 
     {!Engine} (the discrete-event simulator) and any other executor (for
-    instance the thread-based real-time runner in [lib/realtime]) give
-    protocols the same handle: a record of closures for sending, timing,
-    persistence and deciding.  Protocol code never constructs one of
+    instance the wall-clock [Realtime.Netio_engine]) give protocols the
+    same handle: a record of closures for sending, timing, persistence
+    and deciding.  Protocol code never constructs one of
     these — it receives them from its executor and calls them through
     the convenience wrappers in {!Engine} — but executors do, which is
     why the record is public here. *)

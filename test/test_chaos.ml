@@ -277,38 +277,6 @@ let empty_schedule =
     actions = [];
   }
 
-(* the campaign's in-process plumbing, inlined so tests can reach the
-   replica registries and KV state directly *)
-let start_proxied_cluster schedule =
-  let reg = Sim.Registry.create () in
-  let proxy = Chaos.Proxy.create ~schedule ~registry:reg () in
-  let fronts = Chaos.Proxy.fronts proxy in
-  let replicas =
-    Array.init schedule.Chaos.Schedule.n (fun id ->
-        Smr.Replica.create
-          {
-            (Smr.Replica.default_config ~id ~cluster:fronts) with
-            bind = Some (localhost, 0);
-            delta = schedule.Chaos.Schedule.delta;
-            seed = 7;
-          })
-  in
-  Chaos.Proxy.set_backends proxy
-    (Array.map (fun r -> (localhost, Smr.Replica.port r)) replicas);
-  Chaos.Proxy.start_clock proxy;
-  let proxy_thread = Thread.create Chaos.Proxy.run proxy in
-  let replica_threads =
-    Array.map (fun r -> Thread.create Smr.Replica.run r) replicas
-  in
-  let stop () =
-    Array.iter Smr.Replica.stop replicas;
-    Array.iter Thread.join replica_threads;
-    Chaos.Proxy.stop proxy;
-    Thread.join proxy_thread;
-    Chaos.Proxy.shutdown proxy
-  in
-  (proxy, reg, replicas, fronts, stop)
-
 let wait_converged replicas =
   let deadline = Netio.wall () +. 10. in
   let converged () =
@@ -325,8 +293,8 @@ let wait_converged replicas =
   converged ()
 
 let test_proxy_transparent () =
-  let _, reg, replicas, fronts, stop =
-    start_proxied_cluster empty_schedule
+  let { Chaos.Campaign.registry = reg; replicas; fronts; stop; _ } =
+    Chaos.Campaign.start_in_process empty_schedule
   in
   Fun.protect ~finally:stop (fun () ->
       let c = Smr.Client.connect fronts in
@@ -380,7 +348,9 @@ let test_corruption_teardown_and_recovery () =
         ];
     }
   in
-  let _, reg, replicas, fronts, stop = start_proxied_cluster schedule in
+  let { Chaos.Campaign.registry = reg; replicas; fronts; stop; _ } =
+    Chaos.Campaign.start_in_process schedule
+  in
   Fun.protect ~finally:stop (fun () ->
       let c = Smr.Client.connect ~prefer:0 fronts in
       let report =
