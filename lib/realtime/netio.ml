@@ -247,13 +247,16 @@ let flush t c =
     | exception Unix.Unix_error _ -> close t c
   end
 
-let enqueue c bytes =
+let enqueue_sub c bytes off n =
+  if off < 0 || n < 0 || off > Bytes.length bytes - n then
+    invalid_arg "Netio.enqueue_sub";
   if not c.closing then begin
-    let n = Bytes.length bytes in
     reserve c n;
-    Bytes.blit bytes 0 c.outbuf c.out_len n;
+    Bytes.blit bytes off c.outbuf c.out_len n;
     c.out_len <- c.out_len + n
   end
+
+let enqueue c bytes = enqueue_sub c bytes 0 (Bytes.length bytes)
 
 let send t c bytes =
   enqueue c bytes;

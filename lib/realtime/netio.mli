@@ -77,6 +77,11 @@ val enqueue : conn -> Bytes.t -> unit
     enqueued between two flushes leave in a single write.  No-op on a
     closed connection. *)
 
+val enqueue_sub : conn -> Bytes.t -> int -> int -> unit
+(** [enqueue_sub c buf off len] is {!enqueue} of the range
+    [buf.[off, off + len)], without copying it out first.  Raises
+    [Invalid_argument] when the range is not inside [buf]. *)
+
 val flush : t -> conn -> unit
 (** Issue one write over everything queued (no-op when nothing is, or
     while a nonblocking connect is still pending).  Whatever the socket

@@ -344,12 +344,11 @@ let my_1b st =
     Imap.fold
       (fun i v acc -> (i, v) :: acc)
       st.ivotes
-      (Imap.fold
-         (fun i cmd acc ->
-           if i >= st.chosen_upto then
-             (i, { Smr_messages.vbal = chosen_vbal; vcmd = cmd }) :: acc
-           else acc)
-         st.chosen [])
+      (Seq.fold_left
+         (fun acc (i, cmd) ->
+           (i, { Smr_messages.vbal = chosen_vbal; vcmd = cmd }) :: acc)
+         []
+         (Imap.to_seq_from st.chosen_upto st.chosen))
   in
   Smr_messages.M1b { mbal = st.mbal; votes; chosen_upto = st.chosen_upto }
 

@@ -11,7 +11,13 @@
    responses collect in each connection's output region, and [service]
    flushes every touched connection once, after it goes quiet — one
    write per connection per pass, so a peer is woken once with the
-   whole pass's traffic rather than mid-pass by its first message. *)
+   whole pass's traffic rather than mid-pass by its first message.
+
+   Every outgoing peer message and client response is encoded once,
+   into the replica's one frame buffer, and blitted from there into
+   each destination's output region.  The frame is valid only until
+   the next [encode]: nothing may encode between an [encode] and the
+   last blit of its bytes. *)
 
 module Netio = Realtime.Netio
 
@@ -60,6 +66,7 @@ type t = {
   kinds : (int, kind) Hashtbl.t;  (* inbound conn_id -> role *)
   clients : (int, Netio.conn) Hashtbl.t;
   touched : (int, Netio.conn) Hashtbl.t;  (* clients with unflushed output *)
+  mutable frame : Bytes.t;  (* the last [encode]d frame, at offset 0 *)
   selfq : (int * Smr_messages.t) Queue.t;
   backlog : Command.t Queue.t;  (* accepted, not yet injected *)
   reply_map : (int, int * int * float) Hashtbl.t;
@@ -148,18 +155,35 @@ let rec ensure_peer t j =
           | exception _ ->
               Netio.after t.io 0.2 (fun () -> ensure_peer t j))
 
-(* [frame] is an encoded [Wire.Peer]; [service] flushes the link *)
-let send_frame t j frame =
+(* The frame buffer starts at [frame_small] bytes and grows to fit the
+   largest frame of a service pass; past [frame_cap] it shrinks back at
+   the end of the pass, so a burst of large frames does not keep its
+   footprint alive (the same policy as Netio's output regions). *)
+let frame_small = 4096
+let frame_cap = 65536
+
+(* Write [msg] into [t.frame] at offset 0 and return its length. *)
+let encode t msg =
+  match Wire.write t.frame 0 msg with
+  | len -> len
+  | exception Invalid_argument _ ->
+      let size = Wire.size msg in
+      t.frame <- Bytes.create (max size (2 * Bytes.length t.frame));
+      Wire.write t.frame 0 msg
+
+(* the first [len] bytes of [t.frame] are an encoded [Wire.Peer];
+   [service] flushes the link *)
+let send_frame t j len =
   ensure_peer t j;
   match t.peers.(j) with
-  | Some c -> Netio.enqueue c frame
+  | Some c -> Netio.enqueue_sub c t.frame 0 len
   | None -> Sim.Registry.inc ~proc:t.cfg.id t.registry "serve_dropped_sends"
 
-let send_peer t j msg = send_frame t j (Wire.to_bytes (Wire.Peer msg))
+let send_peer t j msg = send_frame t j (encode t (Wire.Peer msg))
 
 (* responses to a client likewise wait for the end of the pass *)
 let respond t conn seq reply =
-  Netio.enqueue conn (Wire.to_bytes (Wire.Response { seq; reply }));
+  Netio.enqueue_sub conn t.frame 0 (encode t (Wire.Response { seq; reply }));
   Hashtbl.replace t.touched (Netio.conn_id conn) conn
 
 let flush_output t =
@@ -170,7 +194,8 @@ let flush_output t =
   Hashtbl.clear t.touched;
   List.iter (fun conn -> Netio.flush t.io conn) conns;
   (* a flush with nothing queued is free *)
-  Array.iter (function Some c -> Netio.flush t.io c | None -> ()) t.peers
+  Array.iter (function Some c -> Netio.flush t.io c | None -> ()) t.peers;
+  if Bytes.length t.frame > frame_cap then t.frame <- Bytes.create frame_small
 
 (* ---- protocol driving ---- *)
 
@@ -188,10 +213,10 @@ let rec make_ctx t : (Smr_messages.t, Multi_paxos.state) Sim.Runtime.ctx =
     broadcast =
       (fun msg ->
         (* encoded once, the same bytes enqueued on every peer link *)
-        let frame = Wire.to_bytes (Wire.Peer msg) in
+        let len = encode t (Wire.Peer msg) in
         for j = 0 to t.n - 1 do
           if j = t.cfg.id then Queue.add (t.cfg.id, msg) t.selfq
-          else send_frame t j frame
+          else send_frame t j len
         done);
     set_timer =
       (fun ~local_delay ~tag ->
@@ -474,6 +499,7 @@ let create cfg =
       kinds = Hashtbl.create 16;
       clients = Hashtbl.create 16;
       touched = Hashtbl.create 16;
+      frame = Bytes.create frame_small;
       selfq = Queue.create ();
       backlog = Queue.create ();
       reply_map = Hashtbl.create 1024;

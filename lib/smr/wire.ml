@@ -2,58 +2,23 @@
    spec; the loopback test decodes the hexdump printed there, so keep
    the two in lockstep. *)
 
-(* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320). *)
-(* lint: allow R4 — write-once CRC table, never mutated after init *)
-let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
+(* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320), in
+   crc32_stubs.c: a carry-less-multiply fold for bodies of 64 bytes or
+   more on x86-64 CPUs with PCLMULQDQ, a slicing-by-8 table loop for the
+   rest.  The stub trusts its range, so [crc32] checks it first. *)
+external crc32_init : unit -> unit = "wire_crc32_init"
 
-(* Slicing-by-8 (Kounavis & Berry, ISCC 2005): [crc_slices.(k).(b)] is
-   the CRC state after feeding byte [b] followed by [k] zero bytes, so
-   eight input bytes fold into the state with eight independent lookups
-   instead of eight dependent ones.  [crc_slices.(0)] is [crc_table]. *)
-(* lint: allow R4 — write-once CRC tables, never mutated after init *)
-let crc_slices =
-  let s = Array.make 8 crc_table in
-  for k = 1 to 7 do
-    s.(k) <-
-      Array.map (fun c -> crc_table.(c land 0xff) lxor (c lsr 8)) s.(k - 1)
-  done;
-  s
+external crc32_unchecked :
+  Bytes.t -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "wire_crc32_byte" "wire_crc32"
+[@@noalloc]
+
+let () = crc32_init ()
 
 let crc32 bytes off len =
   if off < 0 || len < 0 || off > Bytes.length bytes - len then
     invalid_arg "Wire.crc32";
-  let t0 = crc_slices.(0) and t1 = crc_slices.(1) and t2 = crc_slices.(2)
-  and t3 = crc_slices.(3) and t4 = crc_slices.(4) and t5 = crc_slices.(5)
-  and t6 = crc_slices.(6) and t7 = crc_slices.(7) in
-  let c = ref 0xffffffff in
-  let i = ref off in
-  let stop8 = off + (len land lnot 7) in
-  (* every index is masked to 0..255 and each table has 256 entries, so
-     the table reads skip the bounds check; the byte loads keep theirs *)
-  while !i < stop8 do
-    let lo = Int32.to_int (Bytes.get_int32_le bytes !i) lxor !c in
-    let hi = Int32.to_int (Bytes.get_int32_le bytes (!i + 4)) in
-    c :=
-      Array.unsafe_get t7 (lo land 0xff)
-      lxor Array.unsafe_get t6 ((lo lsr 8) land 0xff)
-      lxor Array.unsafe_get t5 ((lo lsr 16) land 0xff)
-      lxor Array.unsafe_get t4 ((lo lsr 24) land 0xff)
-      lxor Array.unsafe_get t3 (hi land 0xff)
-      lxor Array.unsafe_get t2 ((hi lsr 8) land 0xff)
-      lxor Array.unsafe_get t1 ((hi lsr 16) land 0xff)
-      lxor Array.unsafe_get t0 ((hi lsr 24) land 0xff);
-    i := !i + 8
-  done;
-  for j = stop8 to off + len - 1 do
-    c := t0.((!c lxor Char.code (Bytes.get bytes j)) land 0xff) lxor (!c lsr 8)
-  done;
-  !c lxor 0xffffffff
+  crc32_unchecked bytes off len
 
 type reply =
   | R_stored
@@ -112,21 +77,11 @@ let tag_of = function
   | Request _ -> tag_request
   | Response _ -> tag_response
 
-(* ---- payload writers (big-endian throughout) ---- *)
+(* ---- payload sizes and writers (big-endian throughout) ----
 
-let w_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
-let w_u32 b v = Buffer.add_int32_be b (Int32.of_int v)
-let w_s64 b v = Buffer.add_int64_be b (Int64.of_int v)
-
-let w_string b s =
-  w_u32 b (String.length s);
-  Buffer.add_string b s
-
-let w_opt_string b = function
-  | None -> w_u8 b 0
-  | Some s ->
-      w_u8 b 1;
-      w_string b s
+   A frame is written in two passes: [s_*] computes the payload's exact
+   length, then [w_*] writes it in place, each writer taking the
+   position to write at and returning the position after it. *)
 
 (* command opcodes *)
 let op_noop = 0x00
@@ -137,95 +92,135 @@ let op_put = 0x04
 let op_cas = 0x05
 let op_batch = 0x06
 
-let rec w_cmd b (c : Command.t) =
-  w_s64 b c.id;
+let s_string s = 4 + String.length s
+
+let s_opt_string = function None -> 1 | Some s -> 1 + s_string s
+
+(* id (8 bytes) and opcode (1), then the operands *)
+let rec s_cmd (c : Command.t) =
+  9
+  +
   match c.op with
-  | Command.Noop -> w_u8 b op_noop
-  | Command.Set v ->
-      w_u8 b op_set;
-      w_s64 b v
-  | Command.Add d ->
-      w_u8 b op_add;
-      w_s64 b d
-  | Command.Kv_get k ->
-      w_u8 b op_get;
-      w_string b k
-  | Command.Kv_put { key; value } ->
-      w_u8 b op_put;
-      w_string b key;
-      w_string b value
+  | Command.Noop -> 0
+  | Command.Set _ | Command.Add _ -> 8
+  | Command.Kv_get k -> s_string k
+  | Command.Kv_put { key; value } -> s_string key + s_string value
   | Command.Kv_cas { key; expect; set } ->
-      w_u8 b op_cas;
-      w_string b key;
-      w_opt_string b expect;
-      w_string b set
+      s_string key + s_opt_string expect + s_string set
+  | Command.Batch cmds -> List.fold_left (fun n c -> n + s_cmd c) 4 cmds
+
+let s_reply = function
+  | R_stored -> 1
+  | R_value v -> 1 + s_opt_string v
+  | R_cas { ok = _; actual } -> 2 + s_opt_string actual
+  | R_redirect _ -> 9
+  | R_error msg -> 1 + s_string msg
+
+let s_payload = function
+  | Hello _ | Peer (Smr_messages.M1a _) | Peer (Smr_messages.Chosen_digest _)
+    ->
+      8
+  | Peer (Smr_messages.M1b { mbal = _; votes; chosen_upto = _ }) ->
+      (* mbal, chosen_upto and the vote count; per vote its instance,
+         its ballot and its command *)
+      List.fold_left
+        (fun n (_, (v : Smr_messages.ivote)) -> n + 16 + s_cmd v.vcmd)
+        20 votes
+  | Peer (Smr_messages.M2a { cmd; _ }) | Peer (Smr_messages.M2b { cmd; _ }) ->
+      16 + s_cmd cmd
+  | Peer (Smr_messages.Forward { cmd }) -> s_cmd cmd
+  | Peer (Smr_messages.Chosen { cmd; _ }) -> 8 + s_cmd cmd
+  | Request { cmd; _ } -> 8 + s_cmd cmd
+  | Response { reply; _ } -> 8 + s_reply reply
+
+let w_u8 b p v =
+  Bytes.set_uint8 b p (v land 0xff);
+  p + 1
+
+let w_u32 b p v =
+  Bytes.set_int32_be b p (Int32.of_int v);
+  p + 4
+
+let w_s64 b p v =
+  Bytes.set_int64_be b p (Int64.of_int v);
+  p + 8
+
+let w_string b p s =
+  let n = String.length s in
+  let p = w_u32 b p n in
+  Bytes.blit_string s 0 b p n;
+  p + n
+
+let w_opt_string b p = function
+  | None -> w_u8 b p 0
+  | Some s -> w_string b (w_u8 b p 1) s
+
+let rec w_cmd b p (c : Command.t) =
+  let p = w_s64 b p c.id in
+  match c.op with
+  | Command.Noop -> w_u8 b p op_noop
+  | Command.Set v -> w_s64 b (w_u8 b p op_set) v
+  | Command.Add d -> w_s64 b (w_u8 b p op_add) d
+  | Command.Kv_get k -> w_string b (w_u8 b p op_get) k
+  | Command.Kv_put { key; value } ->
+      w_string b (w_string b (w_u8 b p op_put) key) value
+  | Command.Kv_cas { key; expect; set } ->
+      let p = w_string b (w_u8 b p op_cas) key in
+      w_string b (w_opt_string b p expect) set
   | Command.Batch cmds ->
-      w_u8 b op_batch;
-      w_u32 b (List.length cmds);
-      List.iter (w_cmd b) cmds
+      let p = w_u32 b (w_u8 b p op_batch) (List.length cmds) in
+      List.fold_left (w_cmd b) p cmds
 
-let w_reply b = function
-  | R_stored -> w_u8 b 0x00
-  | R_value v ->
-      w_u8 b 0x01;
-      w_opt_string b v
+let w_reply b p = function
+  | R_stored -> w_u8 b p 0x00
+  | R_value v -> w_opt_string b (w_u8 b p 0x01) v
   | R_cas { ok; actual } ->
-      w_u8 b 0x02;
-      w_u8 b (if ok then 1 else 0);
-      w_opt_string b actual
-  | R_redirect { leader } ->
-      w_u8 b 0x03;
-      w_s64 b leader
-  | R_error msg ->
-      w_u8 b 0x04;
-      w_string b msg
+      let p = w_u8 b (w_u8 b p 0x02) (if ok then 1 else 0) in
+      w_opt_string b p actual
+  | R_redirect { leader } -> w_s64 b (w_u8 b p 0x03) leader
+  | R_error msg -> w_string b (w_u8 b p 0x04) msg
 
-let w_payload b = function
-  | Hello { sender } -> w_s64 b sender
-  | Peer (Smr_messages.M1a { mbal }) -> w_s64 b mbal
+let w_payload b p = function
+  | Hello { sender } -> w_s64 b p sender
+  | Peer (Smr_messages.M1a { mbal }) -> w_s64 b p mbal
   | Peer (Smr_messages.M1b { mbal; votes; chosen_upto }) ->
-      w_s64 b mbal;
-      w_s64 b chosen_upto;
-      w_u32 b (List.length votes);
-      List.iter
-        (fun (i, (v : Smr_messages.ivote)) ->
-          w_s64 b i;
-          w_s64 b v.vbal;
-          w_cmd b v.vcmd)
+      let p = w_s64 b (w_s64 b p mbal) chosen_upto in
+      List.fold_left
+        (fun p (i, (v : Smr_messages.ivote)) ->
+          w_cmd b (w_s64 b (w_s64 b p i) v.vbal) v.vcmd)
+        (w_u32 b p (List.length votes))
         votes
   | Peer (Smr_messages.M2a { mbal; instance; cmd })
   | Peer (Smr_messages.M2b { mbal; instance; cmd }) ->
-      w_s64 b mbal;
-      w_s64 b instance;
-      w_cmd b cmd
-  | Peer (Smr_messages.Forward { cmd }) -> w_cmd b cmd
-  | Peer (Smr_messages.Chosen_digest { upto }) -> w_s64 b upto
+      w_cmd b (w_s64 b (w_s64 b p mbal) instance) cmd
+  | Peer (Smr_messages.Forward { cmd }) -> w_cmd b p cmd
+  | Peer (Smr_messages.Chosen_digest { upto }) -> w_s64 b p upto
   | Peer (Smr_messages.Chosen { instance; cmd }) ->
-      w_s64 b instance;
-      w_cmd b cmd
-  | Request { seq; cmd } ->
-      w_s64 b seq;
-      w_cmd b cmd
-  | Response { seq; reply } ->
-      w_s64 b seq;
-      w_reply b reply
+      w_cmd b (w_s64 b p instance) cmd
+  | Request { seq; cmd } -> w_cmd b (w_s64 b p seq) cmd
+  | Response { seq; reply } -> w_reply b (w_s64 b p seq) reply
 
-(* The frame is allocated once, at its exact size: the payload is
-   built in a scratch buffer, blitted once behind a header-sized gap,
-   and the header (which needs the payload's length and CRC) is written
-   in place. *)
+let size msg = header_len + s_payload msg
+
+(* The header needs the payload's length and CRC, so the payload goes
+   in first, behind a header-sized gap. *)
+let write buf off msg =
+  let len = s_payload msg in
+  if off < 0 || off > Bytes.length buf - header_len - len then
+    invalid_arg "Wire.write";
+  let body = off + header_len in
+  ignore (w_payload buf body msg : int);
+  Bytes.set buf off 'E';
+  Bytes.set buf (off + 1) 'S';
+  Bytes.set_uint8 buf (off + 2) version;
+  Bytes.set_uint8 buf (off + 3) (tag_of msg);
+  Bytes.set_int32_be buf (off + 4) (Int32.of_int len);
+  Bytes.set_int32_be buf (off + 8) (Int32.of_int (crc32_unchecked buf body len));
+  header_len + len
+
 let to_bytes msg =
-  let payload = Buffer.create 64 in
-  w_payload payload msg;
-  let len = Buffer.length payload in
-  let frame = Bytes.create (header_len + len) in
-  Buffer.blit payload 0 frame header_len len;
-  Bytes.set frame 0 'E';
-  Bytes.set frame 1 'S';
-  Bytes.set_uint8 frame 2 version;
-  Bytes.set_uint8 frame 3 (tag_of msg);
-  Bytes.set_int32_be frame 4 (Int32.of_int len);
-  Bytes.set_int32_be frame 8 (Int32.of_int (crc32 frame header_len len));
+  let frame = Bytes.create (size msg) in
+  ignore (write frame 0 msg : int);
   frame
 
 let encode buf msg = Buffer.add_bytes buf (to_bytes msg)

@@ -49,11 +49,21 @@ val header_len : int
 val max_payload : int
 (** Largest accepted payload (16 MiB); longer frames are [Too_large]. *)
 
-val encode : Buffer.t -> t -> unit
-(** Append one complete frame (header + payload) to [buf]. *)
+val size : t -> int
+(** Length in bytes of the complete frame (header + payload) for a
+    message. *)
+
+val write : Bytes.t -> int -> t -> int
+(** [write buf off msg] writes the complete frame for [msg] into [buf]
+    at [off] and returns its length ([size msg]); no byte outside that
+    range is touched.  Raises [Invalid_argument] when [off] is negative
+    or the frame does not fit. *)
 
 val to_bytes : t -> Bytes.t
 (** One complete frame as a freshly allocated, exactly sized [Bytes.t]. *)
+
+val encode : Buffer.t -> t -> unit
+(** Append one complete frame (header + payload) to [buf]. *)
 
 val decode :
   Bytes.t ->

@@ -223,6 +223,44 @@ let test_netio_one_write_per_flush () =
   Unix.close reader;
   Netio.shutdown t
 
+(* [enqueue_sub] queues exactly the named range of a buffer the caller
+   then reuses, as a replica does with its one frame buffer: each range
+   is copied at enqueue time, so overwriting the buffer afterwards
+   changes nothing that was queued. *)
+let test_netio_enqueue_sub () =
+  let t = Netio.create () in
+  let c, reader = raw_pair t in
+  Netio.send t c (Bytes.of_string "!");
+  ignore (read_exactly t reader ~chunk:1 1);
+  let scratch = Bytes.make 64 '.' in
+  let expect = Buffer.create 256 in
+  let before = Netio.Private.writes t in
+  for i = 0 to 9 do
+    let off = i mod 5 and len = 3 + i in
+    Bytes.fill scratch 0 64 (Char.chr (0x41 + i));
+    Netio.enqueue_sub c scratch off len;
+    Buffer.add_string expect (String.make len (Char.chr (0x41 + i)))
+  done;
+  Bytes.fill scratch 0 64 '#';
+  (match Netio.enqueue_sub c scratch 60 5 with
+  | () -> Alcotest.fail "a range past the end was queued"
+  | exception Invalid_argument _ -> ());
+  (match Netio.enqueue_sub c scratch (-1) 2 with
+  | () -> Alcotest.fail "a negative offset was queued"
+  | exception Invalid_argument _ -> ());
+  Netio.enqueue_sub c scratch 64 0;
+  Alcotest.(check int) "enqueue_sub writes nothing" before
+    (Netio.Private.writes t);
+  Netio.flush t c;
+  let n = Buffer.length expect in
+  Alcotest.(check string) "exactly the queued ranges, in order"
+    (Buffer.contents expect)
+    (Bytes.to_string (read_exactly t reader ~chunk:65536 n));
+  Alcotest.(check int) "ten ranges, one flush: one write" (before + 1)
+    (Netio.Private.writes t);
+  Unix.close reader;
+  Netio.shutdown t
+
 let test_netio_partial_writes_resume () =
   let t = Netio.create () in
   let c, reader = raw_pair t in
@@ -453,6 +491,8 @@ let suite =
       test_netio_accept_backoff;
     Alcotest.test_case "netio: one write per flush" `Quick
       test_netio_one_write_per_flush;
+    Alcotest.test_case "netio: enqueue_sub queues a range" `Quick
+      test_netio_enqueue_sub;
     Alcotest.test_case "netio: partial writes resume intact" `Quick
       test_netio_partial_writes_resume;
     Alcotest.test_case "netio: close drops queued output" `Quick

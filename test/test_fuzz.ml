@@ -201,12 +201,32 @@ let test_bc_round_jump_regression () =
             o.F.violations;
           Alcotest.(check int) "all three decide" 3 o.F.decided)
 
+(* perfbench/run.py pins the totals of the seed-42 campaign's first 400
+   runs (FUZZ_TOTALS) and fails a benchmark run whose offline suite
+   reports others.  These are the calls perfbench/simsuite.ml makes, so
+   a change that moves the totals fails here, in the test suite, first. *)
+let test_perfbench_campaign_pin () =
+  let failures = ref 0 and events = ref 0 and msgs = ref 0 and decided = ref 0 in
+  for index = 0 to 399 do
+    let o = F.run_one (F.generate ~seed:42L ~index ()) in
+    if o.F.violations <> [] then incr failures;
+    events := !events + o.F.events;
+    msgs := !msgs + o.F.msgs_sent;
+    decided := !decided + o.F.decided
+  done;
+  Alcotest.(check int) "failures" 0 !failures;
+  Alcotest.(check int) "events" 461860 !events;
+  Alcotest.(check int) "messages" 528270 !msgs;
+  Alcotest.(check int) "decided" 1808 !decided
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_generate_valid;
     QCheck_alcotest.to_alcotest prop_generate_targeted_valid;
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
     Alcotest.test_case "ungated attack found" `Quick test_ungated_attack_found;
+    Alcotest.test_case "perfbench's pinned campaign totals" `Quick
+      test_perfbench_campaign_pin;
     QCheck_alcotest.to_alcotest prop_shrink;
     Alcotest.test_case "campaign domain invariance" `Quick
       test_campaign_domain_invariance;

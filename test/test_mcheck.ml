@@ -109,11 +109,27 @@ let test_outcome_pp () =
   let s = Format.asprintf "%a" Mcheck.Explorer.pp_outcome o in
   Alcotest.(check bool) "renders" true (String.length s > 0)
 
+(* perfbench/run.py pins the outcome of this search (MCHECK_STATES,
+   MCHECK_TRANSITIONS, no violation) and fails a benchmark run whose
+   offline suite reports another.  This is the call perfbench/simsuite.ml
+   makes, so a change that moves the outcome fails here first. *)
+let test_perfbench_search_pin () =
+  let c = cfg ~gate:true ~max_session:1 in
+  let o =
+    Mcheck.Explorer.run ~max_depth:10 ~domains:1 c ~max_states:1_000_000
+      ~properties:(Mcheck.Explorer.all_properties c)
+  in
+  Alcotest.(check int) "states" 190003 o.Mcheck.Explorer.states;
+  Alcotest.(check int) "transitions" 476977 o.Mcheck.Explorer.transitions;
+  Alcotest.(check bool) "no violation" true (o.Mcheck.Explorer.violation = None)
+
 let suite =
   [
     Alcotest.test_case "initial state and moves" `Quick test_initial_state;
     Alcotest.test_case "decisions are reachable" `Quick test_decision_reachable;
     Alcotest.test_case "safety, gated, depth 8" `Quick test_safety_gated_depth8;
+    Alcotest.test_case "perfbench's pinned depth-10 search" `Quick
+      test_perfbench_search_pin;
     Alcotest.test_case "safety, two-session cap" `Quick
       test_safety_gated_two_sessions;
     Alcotest.test_case "safety, ungated" `Quick test_safety_ungated;

@@ -214,6 +214,72 @@ let test_corrupt_snapshot_refused () =
             (String.starts_with ~prefix:path msg
             && String.ends_with ~suffix:"payload CRC mismatch" msg))
 
+(* Member 2 boots late, after members 0 and 1 have committed frames of
+   every size class: short ones, 1 KiB puts, and one put larger than
+   the frame buffer a replica keeps between passes.  Once member 2 has
+   caught up, it holds the large value intact and no member has dropped
+   a connection over a frame that failed to decode. *)
+let test_late_member_no_bad_frames () =
+  let n = 3 in
+  let cluster = Array.make n (localhost, 0) in
+  let replicas =
+    Array.init n (fun id ->
+        Replica.create
+          { (Replica.default_config ~id ~cluster) with delta; seed = 7 })
+  in
+  let ports = Array.map Replica.port replicas in
+  Array.iter (fun r -> Replica.set_peer_ports r ports) replicas;
+  let threads = Array.make n None in
+  let start i =
+    threads.(i) <- Some (Thread.create (fun () -> Replica.run replicas.(i)) ())
+  in
+  let big = String.init 200_000 (fun i -> Char.chr (i mod 251)) in
+  let put c key value =
+    match Client.put c ~key ~value with
+    | Wire.R_stored -> ()
+    | _ -> Alcotest.failf "put %s was not acknowledged" key
+  in
+  start 0;
+  start 1;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter Replica.stop replicas;
+      Array.iter (Option.iter Thread.join) threads)
+    (fun () ->
+      (* the client never dials member 2, which is not serving yet *)
+      let c = Client.connect (endpoints (Array.sub ports 0 2)) in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          put c "short" "v";
+          for i = 0 to 19 do
+            put c (Printf.sprintf "k%d" i) (String.make 1024 (Char.chr (65 + i)))
+          done;
+          put c "big" big;
+          start 2;
+          for i = 20 to 39 do
+            put c (Printf.sprintf "k%d" i) (String.make 1024 (Char.chr (65 + i)))
+          done);
+      let deadline = Unix.gettimeofday () +. 10. in
+      let caught_up () =
+        let counts = Array.map Replica.chosen_count replicas in
+        Array.for_all (fun c -> c = counts.(0)) counts
+        && Replica.kv_get replicas.(2) "k39" <> None
+      in
+      while (not (caught_up ())) && Unix.gettimeofday () < deadline do
+        Thread.delay 0.05
+      done;
+      Alcotest.(check bool) "member 2 caught up" true (caught_up ());
+      Alcotest.(check bool) "member 2 holds the large value intact" true
+        (Replica.kv_get replicas.(2) "big" = Some big);
+      Array.iteri
+        (fun i r ->
+          Alcotest.(check int)
+            (Printf.sprintf "member %d dropped no bad frames" i)
+            0
+            (Sim.Registry.counter_total (Replica.registry r) "serve_bad_frames"))
+        replicas)
+
 let suite =
   [
     Alcotest.test_case "kv semantics over the loopback cluster" `Quick
@@ -226,4 +292,6 @@ let suite =
       test_batching_counts;
     Alcotest.test_case "a corrupt snapshot refuses to boot" `Quick
       test_corrupt_snapshot_refused;
+    Alcotest.test_case "a late member sees no bad frames" `Quick
+      test_late_member_no_bad_frames;
   ]

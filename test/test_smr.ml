@@ -388,6 +388,74 @@ let prop_logs_converge =
       ||
       QCheck.Test.fail_report "a replica failed to converge by the horizon")
 
+(* --- Phase 1b over a long chosen log ------------------------------------ *)
+
+(* A member restored with 50k chosen instances, a hole at the watermark
+   and a few chosen instances and votes above it answers a 1a with only
+   what lies at or above the watermark: its votes, highest instance
+   first, then the chosen instances above the watermark, highest first
+   (as infinite-ballot votes). *)
+let test_1b_carries_only_above_watermark () =
+  let n = 3 and self = 0 in
+  let cfg = Dgl.Config.make ~n ~delta () in
+  let sent = ref [] in
+  let ctx =
+    {
+      Sim.Runtime.self;
+      n;
+      proposal = 0;
+      local_time = (fun () -> 0.);
+      send = (fun ~dst msg -> sent := (dst, msg) :: !sent);
+      broadcast = (fun _ -> ());
+      set_timer = (fun ~local_delay:_ ~tag:_ -> ());
+      persist = (fun _ -> ());
+      decide = (fun _ -> ());
+      has_decided = (fun () -> false);
+      rng = Sim.Prng.create 1L;
+      scratch = Sim.Scratch.create ();
+      note = (fun _ -> ());
+      count = (fun _ -> ());
+      oracle_time = (fun () -> 0.);
+    }
+  in
+  let cmd i = Smr.Command.make ~id:i (Smr.Command.Set i) in
+  let chosen i = (i, { Smr.Smr_messages.vbal = max_int; vcmd = cmd i }) in
+  let vote i vbal = (i, { Smr.Smr_messages.vbal; vcmd = cmd i }) in
+  let watermark = 50_000 in
+  let mbal = Consensus.Ballot.of_session ~n ~proc:1 4 in
+  let st =
+    Smr.Multi_paxos.restore cfg ctx
+      {
+        Smr.Multi_paxos.e_mbal = mbal;
+        e_votes =
+          List.init watermark chosen
+          @ [ vote 50_000 5; chosen 50_001; vote 50_002 7; chosen 50_003 ];
+        e_chosen_upto = 0;
+      }
+  in
+  Alcotest.(check int) "restored watermark" watermark
+    (Smr.Multi_paxos.chosen_upto st);
+  sent := [];
+  let proto = Smr.Multi_paxos.protocol cfg ~workloads:(Array.make n []) in
+  ignore
+    (proto.Sim.Runtime.on_message ctx st ~src:1
+       (Smr.Smr_messages.M1a { mbal }));
+  match !sent with
+  | [ (dst, Smr.Smr_messages.M1b { mbal = b; votes; chosen_upto }) ] ->
+      Alcotest.(check int) "sent to the ballot's owner" 1 dst;
+      Alcotest.(check int) "at the 1a's ballot" mbal b;
+      Alcotest.(check int) "the watermark" watermark chosen_upto;
+      Alcotest.(check (list (pair int int)))
+        "votes, then chosen instances above the watermark"
+        [ (50_002, 7); (50_000, 5); (50_003, max_int); (50_001, max_int) ]
+        (List.map
+           (fun (i, (v : Smr.Smr_messages.ivote)) ->
+             if not (Smr.Command.equal v.vcmd (cmd i)) then
+               Alcotest.failf "instance %d carries the wrong command" i;
+             (i, v.vbal))
+           votes)
+  | _ -> Alcotest.fail "expected exactly one 1b in answer to the 1a"
+
 let suite =
   [
     Alcotest.test_case "command apply" `Quick test_command_apply;
@@ -413,5 +481,7 @@ let suite =
     Alcotest.test_case "workload validation" `Quick test_workload_validation;
     Alcotest.test_case "empty workload stays quiet" `Quick
       test_empty_workload_quiet;
+    Alcotest.test_case "1b carries only what is above the watermark" `Quick
+      test_1b_carries_only_above_watermark;
     QCheck_alcotest.to_alcotest prop_logs_converge;
   ]

@@ -59,7 +59,10 @@ let wire_equal (a : Wire.t) (b : Wire.t) =
 
 (* --- generators ------------------------------------------------------- *)
 
-let gen_key = QCheck.Gen.(map (Printf.sprintf "k%d") (int_bound 999))
+let gen_key =
+  QCheck.Gen.(
+    frequency
+      [ (9, map (Printf.sprintf "k%d") (int_bound 999)); (1, return "") ])
 
 let gen_value = QCheck.Gen.(string_size (int_bound 24))
 
@@ -166,6 +169,43 @@ let prop_roundtrip =
       | Error (`Error e) ->
           QCheck.Test.fail_reportf "decode error: %a" Wire.pp_error e)
 
+let prop_size =
+  QCheck.Test.make ~name:"wire: size is the encoded length" ~count:500
+    arb_wire (fun msg -> Wire.size msg = Bytes.length (Wire.to_bytes msg))
+
+(* [write] into a sentinel-filled buffer at a random offset produces the
+   [to_bytes] frame there and touches nothing else; one byte less room,
+   or a negative offset, raises before anything is written. *)
+let prop_write_in_place =
+  QCheck.Test.make ~name:"wire: write at an offset touches only its frame"
+    ~count:300
+    (QCheck.pair arb_wire (QCheck.int_bound 40))
+    (fun (msg, off) ->
+      let frame = Wire.to_bytes msg in
+      let n = Bytes.length frame in
+      let buf = Bytes.make (off + n + 7) '\xa5' in
+      let written = Wire.write buf off msg in
+      let untouched lo hi =
+        let ok = ref true in
+        for i = lo to hi - 1 do
+          if Bytes.get buf i <> '\xa5' then ok := false
+        done;
+        !ok
+      in
+      let tight = Bytes.make (off + n - 1) '\xa5' in
+      let refused buf off =
+        match Wire.write buf off msg with
+        | _ -> false
+        | exception Invalid_argument _ ->
+            Bytes.for_all (fun c -> c = '\xa5') buf
+      in
+      written = n
+      && Bytes.equal (Bytes.sub buf off n) frame
+      && untouched 0 off
+      && untouched (off + n) (Bytes.length buf)
+      && refused tight off
+      && refused (Bytes.make (n + 8) '\xa5') (-1))
+
 let prop_truncated =
   QCheck.Test.make ~name:"wire: every strict prefix wants more bytes"
     ~count:200 arb_wire (fun msg ->
@@ -195,8 +235,9 @@ let prop_bad_crc =
       done;
       !ok)
 
-(* The bytewise table loop [Wire.crc32] used before slicing-by-8: the
-   reference the fast path must agree with on every range. *)
+(* The bytewise table loop: the reference that both the carry-less fold
+   and the slicing-by-8 table loop behind [Wire.crc32] must agree with
+   on every range. *)
 let crc32_reference =
   let table =
     Array.init 256 (fun n ->
@@ -232,16 +273,29 @@ let prop_crc_slicing =
   QCheck.Test.make ~name:"wire: crc32 matches the bytewise reference"
     ~count:200 arb_crc_case (fun (s, off, len) ->
       let b = Bytes.of_string s in
-      (* every offset mod 8 against every length 0-64, so each position
-         of the 8-byte stride and every tail length is hit *)
-      let ok = ref (Wire.crc32 b off len = crc32_reference b off len) in
-      for off = 0 to 7 do
-        for len = 0 to 64 do
-          if Wire.crc32 b off len <> crc32_reference b off len then
-            ok := false
-        done
-      done;
-      !ok)
+      Wire.crc32 b off len = crc32_reference b off len)
+
+(* Every offset 0-15 against every length 0-300 hits each alignment of
+   the 16-byte fold, the 64-byte threshold between the table loop and
+   the fold, one to four 64-byte steps and every tail length; a 1 MiB
+   buffer runs the fold's main loop for a long stretch. *)
+let test_crc_offsets_lengths () =
+  let rng = Random.State.make [| 24 |] in
+  let b = Bytes.init (16 + 300) (fun _ -> Char.chr (Random.State.int rng 256)) in
+  for off = 0 to 15 do
+    for len = 0 to 300 do
+      let got = Wire.crc32 b off len and want = crc32_reference b off len in
+      if got <> want then
+        Alcotest.failf "off %d len %d: crc32 %08x, reference %08x" off len
+          got want
+    done
+  done;
+  let big =
+    Bytes.init ((1 lsl 20) + 13) (fun _ -> Char.chr (Random.State.int rng 256))
+  in
+  Alcotest.(check int) "1 MiB buffer"
+    (crc32_reference big 5 (Bytes.length big - 5))
+    (Wire.crc32 big 5 (Bytes.length big - 5))
 
 let test_crc_bad_range () =
   let b = Bytes.make 16 'x' in
@@ -336,8 +390,17 @@ let test_crc_vector () =
 
 let suite =
   List.map (fun t -> QCheck_alcotest.to_alcotest t)
-    [ prop_roundtrip; prop_truncated; prop_bad_crc; prop_crc_slicing ]
+    [
+      prop_roundtrip;
+      prop_size;
+      prop_write_in_place;
+      prop_truncated;
+      prop_bad_crc;
+      prop_crc_slicing;
+    ]
   @ [
+      Alcotest.test_case "crc32: offsets 0-15 x lengths 0-300, 1 MiB" `Quick
+        test_crc_offsets_lengths;
       Alcotest.test_case "crc32 check vector" `Quick test_crc_vector;
       Alcotest.test_case "crc32 rejects a bad range" `Quick test_crc_bad_range;
       Alcotest.test_case "WIRE.md request hexdump" `Quick test_wire_md_request;
