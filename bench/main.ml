@@ -6,7 +6,8 @@
       ({!Harness.Experiments.representative}, untraced), so the cost of
       regenerating each table is itself tracked — plus substrate
       micro-benches (event queues, PRNG, the ordering oracle, the wire
-      codec on a 1 KiB put frame).
+      codec on a 1 KiB put frame, the KV state's apply over 100k
+      decrees).
    2. The experiment tables themselves (E1-E11, A1-A4): the rows that
       reproduce each of the paper's quantitative claims.
 
@@ -129,6 +130,21 @@ let wire_put_1k () =
   | Ok _ -> ()
   | Error _ -> invalid_arg "bench: wire-put-1k frame failed to decode"
 
+(* 100k single-command put decrees through a fresh [Kv_state], with
+   ids shaped as [Replica.fresh_uid] stamps them ([seq * n + member]):
+   the exactly-once reply cache grows by one entry per command and
+   rehashes on the way, as on a live member. *)
+let kv_apply_decrees =
+  let value = String.make 16 'v' in
+  Array.init 100_000 (fun i ->
+      Smr.Command.make
+        ~id:((i * 3) + 1)
+        (Smr.Command.Kv_put { key = Printf.sprintf "k%d" (i land 1023); value }))
+
+let kv_apply_100k () =
+  let kv = Smr.Kv_state.create () in
+  Array.iter (fun d -> ignore (Smr.Kv_state.apply kv d)) kv_apply_decrees
+
 (* The cheap substrate micro-benches always run (microseconds each);
    BENCH_SKIP_MICRO only drops the per-experiment half, which re-times a
    whole simulated execution per sample. *)
@@ -140,6 +156,7 @@ let cheap_cases =
     Test.make ~name:"substrate/prng-1k" (Staged.stage prng_draws);
     Test.make ~name:"substrate/ordering-oracle-200" (Staged.stage oracle_churn);
     Test.make ~name:"substrate/wire-put-1k" (Staged.stage wire_put_1k);
+    Test.make ~name:"substrate/kv-apply-100k" (Staged.stage kv_apply_100k);
   ]
 
 let expensive_cases =

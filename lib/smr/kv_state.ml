@@ -6,16 +6,30 @@ type reply =
   | Cas_fail of string option
   | Noreply
 
+(* The reply cache is keyed by server-stamped ids ([Replica] restamps
+   every request), which run sequentially per member.  Hashing an id to
+   itself keeps consecutive commands in adjacent buckets, so each
+   lookup and insert touches a warm cache line, where [Hashtbl.hash]
+   would scatter them over the whole table.  Ids from outside never
+   reach it, so the identity hash cannot be steered. *)
+module Ids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash id = id land max_int
+end)
+
 type t = {
   store : (string, string) Hashtbl.t;
   (* command id -> cached reply, for exactly-once semantics when a
      command is re-decided after a leader change *)
-  replies : (int, reply) Hashtbl.t;
+  replies : reply Ids.t;
   mutable applied : int;  (* count of non-noop commands executed *)
 }
 
 let create () =
-  { store = Hashtbl.create 256; replies = Hashtbl.create 256; applied = 0 }
+  { store = Hashtbl.create 256; replies = Ids.create 256; applied = 0 }
 
 let reply_equal a b =
   match (a, b) with
@@ -59,11 +73,12 @@ let execute t (op : Command.op) =
 let apply_one t (cmd : Command.t) =
   if cmd.id < 0 then (cmd.id, Noreply)
   else
-    match Hashtbl.find_opt t.replies cmd.id with
+    match Ids.find_opt t.replies cmd.id with
     | Some cached -> (cmd.id, cached)  (* duplicate decree: replay reply *)
     | None ->
         let r = execute t cmd.op in
-        Hashtbl.replace t.replies cmd.id r;
+        (* [add], not [replace]: the lookup above found no binding *)
+        Ids.add t.replies cmd.id r;
         t.applied <- t.applied + 1;
         (cmd.id, r)
 
@@ -76,8 +91,6 @@ let apply t (cmd : Command.t) =
       [ apply_one t cmd ]
 
 let get t key = Hashtbl.find_opt t.store key
-
-let size t = Hashtbl.length t.store
 
 let applied t = t.applied
 

@@ -33,9 +33,6 @@ val apply : t -> Command.t -> (int * reply) list
 val get : t -> string -> string option
 (** Read a binding directly (bypasses the log — for local probes). *)
 
-val size : t -> int
-(** Number of live bindings. *)
-
 val applied : t -> int
 (** Count of distinct client commands executed so far. *)
 

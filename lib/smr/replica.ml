@@ -103,23 +103,11 @@ let kv_checksum t = Kv_state.checksum t.kv
 
 let kv_applied t = Kv_state.applied t.kv
 
-(* one-line internals dump for tests and load-harness diagnostics *)
-let stats t =
-  match t.st with
-  | None -> "not booted"
-  | Some st ->
-      Printf.sprintf
-        "mbal=%d owner=%d session=%d leading=%b chosen_upto=%d pending=%d \
-         backlog=%d inflight=%d outstanding=%d reply_map=%d"
-        (Multi_paxos.mbal st)
-        (Consensus.Ballot.owner ~n:t.n (Multi_paxos.mbal st))
-        (Multi_paxos.session_number st)
-        (Multi_paxos.leading st)
-        (Multi_paxos.chosen_upto st)
-        (Multi_paxos.pending_count st)
-        (Queue.length t.backlog) t.inflight
-        (Hashtbl.length t.outstanding)
-        (Hashtbl.length t.reply_map)
+(* A uid is [seq * n + id]: unique across members by its residue, and
+   across one member's boots because boot [k] starts [seq] at
+   [k lsl uid_seq_bits] (see [boot_incarnation]).  The low bits stay
+   sequential, which is what keeps [Kv_state]'s reply cache local. *)
+let uid_seq_bits = 40
 
 let fresh_uid t =
   let u = t.next_uid in
@@ -425,22 +413,25 @@ let essence_to_msg (e : Multi_paxos.essence) =
          chosen_upto = e.Multi_paxos.e_chosen_upto;
        })
 
+(* fsync before the rename: otherwise a crash can leave the renamed
+   file empty and the replica restarts without even the state it
+   thought it had written *)
+let write_atomically path bytes =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_bin tmp in
+  output_bytes oc bytes;
+  flush oc;
+  (try Unix.fsync (Unix.descr_of_out_channel oc)
+   with Unix.Unix_error _ -> ());
+  close_out oc;
+  Sys.rename tmp path
+
 let write_snapshot t =
   match (t.cfg.snapshot, t.st) with
   | Some path, Some st when t.dirty ->
       t.dirty <- false;
-      let bytes = Wire.to_bytes (essence_to_msg (Multi_paxos.essence st)) in
-      let tmp = path ^ ".tmp" in
-      let oc = open_out_bin tmp in
-      output_bytes oc bytes;
-      flush oc;
-      (* fsync before the rename: otherwise a crash can leave the
-         renamed file empty and the replica restarts without even the
-         state it thought it had checkpointed *)
-      (try Unix.fsync (Unix.descr_of_out_channel oc)
-       with Unix.Unix_error _ -> ());
-      close_out oc;
-      Sys.rename tmp path;
+      write_atomically path
+        (Wire.to_bytes (essence_to_msg (Multi_paxos.essence st)));
       Sim.Registry.inc ~proc:t.cfg.id t.registry "serve_snapshots"
   | (Some _ | None), _ -> ()
 
@@ -473,6 +464,29 @@ let load_snapshot path =
         | Ok (_, used) -> bad (Printf.sprintf "%d trailing bytes" (len - used))
         | Error `Need_more -> bad "truncated frame"
         | Error (`Error e) -> bad (Format.asprintf "%a" Wire.pp_error e))
+
+(* The boot count of a durable member lives in a sidecar of its
+   snapshot, so that ids stamped before a kill are never stamped again:
+   the chosen log would drop the new command as a duplicate decree, or
+   answer it with the old command's cached reply.  The sidecar is
+   durable before the member serves.  Ids stay below 2^62 while a boot
+   stamps fewer than 2^uid_seq_bits of them. *)
+let boot_incarnation t path =
+  let file = path ^ ".incarnation" in
+  let bad why = raise (Bad_snapshot (Printf.sprintf "%s: %s" file why)) in
+  let inc =
+    if not (Sys.file_exists file) then 0
+    else
+      match In_channel.with_open_bin file In_channel.input_all with
+      | exception Sys_error e -> bad e
+      | s -> (
+          match int_of_string_opt (String.trim s) with
+          | Some k when k >= 0 -> k + 1
+          | Some _ | None -> bad "not an incarnation number")
+  in
+  if inc >= (1 lsl (62 - uid_seq_bits)) / t.n then bad "incarnations exhausted";
+  write_atomically file (Bytes.of_string (string_of_int inc ^ "\n"));
+  t.next_uid <- inc lsl uid_seq_bits
 
 (* ---- lifecycle ---- *)
 
@@ -543,7 +557,10 @@ let run t =
     match t.cfg.snapshot with
     | None -> None
     | Some path -> (
-        try load_snapshot path
+        try
+          let e = load_snapshot path in
+          boot_incarnation t path;
+          e
         with Bad_snapshot _ as e ->
           Netio.shutdown t.io;
           raise e)

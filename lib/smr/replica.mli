@@ -67,15 +67,21 @@ val set_peer_ports : t -> int array -> unit
 
 exception Bad_snapshot of string
 (** The snapshot file exists but cannot be read, or does not decode to
-    acceptor state; the payload names the file and the reason. *)
+    acceptor state; or its incarnation sidecar ([<snapshot>.incarnation],
+    the member's boot count) does not hold a boot count.  The payload
+    names the file and the reason. *)
 
 val run : t -> unit
 (** Serve until {!stop}: boot the protocol (or restore it from the
-    snapshot file when one exists), then run the event loop.  On exit a
-    final snapshot is written and every socket is closed.  Only an
-    absent snapshot file boots the member empty: an unreadable or
-    undecodable one raises {!Bad_snapshot} (after closing the sockets)
-    rather than forget the promises and votes it recorded. *)
+    snapshot file when one exists), then run the event loop.  A member
+    with a snapshot path first bumps its boot count in the sidecar
+    (fsynced, then renamed) and stamps command ids from a range no
+    earlier boot used, so a restarted member never reuses an id already
+    in the chosen log.  On exit a final snapshot is written and every
+    socket is closed.  Only an absent snapshot file boots the member
+    empty: an unreadable or undecodable one raises {!Bad_snapshot}
+    (after closing the sockets) rather than forget the promises and
+    votes it recorded. *)
 
 val stop : t -> unit
 (** Stop {!run} from any thread or signal handler. *)
@@ -99,8 +105,3 @@ val kv_checksum : t -> int
 
 val kv_applied : t -> int
 (** Number of distinct commands applied (duplicates excluded). *)
-
-val stats : t -> string
-(** One-line dump of protocol and queue internals (ballot, session,
-    chosen watermark, queue depths) for tests and load-harness
-    diagnostics. *)

@@ -174,7 +174,8 @@ let test_batching_counts () =
 
 (* A snapshot that exists but does not decode must stop the boot: a
    member that came up empty instead would forget the promises and
-   votes it recorded.  Only an absent file means a fresh member. *)
+   votes it recorded.  Only an absent file means a fresh member; the
+   same holds for the boot count kept beside the snapshot. *)
 let test_corrupt_snapshot_refused () =
   let path = Filename.temp_file "replica" ".snap" in
   Sys.remove path;
@@ -194,13 +195,32 @@ let test_corrupt_snapshot_refused () =
     Sim.Registry.counter_total (Replica.registry r) "serve_restores"
   in
   Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ path; path ^ ".incarnation" ])
     (fun () ->
       Alcotest.(check int) "an absent snapshot boots fresh" 0 (boot ());
       let snap =
         Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
       in
       Alcotest.(check int) "an intact snapshot restores" 1 (boot ());
+      let sidecar = path ^ ".incarnation" in
+      let write_sidecar s =
+        Out_channel.with_open_bin sidecar (fun oc ->
+            Out_channel.output_string oc s)
+      in
+      Alcotest.(check string) "each boot bumps the boot count" "1\n"
+        (In_channel.with_open_bin sidecar In_channel.input_all);
+      write_sidecar "one\n";
+      (match boot () with
+      | _ -> Alcotest.fail "booted with an unreadable boot count"
+      | exception Replica.Bad_snapshot msg ->
+          Alcotest.(check bool)
+            ("the error names the sidecar: " ^ msg)
+            true
+            (String.starts_with ~prefix:(sidecar ^ ": ") msg));
+      write_sidecar "1\n";
       let i = Wire.header_len in
       Bytes.set snap i (Char.chr (Char.code (Bytes.get snap i) lxor 0x01));
       Out_channel.with_open_bin path (fun oc ->
@@ -280,6 +300,69 @@ let test_late_member_no_bad_frames () =
             (Sim.Registry.counter_total (Replica.registry r) "serve_bad_frames"))
         replicas)
 
+(* A durable member that served clients is stopped and restarted from
+   its snapshot.  The ids it stamps after the restart must be new:
+   reusing one already in the chosen log would drop the command as a
+   duplicate decree, or answer it with the earlier command's reply. *)
+let test_restart_stamps_fresh_ids () =
+  let n = 3 in
+  let paths =
+    Array.init n (fun _ ->
+        let p = Filename.temp_file "replica" ".snap" in
+        Sys.remove p;
+        p)
+  in
+  let make ~cluster id =
+    Replica.create
+      {
+        (Replica.default_config ~id ~cluster) with
+        delta;
+        seed = 7;
+        snapshot = Some paths.(id);
+      }
+  in
+  let replicas = Array.init n (make ~cluster:(Array.make n (localhost, 0))) in
+  let ports = Array.map Replica.port replicas in
+  Array.iter (fun r -> Replica.set_peer_ports r ports) replicas;
+  let start r = Thread.create (fun () -> Replica.run r) () in
+  let threads = Array.map start replicas in
+  let show reply = Wire.info (Wire.Response { seq = 0; reply }) in
+  let with_member0 f =
+    let c = Client.connect [| (localhost, ports.(0)) |] in
+    Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_cluster replicas threads;
+      Array.iter
+        (fun p ->
+          List.iter
+            (fun f -> if Sys.file_exists f then Sys.remove f)
+            [ p; p ^ ".incarnation" ])
+        paths)
+    (fun () ->
+      with_member0 (fun c ->
+          for i = 0 to 4 do
+            match Client.put c ~key:(Printf.sprintf "k%d" i) ~value:"old" with
+            | Wire.R_stored -> ()
+            | _ -> Alcotest.failf "put k%d was not acknowledged" i
+          done);
+      Replica.stop replicas.(0);
+      Thread.join threads.(0);
+      replicas.(0) <- make ~cluster:(endpoints ports) 0;
+      threads.(0) <- start replicas.(0);
+      with_member0 (fun c ->
+          (match Client.request ~timeout:2. c
+                   (Command.Kv_put { key = "fresh"; value = "new" })
+           with
+          | Wire.R_stored -> ()
+          | r -> Alcotest.failf "put after restart: %s" (show r));
+          match Client.request ~timeout:2. c (Command.Kv_get "fresh") with
+          | Wire.R_value (Some "new") -> ()
+          | r ->
+              Alcotest.failf "get after restart should see its put: %s"
+                (show r)))
+
 let suite =
   [
     Alcotest.test_case "kv semantics over the loopback cluster" `Quick
@@ -294,4 +377,6 @@ let suite =
       test_corrupt_snapshot_refused;
     Alcotest.test_case "a late member sees no bad frames" `Quick
       test_late_member_no_bad_frames;
+    Alcotest.test_case "a restarted member stamps fresh command ids" `Quick
+      test_restart_stamps_fresh_ids;
   ]

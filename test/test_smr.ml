@@ -388,6 +388,151 @@ let prop_logs_converge =
       ||
       QCheck.Test.fail_report "a replica failed to converge by the horizon")
 
+(* --- Kv_state against a reference model -------------------------------- *)
+
+module Smap = Map.Make (String)
+module Imap = Map.Make (Int)
+
+(* The model is the bindings plus the reply of every executed id: a
+   decree runs each of its commands whose id is new and replays the
+   recorded reply for one already executed; [id < 0] noops do nothing. *)
+let model_exec store (op : Smr.Command.op) =
+  match op with
+  | Smr.Command.Kv_get k -> (
+      ( store,
+        match Smap.find_opt k store with
+        | Some v -> Smr.Kv_state.Found v
+        | None -> Smr.Kv_state.Absent ))
+  | Smr.Command.Kv_put { key; value } ->
+      (Smap.add key value store, Smr.Kv_state.Stored)
+  | Smr.Command.Kv_cas { key; expect; set } ->
+      let current = Smap.find_opt key store in
+      if Option.equal String.equal current expect then
+        (Smap.add key set store, Smr.Kv_state.Cas_ok)
+      else (store, Smr.Kv_state.Cas_fail current)
+  | Smr.Command.Set _ | Smr.Command.Add _ | Smr.Command.Noop
+  | Smr.Command.Batch _ ->
+      (store, Smr.Kv_state.Noreply)
+
+let model_apply (store, executed) (cmd : Smr.Command.t) =
+  let one (store, executed, out) (c : Smr.Command.t) =
+    match Imap.find_opt c.id executed with
+    | Some r -> (store, executed, (c.id, r) :: out)
+    | None ->
+        let store, r = model_exec store c.op in
+        (store, Imap.add c.id r executed, (c.id, r) :: out)
+  in
+  let cmds =
+    match cmd.op with
+    | Smr.Command.Batch cs -> cs
+    | _ when cmd.id < 0 -> []
+    | _ -> [ cmd ]
+  in
+  let store, executed, out = List.fold_left one (store, executed, []) cmds in
+  ((store, executed), List.rev out)
+
+let kv_keys = [ "a"; "b"; "c" ]
+
+let prop_kv_state_matches_model =
+  let open QCheck.Gen in
+  let value = map string_of_int (int_bound 3) in
+  let key = oneofl kv_keys in
+  let op =
+    frequency
+      [
+        (3, map (fun k -> Smr.Command.Kv_get k) key);
+        ( 4,
+          map2 (fun key value -> Smr.Command.Kv_put { key; value }) key value
+        );
+        ( 3,
+          map3
+            (fun key expect set -> Smr.Command.Kv_cas { key; expect; set })
+            key (opt value) value );
+        (1, map (fun v -> Smr.Command.Set v) (int_bound 9));
+        (1, return Smr.Command.Noop);
+      ]
+  in
+  (* ids drawn from a small pool, so inner ids and whole decrees repeat:
+     [fresh_uid]-shaped (seq * 3 + member), the same across three boots
+     (seq starting at boot lsl 40, so ids share their low bits), or
+     sparse below 2^62 *)
+  let pool =
+    let* shape = int_bound 2 in
+    let* member = int_bound 2 in
+    match shape with
+    | 0 -> return (Array.init 40 (fun k -> (k * 3) + member))
+    | 1 ->
+        return
+          (Array.init 39 (fun i ->
+               ((((i mod 3) lsl 40) + (i / 3)) * 3) + member))
+    | _ ->
+        array_repeat 12
+          (oneof
+             [
+               map (fun x -> x land ((1 lsl 62) - 1)) int;
+               map (fun d -> (1 lsl 62) - 1 - d) (int_bound 4);
+             ])
+  in
+  let gen =
+    let* pool = pool in
+    let id = map (fun i -> pool.(i)) (int_bound (Array.length pool - 1)) in
+    let cmd = map2 (fun id op -> Smr.Command.make ~id op) id op in
+    let decree =
+      frequency
+        [
+          (4, cmd);
+          ( 2,
+            map2
+              (fun id cs -> Smr.Command.make ~id (Smr.Command.Batch cs))
+              id
+              (list_size (int_range 1 5) cmd) );
+          (1, return Smr.Command.noop);
+        ]
+    in
+    let* decrees = list_size (int_range 1 60) decree in
+    (* replay some decrees verbatim, as a second leader would *)
+    let* dups = list_size (int_bound 10) (int_bound (List.length decrees)) in
+    return
+      (List.concat
+         (List.mapi
+            (fun i d -> if List.mem i dups then [ d; d ] else [ d ])
+            decrees))
+  in
+  let print ds = String.concat "; " (List.map Smr.Command.info ds) in
+  QCheck.Test.make ~name:"smr: kv_state matches its reference model"
+    ~count:300 (QCheck.make ~print gen) (fun decrees ->
+      let kv = Smr.Kv_state.create () in
+      let replies_equal =
+        List.equal (fun (i, r) (j, q) -> i = j && Smr.Kv_state.reply_equal r q)
+      in
+      let store, _ =
+        List.fold_left
+          (fun model d ->
+            let model, want = model_apply model d in
+            if not (replies_equal (Smr.Kv_state.apply kv d) want) then
+              QCheck.Test.fail_reportf "replies differ at %s"
+                (Smr.Command.info d);
+            if Smr.Kv_state.applied kv <> Imap.cardinal (snd model) then
+              QCheck.Test.fail_reportf "applied differs after %s"
+                (Smr.Command.info d);
+            model)
+          (Smap.empty, Imap.empty) decrees
+      in
+      (* the same bindings put in another order digest the same *)
+      let fresh = Smr.Kv_state.create () in
+      List.iteri
+        (fun i (key, value) ->
+          ignore
+            (Smr.Kv_state.apply fresh
+               (Smr.Command.make ~id:i (Smr.Command.Kv_put { key; value }))))
+        (List.rev (Smap.bindings store));
+      List.for_all
+        (fun k ->
+          Option.equal String.equal (Smr.Kv_state.get kv k)
+            (Smap.find_opt k store))
+        kv_keys
+      && Smr.Kv_state.checksum kv = Smr.Kv_state.checksum fresh)
+
 (* --- Phase 1b over a long chosen log ------------------------------------ *)
 
 (* A member restored with 50k chosen instances, a hole at the watermark
@@ -484,4 +629,5 @@ let suite =
     Alcotest.test_case "1b carries only what is above the watermark" `Quick
       test_1b_carries_only_above_watermark;
     QCheck_alcotest.to_alcotest prop_logs_converge;
+    QCheck_alcotest.to_alcotest prop_kv_state_matches_model;
   ]
