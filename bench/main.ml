@@ -462,95 +462,82 @@ let smoke () =
 
 (* --- machine-readable results dump ----------------------------------- *)
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
+(* Floats as %.6g lexemes; a non-finite or missing one is null. *)
 let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
+  if Float.is_finite f then Sim.Json.Num (Printf.sprintf "%.6g" f)
+  else Sim.Json.Null
 
-let json_opt_float = function Some f -> json_float f | None -> "null"
+let json_opt f = function Some v -> f v | None -> Sim.Json.Null
 
 let write_results ~path ~speed ~domains ~wall ~serial_wall ~micro ~metrics
     ~mcheck ~fuzz ~engine ~serve ~chaos ~invariants_ok ~lint ~loc =
+  let open Sim.Json in
   let mc_states, mc_wall, mc_states_per_s, mc_visited_mb, mc_speedup =
     mcheck
   in
   let fuzz_runs, fuzz_wall, fuzz_runs_per_s, fuzz_failures = fuzz in
   let events_per_s, words_per_event, words_per_run = engine in
   let serve_tp, serve_p50_ms, serve_p99_ms = serve in
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"speed\": %s,\n" (json_string speed);
-  p "  \"domains\": %d,\n" domains;
-  p "  \"engine_events_per_s\": %s,\n" (json_float events_per_s);
-  p "  \"alloc_words_per_event\": %s,\n" (json_float words_per_event);
-  p "  \"alloc_words_per_run\": %s,\n" (json_float words_per_run);
-  p "  \"experiments\": {\n";
-  p "    \"wall_clock_s\": %s,\n" (json_float wall);
-  p "    \"serial_wall_clock_s\": %s,\n" (json_opt_float serial_wall);
-  p "    \"parallel_speedup\": %s\n"
-    (match serial_wall with
-    | Some s when wall > 0. -> json_float (s /. wall)
-    | _ -> "null");
-  p "  },\n";
-  p "  \"mcheck_states\": %d,\n" mc_states;
-  p "  \"mcheck_wall_clock_s\": %s,\n" (json_float mc_wall);
-  p "  \"mcheck_states_per_s\": %s,\n" (json_float mc_states_per_s);
-  p "  \"mcheck_visited_mb\": %s,\n" (json_float mc_visited_mb);
-  p "  \"mcheck_speedup\": %s,\n" (json_opt_float mc_speedup);
-  p "  \"fuzz_runs\": %d,\n" fuzz_runs;
-  p "  \"fuzz_wall_clock_s\": %s,\n" (json_float fuzz_wall);
-  p "  \"fuzz_runs_per_s\": %s,\n" (json_float fuzz_runs_per_s);
-  p "  \"fuzz_failures\": %d,\n" fuzz_failures;
-  p "  \"serve_commands_per_s\": %s,\n" (json_float serve_tp);
-  p "  \"serve_latency_p50_ms\": %s,\n" (json_float serve_p50_ms);
-  p "  \"serve_latency_p99_ms\": %s,\n" (json_float serve_p99_ms);
-  (let chaos_tp, chaos_faults = chaos in
-   p "  \"chaos_commands_per_s\": %s,\n" (json_float chaos_tp);
-   p "  \"chaos_faults_injected\": %d,\n" chaos_faults);
-  p "  \"trace_invariants_ok\": %b,\n" invariants_ok;
-  (match lint with
-  | Some (lint_ok, findings, rules_run, callgraph_nodes) ->
-      p "  \"lint_ok\": %b,\n" lint_ok;
-      p "  \"lint_findings\": %d,\n" findings;
-      p "  \"lint_rules_run\": %d,\n" rules_run;
-      p "  \"lint_callgraph_nodes\": %d,\n" callgraph_nodes
-  | None ->
-      p "  \"lint_ok\": null,\n";
-      p "  \"lint_findings\": null,\n";
-      p "  \"lint_rules_run\": null,\n";
-      p "  \"lint_callgraph_nodes\": null,\n");
-  (match loc with
-  | Some (lib, bin) ->
-      p "  \"loc_lib\": %d,\n" lib;
-      p "  \"loc_bin\": %d,\n" bin
-  | None ->
-      p "  \"loc_lib\": null,\n";
-      p "  \"loc_bin\": null,\n");
-  p "  \"metrics\": %s,\n" (Sim.Registry.to_json metrics);
-  p "  \"micro_ns_per_run\": [";
-  List.iteri
-    (fun i (name, est, r2) ->
-      p "%s\n    { \"name\": %s, \"ns_per_run\": %s, \"r_square\": %s }"
-        (if i = 0 then "" else ",")
-        (json_string name) (json_opt_float est) (json_opt_float r2))
-    micro;
-  p "\n  ]\n}\n";
-  close_out oc
+  let chaos_tp, chaos_faults = chaos in
+  let lint_ok, findings, rules_run, callgraph_nodes =
+    match lint with
+    | Some (ok, f, r, c) -> (Bool ok, int f, int r, int c)
+    | None -> (Null, Null, Null, Null)
+  in
+  let micro_entry (name, est, r2) =
+    Obj
+      [
+        ("name", Str name);
+        ("ns_per_run", json_opt json_float est);
+        ("r_square", json_opt json_float r2);
+      ]
+  in
+  let doc =
+    Obj
+      [
+        ("speed", Str speed);
+        ("domains", int domains);
+        ("engine_events_per_s", json_float events_per_s);
+        ("alloc_words_per_event", json_float words_per_event);
+        ("alloc_words_per_run", json_float words_per_run);
+        ( "experiments",
+          Obj
+            [
+              ("wall_clock_s", json_float wall);
+              ("serial_wall_clock_s", json_opt json_float serial_wall);
+              ( "parallel_speedup",
+                match serial_wall with
+                | Some s when wall > 0. -> json_float (s /. wall)
+                | _ -> Null );
+            ] );
+        ("mcheck_states", int mc_states);
+        ("mcheck_wall_clock_s", json_float mc_wall);
+        ("mcheck_states_per_s", json_float mc_states_per_s);
+        ("mcheck_visited_mb", json_float mc_visited_mb);
+        ("mcheck_speedup", json_opt json_float mc_speedup);
+        ("fuzz_runs", int fuzz_runs);
+        ("fuzz_wall_clock_s", json_float fuzz_wall);
+        ("fuzz_runs_per_s", json_float fuzz_runs_per_s);
+        ("fuzz_failures", int fuzz_failures);
+        ("serve_commands_per_s", json_float serve_tp);
+        ("serve_latency_p50_ms", json_float serve_p50_ms);
+        ("serve_latency_p99_ms", json_float serve_p99_ms);
+        ("chaos_commands_per_s", json_float chaos_tp);
+        ("chaos_faults_injected", int chaos_faults);
+        ("trace_invariants_ok", Bool invariants_ok);
+        ("lint_ok", lint_ok);
+        ("lint_findings", findings);
+        ("lint_rules_run", rules_run);
+        ("lint_callgraph_nodes", callgraph_nodes);
+        ("loc_lib", json_opt (fun (lib, _) -> int lib) loc);
+        ("loc_bin", json_opt (fun (_, bin) -> int bin) loc);
+        ("metrics", Sim.Registry.to_json metrics);
+        ("micro_ns_per_run", Arr (List.map micro_entry micro));
+      ]
+  in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (print_pretty doc);
+      output_char oc '\n')
 
 let () =
   if Array.exists (String.equal "--smoke") Sys.argv then smoke ();

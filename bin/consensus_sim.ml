@@ -971,32 +971,42 @@ let realtime_cmd =
 (* serve / client: the real-process socket cluster                     *)
 (* ------------------------------------------------------------------ *)
 
+(* [HOST:PORT] with a non-empty host and a port in 0..65535. *)
+let parse_endpoint s =
+  match String.rindex_opt s ':' with
+  | None -> None
+  | Some i -> (
+      let host = String.sub s 0 i in
+      match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
+      with
+      | Some port when host <> "" && port >= 0 && port <= 65535 ->
+          Some (host, port)
+      | Some _ | None -> None)
+
+let pp_endpoint fmt (h, p) = Format.fprintf fmt "%s:%d" h p
+
+let endpoint_conv =
+  let parse s =
+    Option.to_result ~none:(`Msg "expected HOST:PORT") (parse_endpoint s)
+  in
+  Arg.conv (parse, pp_endpoint)
+
 let cluster_conv =
   let parse s =
-    let endpoint hp =
-      match String.rindex_opt hp ':' with
-      | None -> failwith "endpoint must be host:port"
-      | Some i ->
-          let host = String.sub hp 0 i in
-          let port =
-            int_of_string (String.sub hp (i + 1) (String.length hp - i - 1))
-          in
-          if host = "" then failwith "empty host";
-          if port < 0 || port > 65535 then failwith "port out of range";
-          (host, port)
+    let rec go acc = function
+      | [] -> Ok (Array.of_list (List.rev acc))
+      | hp :: rest -> (
+          match parse_endpoint hp with
+          | Some e -> go (e :: acc) rest
+          | None -> Error (`Msg (Printf.sprintf "%S: expected HOST:PORT" hp)))
     in
-    match String.split_on_char ',' s with
-    | [] | [ "" ] -> Error (`Msg "empty --cluster")
-    | parts -> (
-        try Ok (Array.of_list (List.map endpoint parts))
-        with Failure msg -> Error (`Msg ("bad --cluster: " ^ msg)))
+    if s = "" then Error (`Msg "empty --cluster")
+    else go [] (String.split_on_char ',' s)
   in
   let print fmt c =
-    Format.pp_print_string fmt
-      (String.concat ","
-         (List.map
-            (fun (h, p) -> Printf.sprintf "%s:%d" h p)
-            (Array.to_list c)))
+    Format.pp_print_list
+      ~pp_sep:(fun fmt () -> Format.pp_print_char fmt ',')
+      pp_endpoint fmt (Array.to_list c)
   in
   Arg.conv (parse, print)
 
@@ -1008,21 +1018,6 @@ let cluster_arg =
         ~doc:
           "Comma-separated replica endpoints, one per replica, in id \
            order (identical on every replica and client).")
-
-let endpoint_conv =
-  let parse s =
-    match String.rindex_opt s ':' with
-    | None -> Error (`Msg "expected HOST:PORT")
-    | Some i -> (
-        let host = String.sub s 0 i in
-        match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-        with
-        | Some port when host <> "" && port >= 0 && port <= 65535 ->
-            Ok (host, port)
-        | Some _ | None -> Error (`Msg "expected HOST:PORT"))
-  in
-  let print fmt (h, p) = Format.fprintf fmt "%s:%d" h p in
-  Arg.conv (parse, print)
 
 let serve_impl id cluster bind delta batch window snapshot seed verbose =
   if id < 0 || id >= Array.length cluster then begin
@@ -1153,11 +1148,16 @@ let pp_reply fmt = function
   | Smr.Wire.R_redirect { leader } -> Format.fprintf fmt "redirect %d" leader
   | Smr.Wire.R_error msg -> Format.fprintf fmt "error: %s" msg
 
-(* Parse one latency-trace line: {"t":<epoch>,"lat":<seconds>} *)
+(* One latency-trace line, {"t":<epoch>,"lat":<seconds>}; [None] for a
+   line that is not such an object. *)
 let parse_trace_line line =
-  match Scanf.sscanf line "{\"t\":%f,\"lat\":%f}" (fun t l -> (t, l)) with
-  | pair -> Some pair
-  | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
+  let ( let* ) = Result.bind in
+  Result.to_option
+    (let* j = Sim.Json.parse line in
+     let num k = Result.bind (Sim.Json.member k j) Sim.Json.to_float in
+     let* t = num "t" in
+     let* lat = num "lat" in
+     Ok (t, lat))
 
 let check_recovery_impl path after delta n =
   let cfg = Dgl.Config.make ~n ~delta () in
@@ -1227,7 +1227,7 @@ let client_impl cluster member op_args load commands pipeline value_bytes
           "latency: p50 %.1f ms, p90 %.1f ms, p99 %.1f ms, max %.1f ms\n"
           (1000. *. pct 0.5) (1000. *. pct 0.9) (1000. *. pct 0.99)
           (1000. *. pct 1.0);
-        Printf.printf "%s\n" (Sim.Registry.to_json reg);
+        Printf.printf "%s\n" (Sim.Json.print (Sim.Registry.to_json reg));
         if report.Smr.Client.completed < commands then exit 1
       end
       else
@@ -1548,7 +1548,7 @@ let run_campaign schedule ~commands ~pipeline ~in_process ~save_failing
         r.Smr.Client.completed r.Smr.Client.elapsed r.Smr.Client.throughput
   | None -> ());
   Format.printf "%s@."
-    (Sim.Registry.to_json outcome.Chaos.Campaign.registry);
+    (Sim.Json.print (Sim.Registry.to_json outcome.Chaos.Campaign.registry));
   if Chaos.Campaign.ok outcome then ()
   else begin
     (match save_failing with

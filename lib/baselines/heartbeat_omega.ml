@@ -33,11 +33,6 @@ let backed_leader st ~local_now =
   in
   scan 0
 
-let current_leader st ~local_now =
-  match backed_leader st ~local_now with
-  | Some id -> id
-  | None -> -1
-
 (* Track estimate changes; a decision is the first leader that stays the
    estimate for a full trust window (by then every staler heartbeat the
    process had seen has expired). *)

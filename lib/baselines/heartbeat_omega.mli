@@ -38,6 +38,4 @@ val protocol :
   ?tuning:tuning -> n:int -> delta:float -> unit ->
   (msg, state) Sim.Engine.protocol
 
-(** Current leader estimate: lowest unexpired heartbeat id, or [-1] when
-    no heartbeat is within the trust window. *)
-val current_leader : state -> local_now:float -> Types.proc_id
+

@@ -41,8 +41,6 @@ let round st = st.round
 
 let estimate st = st.est
 
-let estimate_ts st = st.ts
-
 let decided st = st.decided
 
 let broadcast_estimate ctx st =

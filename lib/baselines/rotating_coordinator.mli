@@ -38,8 +38,6 @@ val round : state -> int
 
 val estimate : state -> Types.value
 
-val estimate_ts : state -> int
-
 val decided : state -> Types.value option
 
 val coordinator : n:int -> int -> Types.proc_id

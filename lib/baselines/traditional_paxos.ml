@@ -32,8 +32,6 @@ type state = {
 
 let mbal st = st.mbal
 
-let max_seen st = st.max_seen
-
 let decided st = st.decided
 
 let observe st b = { st with max_seen = Stdlib.max st.max_seen b }

@@ -39,6 +39,4 @@ val protocol :
 
 val mbal : state -> Ballot.t
 
-val max_seen : state -> Ballot.t
-
 val decided : state -> Types.value option

@@ -69,8 +69,6 @@ let estimate st = st.est
 
 let decided st = st.decided
 
-let oracle_pending st = Ordering_oracle.pending_count st.oracle
-
 let majority st = Quorum.majority st.cfg.n
 
 (* Stage 1: push an estimate into the oracle stream (fresh stamp). *)

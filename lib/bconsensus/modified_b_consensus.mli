@@ -72,4 +72,3 @@ val estimate : state -> Types.value
 
 val decided : state -> Types.value option
 
-val oracle_pending : state -> int

@@ -80,6 +80,4 @@ val ok : outcome -> bool
 val pp_outcome : Format.formatter -> outcome -> unit
 (** One line per check: [ok name: detail] / [FAIL name: detail]. *)
 
-val expected_value : value_bytes:int -> int -> string
-(** The value [Unique_puts] writes for command [i] (exposed for
-    tests). *)
+

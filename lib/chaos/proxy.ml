@@ -43,8 +43,6 @@ type t = {
 
 let count ?(by = 1) t name = Sim.Registry.inc ~by t.reg name
 
-let front_ports t = Array.copy t.front_ports
-
 let fronts t = Array.map (fun p -> (t.host, p)) t.front_ports
 
 let set_backends t backends =

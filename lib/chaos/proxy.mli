@@ -36,8 +36,6 @@ val create :
     (default all [0] = ephemeral).  Raises [Invalid_argument] on a
     malformed schedule and [Unix.Unix_error] if a bind fails. *)
 
-val front_ports : t -> int array
-
 val fronts : t -> (string * int) array
 (** [(host, port)] per replica — what replicas and clients should be
     given as the cluster addresses. *)

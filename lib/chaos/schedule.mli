@@ -83,4 +83,3 @@ val format_tag : string
 
 val pp : Format.formatter -> t -> unit
 
-val pp_action : Format.formatter -> action -> unit

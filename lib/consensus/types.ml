@@ -11,5 +11,3 @@ module Pset = struct
 end
 
 let no_value = min_int
-
-let pp_proc fmt p = Format.fprintf fmt "p%d" p

@@ -17,4 +17,3 @@ end
 (** [no_value] marks "no accepted value yet" in vote bookkeeping. *)
 val no_value : value
 
-val pp_proc : Format.formatter -> proc_id -> unit

@@ -20,7 +20,4 @@ val make : vbal:Ballot.t -> vval:Types.value -> t
     highest [vbal], or [fallback] when every vote is [none]. *)
 val choose : fallback:Types.value -> t list -> Types.value
 
-(** Highest-ballot vote of the list ([none] if all are [none]). *)
-val max_vote : t list -> t
-
 val pp : Format.formatter -> t -> unit

@@ -28,8 +28,6 @@ let mbal st = st.mbal
 
 let session_number st = st.session.Session.number
 
-let current_vote st = st.vote
-
 let decided st = st.decided
 
 (* ------------------------------------------------------------------ *)

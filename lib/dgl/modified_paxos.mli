@@ -52,8 +52,6 @@ val mbal : state -> Ballot.t
 
 val session_number : state -> int
 
-val current_vote : state -> Vote.t
-
 val decided : state -> Types.value option
 
 (** Timer tag used for the [epsilon]-resend tick. *)

@@ -27,15 +27,6 @@ type outcome = {
   msgs_dropped : int;
 }
 
-(** Real-time decision budget for processes the paper's analysis covers,
-    measured from [max ts (last restart)]: a deliberately loose multiple
-    of the protocol's decision bound (for traditional Paxos it grows
-    with the injection count and [n], matching the [O(N delta)] negative
-    result).  A process alive at the horizon whose budget has elapsed
-    must have decided; the generator sizes horizons so this deadline is
-    always testable. *)
-val liveness_budget : Fuzz_scenario.t -> float
-
 (** [run_one s] executes [s] (compiling its injections for its protocol)
     and checks it.  The liveness check covers processes alive at the
     horizon whose deadline [max ts (last restart) + budget] falls at or
@@ -48,11 +39,6 @@ val liveness_budget : Fuzz_scenario.t -> float
 val run_one : Fuzz_scenario.t -> outcome
 
 (** {2 Generation} *)
-
-(** Protocols a default campaign draws from: every implementation except
-    [Ungated_paxos], which is broken by design (the A1 ablation) and
-    only fuzzed when targeted explicitly. *)
-val default_protocols : Fuzz_scenario.protocol list
 
 (** [generate ~seed ~index ?protocol ()] draws scenario [index] of
     campaign [seed] — a pure function of its arguments.  The scenarios
@@ -152,11 +138,8 @@ val entry_to_json : corpus_entry -> Sim.Json.t
 
 val entry_of_json : Sim.Json.t -> (corpus_entry, string) result
 
-(** Stable corpus filename: [<check>-<scenario name>.json]. *)
-val entry_filename : corpus_entry -> string
-
 (** Write the entry into [dir] (created, with parents, if missing)
-    under {!entry_filename}; returns the path. *)
+    as [<check>-<scenario name>.json]; returns the path. *)
 val save_entry : dir:string -> corpus_entry -> string
 
 val load_entry : string -> (corpus_entry, string) result

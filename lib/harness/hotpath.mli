@@ -12,12 +12,9 @@
     [(p + 1) mod n] forever.  Never decides, never sets timers. *)
 val pinger : (int, unit) Sim.Engine.protocol
 
-(** Timer-driven: every process re-arms a {!ticker_period} timer forever.
+(** Timer-driven: every process re-arms a 0.1 s local-clock timer forever.
     Never decides, never sends. *)
 val ticker : (unit, unit) Sim.Engine.protocol
-
-(** Local-clock period of {!ticker}'s timer, in seconds. *)
-val ticker_period : float
 
 (** [scenario ?n ~horizon ()] is the measurement scenario both protocols
     run under: [ts = 0], {!Sim.Network.deterministic_after_ts} (rng-free,

@@ -81,9 +81,6 @@ let get_pool () =
 
 let par_map f xs = Sim.Domain_pool.map (get_pool ()) f xs
 
-let over_seeds_par ~seeds ~base f =
-  par_map f (List.init seeds (fun i -> Int64.add base (Int64.of_int (i * 7919))))
-
 let with_domains n f =
   if n < 1 then invalid_arg "Measure.with_domains: n < 1";
   let saved = !forced_domains in

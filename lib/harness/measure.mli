@@ -46,9 +46,6 @@ val domain_count : unit -> int
     calls (from inside a task) run serially on the calling domain. *)
 val par_map : ('a -> 'b) -> 'a list -> 'b list
 
-(** {!over_seeds}, parallelized over the seeds. *)
-val over_seeds_par : seeds:int -> base:int64 -> (int64 -> 'a) -> 'a list
-
 (** [with_domains n f] runs [f ()] with the pool size forced to [n]
     (restored afterwards) — the hook the determinism regression test
     uses to compare [n = 1] against [n >= 4] in one process. *)

@@ -479,7 +479,7 @@ let scan_unit ~scope (structure : Parsetree.structure) :
             (Printf.sprintf
                "%s allocates and re-interprets its format once per event \
                 on a step/handle path; build the text in the ctx scratch \
-                buffer with the Sim.Numfmt emitters"
+                buffer with Sim.Numfmt.add_int"
                path)
     end;
     if List.mem path append_fns then begin

@@ -22,8 +22,6 @@ val of_string : string -> (t, string) result
 val to_string : t -> string
 (** Round-trips with {!of_string} (comments excepted). *)
 
-val entry_to_string : entry -> string
-
 val load : string -> (t, string) result
 (** Missing file is an empty baseline, not an error. *)
 

@@ -317,71 +317,46 @@ let pp_report fmt r =
     (List.length r.advisories) r.suppressed r.baselined r.callgraph_nodes
     (if ok r then ": ok" else "")
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let finding_to_json (f : Rules.finding) =
+  let open Sim.Json in
   let chain =
     match f.chain with
-    | [] -> ""
-    | chain ->
-        Printf.sprintf ",\"chain\":[%s]"
-          (String.concat "," (List.map json_escape chain))
+    | [] -> []
+    | chain -> [ ("chain", Arr (List.map (fun s -> Str s) chain)) ]
   in
-  Printf.sprintf
-    "{\"rule\":%s,\"file\":%s,\"line\":%d,\"col\":%d,\"context\":%s,\"message\":%s%s}"
-    (json_escape (Rules.id_to_string f.rule))
-    (json_escape f.file) f.line f.col (json_escape f.context)
-    (json_escape f.message) chain
+  Obj
+    ([
+       ("rule", Str (Rules.id_to_string f.rule));
+       ("file", Str f.file);
+       ("line", int f.line);
+       ("col", int f.col);
+       ("context", Str f.context);
+       ("message", Str f.message);
+     ]
+    @ chain)
 
 let report_to_json r =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\"ok\":";
-  Buffer.add_string buf (if ok r then "true" else "false");
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\"files_scanned\":%d,\"suppressed\":%d,\"baselined\":%d,\"callgraph_nodes\":%d,\"rules_run\":%d"
-       r.files_scanned r.suppressed r.baselined r.callgraph_nodes r.rules_run);
-  Buffer.add_string buf ",\"findings\":[";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (finding_to_json f))
-    r.findings;
-  Buffer.add_string buf "],\"advisories\":[";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (finding_to_json f))
-    r.advisories;
-  Buffer.add_string buf "],\"warnings\":[";
-  List.iteri
-    (fun i w ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"file\":%s,\"line\":%d,\"message\":%s}"
-           (json_escape w.w_file) w.w_line (json_escape w.w_message)))
-    r.warnings;
-  Buffer.add_string buf "],\"errors\":[";
-  List.iteri
-    (fun i (path, msg) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"file\":%s,\"message\":%s}" (json_escape path)
-           (json_escape msg)))
-    r.errors;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let open Sim.Json in
+  let warning w =
+    Obj
+      [
+        ("file", Str w.w_file);
+        ("line", int w.w_line);
+        ("message", Str w.w_message);
+      ]
+  in
+  let error (path, msg) = Obj [ ("file", Str path); ("message", Str msg) ] in
+  print
+    (Obj
+       [
+         ("ok", Bool (ok r));
+         ("files_scanned", int r.files_scanned);
+         ("suppressed", int r.suppressed);
+         ("baselined", int r.baselined);
+         ("callgraph_nodes", int r.callgraph_nodes);
+         ("rules_run", int r.rules_run);
+         ("findings", Arr (List.map finding_to_json r.findings));
+         ("advisories", Arr (List.map finding_to_json r.advisories));
+         ("warnings", Arr (List.map warning r.warnings));
+         ("errors", Arr (List.map error r.errors));
+       ])

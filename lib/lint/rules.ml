@@ -95,7 +95,7 @@ let rationale = function
        allocate (and sprintf interprets its format) once per event, \
        which the allocation-free engine budget (test/test_alloc.ml) \
        pays for on every run.  Advisory: build text in the ctx scratch \
-       buffer with the Numfmt emitters and prefer cons + a single \
+       buffer with Numfmt.add_int and prefer cons + a single \
        reversal (or the scratch tables) over repeated append."
   | T1 ->
       "Whole-program taint: a value originating from the wall clock, \

@@ -13,13 +13,6 @@ type site = {
   s_context : string;  (* the token, e.g. "Unix.gettimeofday" *)
 }
 
-let compare_site a b =
-  let c = Int.compare a.s_line b.s_line in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.s_col b.s_col in
-    if c <> 0 then c else String.compare a.s_context b.s_context
-
 (* The R7/R8/R9-shaped hazards phase 1 records *everywhere* (not just
    lexically inside handlers); phase 2 re-examines them under hot-path
    reachability.  [reported] marks sites the syntactic rules already

@@ -11,8 +11,6 @@ type site = {
   s_context : string;  (** the token at the site *)
 }
 
-val compare_site : site -> site -> int
-
 type hazard_kind =
   | Wildcard_arm  (** R7 shape: [_] arm in a protocol message match *)
   | Partial_fn  (** R8 shape: [List.hd]/[Option.get]/[failwith] *)

@@ -51,8 +51,6 @@ val empty : acc
 
 val add_int : acc -> int -> acc
 
-val add_int64 : acc -> int64 -> acc
-
 (** Finalize the two lanes into a fingerprint. *)
 val finish : acc -> t
 

@@ -525,16 +525,6 @@ let decisions r =
 let default_procs r =
   List.init (Array.length r.decision_values) (fun i -> i)
 
-let last_decision_time ?procs r =
-  let procs = match procs with Some ps -> ps | None -> default_procs r in
-  List.fold_left
-    (fun acc p ->
-      match (acc, r.decision_times.(p)) with
-      | Some worst, Some t -> Some (Sim_time.max worst t)
-      | _, _ -> None)
-    (Some Sim_time.zero)
-    procs
-
 let all_decided ?procs r =
   let procs = match procs with Some ps -> ps | None -> default_procs r in
   procs <> []

@@ -139,10 +139,6 @@ val run :
 (** All recorded decisions as [(proc, time, value)], ordered by process. *)
 val decisions : 'state run_result -> (int * Sim_time.t * int) list
 
-(** Latest decision time among [procs] (default: all processes that
-    decided). [None] if some process in [procs] did not decide. *)
-val last_decision_time :
-  ?procs:int list -> 'state run_result -> Sim_time.t option
 
 (** [true] when every process in [procs] decided and all values agree. *)
 val all_decided : ?procs:int list -> 'state run_result -> bool

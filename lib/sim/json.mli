@@ -1,11 +1,16 @@
 (** Minimal JSON values: print and parse without an external dependency.
 
-    {!Trace} keeps its own flat per-line format for speed; this module
-    exists for the {e nested} documents the fuzzer needs — network
-    specifications are trees and fault scripts are arrays, so corpus
-    files cannot be flat objects.  Numbers keep their raw lexeme so that
-    64-bit integers (seeds) round-trip exactly instead of being squeezed
-    through a float. *)
+    The project's one JSON codec: nothing else escapes a JSON string or
+    parses a JSON document.  Writers build a {!t} and print it — trace
+    JSONL ({!Trace.to_jsonl}, one compact object per line), fuzz corpus
+    files, chaos schedules, the metrics registry, the lint report and
+    [BENCH_RESULTS.json].  Readers use {!parse} and the accessors,
+    [client --check-recovery]'s latency-trace reader included (the
+    client writes those lines with [Printf] on its per-command path:
+    two fixed-format floats, no strings).  Numbers keep their raw
+    lexeme, so 64-bit integers (seeds) round-trip exactly instead of
+    being squeezed through a float, and a writer can fix its own number
+    format (a [Num] built with [%.6g] prints as exactly that). *)
 
 type t =
   | Null

@@ -28,10 +28,6 @@ val stddev : float list -> float
     samples. Raises on empty input. *)
 val percentile : float -> float list -> float
 
-(** Nearest-rank percentile over an already-sorted array; [O(1)].
-    [summarize] sorts once and uses this for every quantile. *)
-val percentile_sorted : float -> float array -> float
-
 (** Ordinary least squares fit [y = a + b * x]; returns [(a, b)].
     Raises on fewer than two points or degenerate x. *)
 val linear_fit : (float * float) list -> float * float

@@ -1,231 +1,6 @@
-(* Hand-rolled numeric emitters for the JSONL trace encoder.
-
-   [Printf.sprintf "%.17g"] allocates a fresh string (plus format
-   machinery) per field; these emitters write the identical bytes
-   straight into the caller's [Buffer].  Byte-compatibility with the
-   glibc "%.17g" forms is pinned by test/test_numfmt.ml, because
-   [Trace.of_jsonl] round-trips and committed trace fixtures both
-   depend on the exact rendering.
-
-   "%.17g" semantics reproduced here:
-   - the value is rounded to 17 significant decimal digits with
-     round-half-even ties (glibc prints correctly-rounded decimals
-     under the default FP rounding mode);
-   - e-style is used when the decimal exponent is < -4 or >= 17,
-     f-style otherwise;
-   - trailing fractional zeros are stripped, a bare point is dropped;
-   - the e-style exponent is signed and at least two digits;
-   - zeros keep their sign ("0" / "-0"); infinities and NaNs render as
-     "inf" / "-inf" / "nan" / "-nan".
-
-   Rounding is done on the exact decimal expansion: a finite double is
-   m * 2^e with m < 2^53, so its value is the integer m * 2^max(e,0) *
-   5^max(-e,0) scaled by 10^-max(-e,0).  That integer has at most ~770
-   digits, computed here in a base-10^9 bignum held in a reusable
-   [scratch] so a whole trace export allocates one scratch, not one
-   string per field. *)
-
-type scratch = {
-  mutable limbs : int array;  (* base 10^9, little-endian *)
-  mutable nlimbs : int;
-  mutable digits : Bytes.t;  (* ASCII decimal expansion, big-endian *)
-}
-
-let scratch () = { limbs = Array.make 128 0; nlimbs = 0; digits = Bytes.create 1280 }
-
-let base = 1_000_000_000
-
-let set_int sc v =
-  (* v < 2^53: at most three limbs *)
-  let l0 = v mod base and v = v / base in
-  let l1 = v mod base and l2 = v / base in
-  sc.limbs.(0) <- l0;
-  sc.limbs.(1) <- l1;
-  sc.limbs.(2) <- l2;
-  sc.nlimbs <- (if l2 > 0 then 3 else if l1 > 0 then 2 else 1)
-
-(* Multiply in place by [k]; limb * k + carry stays well under max_int
-   for k <= 2^30. *)
-let mul_small sc k =
-  let carry = ref 0 in
-  for i = 0 to sc.nlimbs - 1 do
-    let v = (sc.limbs.(i) * k) + !carry in
-    sc.limbs.(i) <- v mod base;
-    carry := v / base
-  done;
-  while !carry > 0 do
-    if sc.nlimbs >= Array.length sc.limbs then begin
-      let nbuf = Array.make (2 * Array.length sc.limbs) 0 in
-      Array.blit sc.limbs 0 nbuf 0 sc.nlimbs;
-      sc.limbs <- nbuf
-    end;
-    sc.limbs.(sc.nlimbs) <- !carry mod base;
-    sc.nlimbs <- sc.nlimbs + 1;
-    carry := !carry / base
-  done
-
-let mul_pow2 sc e =
-  let e = ref e in
-  while !e >= 29 do
-    mul_small sc (1 lsl 29);
-    e := !e - 29
-  done;
-  if !e > 0 then mul_small sc (1 lsl !e)
-
-let pow5_13 = 1_220_703_125
-
-let mul_pow5 sc k =
-  let k = ref k in
-  while !k >= 13 do
-    mul_small sc pow5_13;
-    k := !k - 13
-  done;
-  let rest = ref 1 in
-  for _ = 1 to !k do
-    rest := !rest * 5
-  done;
-  if !rest > 1 then mul_small sc !rest
-
-(* Render the bignum into [sc.digits] as 9-digit groups; returns
-   (dstart, total): the expansion is digits[dstart .. total-1]. *)
-let emit_limb_digits sc =
-  let total = sc.nlimbs * 9 in
-  if Bytes.length sc.digits < total then
-    sc.digits <- Bytes.create (2 * total);
-  for i = 0 to sc.nlimbs - 1 do
-    let base_pos = total - (9 * (i + 1)) in
-    let v = ref sc.limbs.(i) in
-    for j = 8 downto 0 do
-      Bytes.unsafe_set sc.digits (base_pos + j)
-        (Char.unsafe_chr (48 + (!v mod 10)));
-      v := !v / 10
-    done
-  done;
-  let dstart = ref 0 in
-  while Bytes.get sc.digits !dstart = '0' do
-    incr dstart
-  done;
-  (!dstart, total)
-
-let add_exponent buf e10 =
-  Buffer.add_char buf 'e';
-  Buffer.add_char buf (if e10 < 0 then '-' else '+');
-  let a = abs e10 in
-  if a < 10 then begin
-    Buffer.add_char buf '0';
-    Buffer.add_char buf (Char.chr (48 + a))
-  end
-  else if a < 100 then begin
-    Buffer.add_char buf (Char.chr (48 + (a / 10)));
-    Buffer.add_char buf (Char.chr (48 + (a mod 10)))
-  end
-  else begin
-    Buffer.add_char buf (Char.chr (48 + (a / 100)));
-    Buffer.add_char buf (Char.chr (48 + (a / 10 mod 10)));
-    Buffer.add_char buf (Char.chr (48 + (a mod 10)))
-  end
-
-let add_g17 sc buf f =
-  let bits = Int64.bits_of_float f in
-  let neg = Int64.compare bits 0L < 0 in
-  let biased = Int64.to_int (Int64.logand (Int64.shift_right_logical bits 52) 0x7FFL) in
-  let frac = Int64.to_int (Int64.logand bits 0xF_FFFF_FFFF_FFFFL) in
-  if neg then Buffer.add_char buf '-';
-  if biased = 0x7FF then
-    Buffer.add_string buf (if frac = 0 then "inf" else "nan")
-  else if biased = 0 && frac = 0 then Buffer.add_char buf '0'
-  else begin
-    (* f = m * 2^e exactly *)
-    let m, e =
-      if biased = 0 then (frac, -1074)
-      else (frac lor (1 lsl 52), biased - 1075)
-    in
-    set_int sc m;
-    let k10 = if e < 0 then -e else 0 in
-    if e >= 0 then mul_pow2 sc e else mul_pow5 sc k10;
-    let dstart, total = emit_limb_digits sc in
-    let ndigits = total - dstart in
-    let e10 = ref (ndigits - 1 - k10) in
-    let d = sc.digits in
-    (* Round to 17 significant digits, half to even. *)
-    if ndigits > 17 then begin
-      let d18 = Char.code (Bytes.get d (dstart + 17)) - 48 in
-      let round_up =
-        if d18 > 5 then true
-        else if d18 < 5 then false
-        else begin
-          let nonzero_tail = ref false in
-          for i = dstart + 18 to total - 1 do
-            if Bytes.get d i <> '0' then nonzero_tail := true
-          done;
-          !nonzero_tail
-          || (Char.code (Bytes.get d (dstart + 16)) - 48) land 1 = 1
-        end
-      in
-      if round_up then begin
-        let i = ref (dstart + 16) in
-        let carrying = ref true in
-        while !carrying && !i >= dstart do
-          if Bytes.get d !i = '9' then begin
-            Bytes.set d !i '0';
-            decr i
-          end
-          else begin
-            Bytes.set d !i (Char.chr (Char.code (Bytes.get d !i) + 1));
-            carrying := false
-          end
-        done;
-        if !carrying then begin
-          (* 999...9 rolled over: the rounded value is 1 followed by
-             zeros, one decimal order higher. *)
-          Bytes.set d dstart '1';
-          incr e10
-        end
-      end
-    end;
-    let sig_digits = Stdlib.min ndigits 17 in
-    let s = ref sig_digits in
-    while !s > 1 && Bytes.get d (dstart + !s - 1) = '0' do
-      decr s
-    done;
-    let s = !s in
-    let e10 = !e10 in
-    if e10 < -4 || e10 >= 17 then begin
-      (* e-style *)
-      Buffer.add_char buf (Bytes.get d dstart);
-      if s > 1 then begin
-        Buffer.add_char buf '.';
-        Buffer.add_subbytes buf d (dstart + 1) (s - 1)
-      end;
-      add_exponent buf e10
-    end
-    else if e10 >= 0 then begin
-      (* f-style, integer part of e10+1 digits (zero-padded if the
-         significant digits run out) *)
-      let int_digits = e10 + 1 in
-      if s >= int_digits then begin
-        Buffer.add_subbytes buf d dstart int_digits;
-        if s > int_digits then begin
-          Buffer.add_char buf '.';
-          Buffer.add_subbytes buf d (dstart + int_digits) (s - int_digits)
-        end
-      end
-      else begin
-        Buffer.add_subbytes buf d dstart s;
-        for _ = s + 1 to int_digits do
-          Buffer.add_char buf '0'
-        done
-      end
-    end
-    else begin
-      (* f-style, below one: 0.00...digits *)
-      Buffer.add_string buf "0.";
-      for _ = 1 to -e10 - 1 do
-        Buffer.add_char buf '0'
-      done;
-      Buffer.add_subbytes buf d dstart s
-    end
-  end
+(* Integer emitter for protocol notes built on step/handle paths: it
+   writes the digits of [string_of_int n] straight into the caller's
+   [Buffer], so a note costs no intermediate string. *)
 
 let add_int buf n =
   if n = 0 then Buffer.add_char buf '0'
@@ -243,12 +18,3 @@ let add_int buf n =
       div := !div / 10
     done
   end
-
-let hex_digit d = if d < 10 then Char.chr (48 + d) else Char.chr (87 + d)
-
-let add_u4_hex buf code =
-  Buffer.add_string buf "\\u";
-  Buffer.add_char buf (hex_digit ((code lsr 12) land 0xf));
-  Buffer.add_char buf (hex_digit ((code lsr 8) land 0xf));
-  Buffer.add_char buf (hex_digit ((code lsr 4) land 0xf));
-  Buffer.add_char buf (hex_digit (code land 0xf))

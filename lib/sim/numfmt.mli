@@ -1,26 +1,8 @@
-(** Allocation-conscious numeric emitters for the JSONL trace encoder.
-
-    Byte-for-byte compatible with the [Printf.sprintf] forms they
-    replaced (["%.17g"], [string_of_int], ["\\u%04x"]), pinned by
-    [test/test_numfmt.ml].  [add_g17] computes the exact decimal
-    expansion of the double in a reusable bignum scratch and rounds to
-    17 significant digits with round-half-even ties, matching glibc's
-    correctly-rounded ["%.17g"] under the default rounding mode. *)
-
-(** Reusable bignum workspace for {!add_g17}.  One scratch per export
-    (or per thread); not safe to share across domains. *)
-type scratch
-
-val scratch : unit -> scratch
-
-(** [add_g17 sc buf f] appends [Printf.sprintf "%.17g" f] to [buf],
-    including ["-0"], ["inf"], ["-inf"], ["nan"] and ["-nan"] forms. *)
-val add_g17 : scratch -> Buffer.t -> float -> unit
+(** Allocation-free integer formatting for text built on step/handle
+    paths (protocol notes), where [string_of_int] or [Printf] would
+    allocate once per event against the engine's allocation budget
+    ([test/test_alloc.ml]). *)
 
 (** [add_int buf n] appends [string_of_int n] to [buf] without building
     the intermediate string.  Handles [min_int]. *)
 val add_int : Buffer.t -> int -> unit
-
-(** [add_u4_hex buf code] appends [Printf.sprintf "\\u%04x" code] for
-    [0 <= code < 0x10000] — the JSON control-character escape. *)
-val add_u4_hex : Buffer.t -> int -> unit

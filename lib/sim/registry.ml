@@ -105,14 +105,6 @@ let observe ?(buckets = default_latency_buckets) t name v =
   h.sum <- h.sum +. v;
   h.n <- h.n + 1
 
-let histogram_count t name =
-  match Hashtbl.find_opt t.histograms name with Some h -> h.n | None -> 0
-
-let histogram_mean t name =
-  match Hashtbl.find_opt t.histograms name with
-  | Some h when h.n > 0 -> Some (h.sum /. float_of_int h.n)
-  | _ -> None
-
 (* Upper bound of the bucket containing the q-quantile sample; an
    estimate, not the exact sample value.  Overflow reports the last
    finite bound. *)
@@ -179,55 +171,33 @@ let histograms t =
 
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+(* The %.6f sums and %g bounds are the lexemes BENCH_RESULTS.json has
+   always carried; a non-finite value (a sample of [infinity]) has no
+   JSON number, so it prints as null. *)
+let num fmt v =
+  if Float.is_finite v then Json.Num (Printf.sprintf fmt v) else Json.Null
 
 let to_json t =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\"counters\":{";
-  List.iteri
-    (fun i (name, total) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (json_escape name);
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (string_of_int total))
-    (counters t);
-  Buffer.add_string buf "},\"histograms\":{";
-  let hs = Sorted_tbl.bindings ~compare:String.compare t.histograms in
-  List.iteri
-    (fun i (name, h) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (json_escape name);
-      Buffer.add_string buf
-        (Printf.sprintf ":{\"n\":%d,\"sum\":%.6f,\"buckets\":[" h.n h.sum);
-      Array.iteri
-        (fun j b ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "%g" b))
-        h.buckets;
-      Buffer.add_string buf "],\"counts\":[";
-      Array.iteri
-        (fun j c ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (string_of_int c))
-        h.counts;
-      Buffer.add_string buf "]}")
-    hs;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  let array f a = Json.Arr (Array.to_list (Array.map f a)) in
+  let counter (name, total) = (name, Json.int total) in
+  let histogram (name, h) =
+    ( name,
+      Json.Obj
+        [
+          ("n", Json.int h.n);
+          ("sum", num "%.6f" h.sum);
+          ("buckets", array (num "%g") h.buckets);
+          ("counts", array Json.int h.counts);
+        ] )
+  in
+  Json.Obj
+    [
+      ("counters", Json.Obj (List.map counter (counters t)));
+      ( "histograms",
+        Json.Obj
+          (List.map histogram
+             (Sorted_tbl.bindings ~compare:String.compare t.histograms)) );
+    ]
 
 let pp fmt t =
   List.iter

@@ -44,18 +44,12 @@ val counter_total : t -> string -> int
     id; may be shorter than [n] if high ids never incremented). *)
 val counter_per_proc : t -> string -> int array
 
-(** Decision-latency bucket bounds in [delta] units: 1, 2, 4, ... 100. *)
-val default_latency_buckets : float array
-
 (** [observe t name v] adds sample [v] to histogram [name], creating it
-    with [?buckets] (default {!default_latency_buckets}) on first use.
+    with [?buckets] on first use (default: decision-latency bounds in
+    [delta] units, 1, 2, 4, ... 100).
     [buckets] are strictly-increasing upper bounds; samples above the
     last bound land in an overflow bucket. *)
 val observe : ?buckets:float array -> t -> string -> float -> unit
-
-val histogram_count : t -> string -> int
-
-val histogram_mean : t -> string -> float option
 
 (** [quantile t name q] estimates the [q]-quantile as the upper bound of
     the bucket containing the rank-[ceil q*n] sample.  [None] if the
@@ -77,9 +71,10 @@ val counters : t -> (string * int) list
 (** All histograms as [(name, sample_count, sum)], sorted by name. *)
 val histograms : t -> (string * int * float) list
 
-(** Render as a single JSON object
-    [{"counters":{...},"histograms":{...}}] with keys sorted, suitable
-    for embedding in [BENCH_RESULTS.json]. *)
-val to_json : t -> string
+(** The registry as one {!Json} object
+    [{"counters":{...},"histograms":{...}}] with keys sorted, as
+    embedded in [BENCH_RESULTS.json].  A histogram's sum is the lexeme
+    [%.6f] and its bounds [%g]; a non-finite one is [null]. *)
+val to_json : t -> Json.t
 
 val pp : Format.formatter -> t -> unit

@@ -20,20 +20,10 @@ let ints t n =
     t.ints <- Array.make (Stdlib.max n (2 * Array.length t.ints)) 0;
   t.ints
 
-let cleared_ints t n =
-  let a = ints t n in
-  Array.fill a 0 n 0;
-  a
-
 let floats t n =
   if Array.length t.floats < n then
     t.floats <- Array.make (Stdlib.max n (2 * Array.length t.floats)) 0.;
   t.floats
-
-let cleared_floats t n =
-  let a = floats t n in
-  Array.fill a 0 n 0.;
-  a
 
 let buffer t =
   Buffer.clear t.buf;

@@ -14,15 +14,11 @@ type t
 val create : unit -> t
 
 (** [ints t n] is a reusable array of length >= [n] with arbitrary
-    (stale) contents; [cleared_ints t n] zeroes the first [n] slots.
-    The same storage is returned on every call, grown as needed. *)
+    (stale) contents.  The same storage is returned on every call,
+    grown as needed. *)
 val ints : t -> int -> int array
 
-val cleared_ints : t -> int -> int array
-
 val floats : t -> int -> float array
-
-val cleared_floats : t -> int -> float array
 
 (** An emptied reusable buffer for building note/label text. *)
 val buffer : t -> Buffer.t

@@ -447,313 +447,130 @@ let pp fmt t = iter (fun e -> Format.fprintf fmt "%a@." pp_entry e) t
 (* JSONL export / import                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The export format is one flat JSON object per line, derived from the
-   binary records on demand.  Keeping values limited to strings, ints
-   and floats lets [of_jsonl] use a tiny hand-rolled parser instead of
-   a JSON dependency.  Emission goes through {!Numfmt} rather than
-   [Printf]: the bytes are pinned (test_numfmt.ml) to the historical
-   sprintf forms, so existing fixtures and parsers are unaffected. *)
+(* One flat {!Json} object per line, derived from the binary records on
+   export.  Times print as [%.17g] ({!Json.float}), which round-trips
+   every finite float; ints and strings keep their exact values, so
+   [of_jsonl] rebuilds the same entries. *)
 
-let json_escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Numfmt.add_u4_hex buf (Char.code c)
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+let payload_fields p =
+  let opt k = Option.map (fun i -> (k, Json.int i)) in
+  ("kind", Json.Str p.kind)
+  :: List.filter_map Fun.id
+       [
+         opt "session" p.session;
+         opt "ballot" p.ballot;
+         opt "phase" p.phase;
+         opt "round" p.round;
+         opt "value" p.value;
+         (if p.detail = "" then None else Some ("detail", Json.Str p.detail));
+       ]
 
-(* "%.17g" round-trips every finite float through float_of_string. *)
-let add_float sc buf f = Numfmt.add_g17 sc buf f
-
-let add_field buf ~first k v =
-  if not !first then Buffer.add_char buf ',';
-  first := false;
-  json_escape buf k;
-  Buffer.add_char buf ':';
-  v ()
-
-let add_int_field buf ~first k i =
-  add_field buf ~first k (fun () -> Numfmt.add_int buf i)
-
-let add_float_field sc buf ~first k f =
-  add_field buf ~first k (fun () -> add_float sc buf f)
-
-let add_str_field buf ~first k s =
-  add_field buf ~first k (fun () -> json_escape buf s)
-
-let add_opt_int_field buf ~first k = function
-  | None -> ()
-  | Some i -> add_int_field buf ~first k i
-
-let add_payload buf ~first p =
-  add_str_field buf ~first "kind" p.kind;
-  add_opt_int_field buf ~first "session" p.session;
-  add_opt_int_field buf ~first "ballot" p.ballot;
-  add_opt_int_field buf ~first "phase" p.phase;
-  add_opt_int_field buf ~first "round" p.round;
-  add_opt_int_field buf ~first "value" p.value;
-  if p.detail <> "" then add_str_field buf ~first "detail" p.detail
-
-let add_entry sc buf e =
-  Buffer.add_char buf '{';
-  let first = ref true in
-  let msg ev t id src dst payload =
-    add_str_field buf ~first "ev" ev;
-    add_float_field sc buf ~first "t" t;
-    add_int_field buf ~first "id" id;
-    add_int_field buf ~first "src" src;
-    add_int_field buf ~first "dst" dst;
-    add_payload buf ~first payload
+let json_of_entry e =
+  let obj ev t fields =
+    Json.Obj (("ev", Json.Str ev) :: ("t", Json.float t) :: fields)
   in
-  (match e with
+  let msg ev t id src dst payload =
+    obj ev t
+      (("id", Json.int id) :: ("src", Json.int src) :: ("dst", Json.int dst)
+      :: payload_fields payload)
+  in
+  match e with
   | Send { t; id; src; dst; payload } -> msg "send" t id src dst payload
   | Deliver { t; id; src; dst; payload } -> msg "deliver" t id src dst payload
   | Drop { t; id; src; dst; payload } -> msg "drop" t id src dst payload
   | Timer_set { t; proc; tag; fire_at } ->
-      add_str_field buf ~first "ev" "timer_set";
-      add_float_field sc buf ~first "t" t;
-      add_int_field buf ~first "proc" proc;
-      add_int_field buf ~first "tag" tag;
-      add_float_field sc buf ~first "fire_at" fire_at
+      obj "timer_set" t
+        [
+          ("proc", Json.int proc);
+          ("tag", Json.int tag);
+          ("fire_at", Json.float fire_at);
+        ]
   | Timer_fire { t; proc; tag } ->
-      add_str_field buf ~first "ev" "timer_fire";
-      add_float_field sc buf ~first "t" t;
-      add_int_field buf ~first "proc" proc;
-      add_int_field buf ~first "tag" tag
-  | Crash { t; proc } ->
-      add_str_field buf ~first "ev" "crash";
-      add_float_field sc buf ~first "t" t;
-      add_int_field buf ~first "proc" proc
-  | Restart { t; proc } ->
-      add_str_field buf ~first "ev" "restart";
-      add_float_field sc buf ~first "t" t;
-      add_int_field buf ~first "proc" proc
+      obj "timer_fire" t [ ("proc", Json.int proc); ("tag", Json.int tag) ]
+  | Crash { t; proc } -> obj "crash" t [ ("proc", Json.int proc) ]
+  | Restart { t; proc } -> obj "restart" t [ ("proc", Json.int proc) ]
   | Decide { t; proc; value } ->
-      add_str_field buf ~first "ev" "decide";
-      add_float_field sc buf ~first "t" t;
-      add_int_field buf ~first "proc" proc;
-      add_int_field buf ~first "value" value
+      obj "decide" t [ ("proc", Json.int proc); ("value", Json.int value) ]
   | Note { t; proc; text } ->
-      add_str_field buf ~first "ev" "note";
-      add_float_field sc buf ~first "t" t;
-      add_int_field buf ~first "proc" proc;
-      add_str_field buf ~first "text" text);
-  Buffer.add_string buf "}\n"
-
-let entry_to_json e =
-  let buf = Buffer.create 128 in
-  add_entry (Numfmt.scratch ()) buf e;
-  (* strip the trailing newline for single-entry rendering *)
-  let s = Buffer.contents buf in
-  String.sub s 0 (String.length s - 1)
+      obj "note" t [ ("proc", Json.int proc); ("text", Json.Str text) ]
 
 let to_jsonl t =
   let buf = Buffer.create (256 * t.len) in
-  let sc = Numfmt.scratch () in
-  iter (add_entry sc buf) t;
+  iter
+    (fun e ->
+      Buffer.add_string buf (Json.print (json_of_entry e));
+      Buffer.add_char buf '\n')
+    t;
   Buffer.contents buf
 
-(* --- import -------------------------------------------------------- *)
-
-(* numbers keep their raw lexeme so 63-bit ints round-trip exactly
-   (a float detour would truncate beyond 2^53) *)
-type json_value = Jstr of string | Jnum of string
-
-exception Parse of string
-
-let parse_line line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let advance () = incr pos in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> raise (Parse (Printf.sprintf "expected %C at column %d" c !pos))
+let entry_of_json j =
+  let ( let* ) = Result.bind in
+  let field conv k v =
+    Result.map_error (Printf.sprintf "field %S: %s" k) (conv v)
   in
-  let skip_ws () =
-    while
-      match peek () with Some (' ' | '\t') -> true | _ -> false
-    do
-      advance ()
-    done
+  let get conv k = Result.bind (Json.member k j) (field conv k) in
+  let opt conv k =
+    match Json.member_opt k j with
+    | None -> Ok None
+    | Some v -> Result.map Option.some (field conv k v)
   in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> raise (Parse "unterminated string")
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some '"' -> Buffer.add_char buf '"'; advance ()
-          | Some '\\' -> Buffer.add_char buf '\\'; advance ()
-          | Some '/' -> Buffer.add_char buf '/'; advance ()
-          | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-          | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance ()
-          | Some 'b' -> Buffer.add_char buf '\b'; advance ()
-          | Some 'f' -> Buffer.add_char buf '\012'; advance ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > n then raise (Parse "bad \\u escape");
-              let hex = String.sub line !pos 4 in
-              pos := !pos + 4;
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with _ -> raise (Parse "bad \\u escape")
-              in
-              (* we only emit \u00xx for control chars; decode the
-                 low byte and pass anything else through as '?' *)
-              if code < 0x100 then Buffer.add_char buf (Char.chr code)
-              else Buffer.add_char buf '?'
-          | _ -> raise (Parse "bad escape"));
-          go ()
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    while
-      match peek () with
-      | Some ('0' .. '9' | '-' | '+' | '.' | 'e' | 'E') -> true
-      | Some ('i' | 'n' | 'f' | 'a') -> true (* inf / nan *)
-      | _ -> false
-    do
-      advance ()
-    done;
-    let s = String.sub line start (!pos - start) in
-    match float_of_string_opt s with
-    | Some _ -> s
-    | None -> raise (Parse (Printf.sprintf "bad number %S" s))
-  in
-  let fields = ref [] in
-  skip_ws ();
-  expect '{';
-  skip_ws ();
-  (match peek () with
-  | Some '}' -> advance ()
-  | _ ->
-      let rec members () =
-        skip_ws ();
-        let k = parse_string () in
-        skip_ws ();
-        expect ':';
-        skip_ws ();
-        let v =
-          match peek () with
-          | Some '"' -> Jstr (parse_string ())
-          | _ -> Jnum (parse_number ())
-        in
-        fields := (k, v) :: !fields;
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            advance ();
-            members ()
-        | Some '}' -> advance ()
-        | _ -> raise (Parse "expected ',' or '}'")
-      in
-      members ());
-  List.rev !fields
-
-let entry_of_fields fields =
-  let str k =
-    match List.assoc_opt k fields with
-    | Some (Jstr s) -> s
-    | Some (Jnum _) -> raise (Parse (Printf.sprintf "field %S: not a string" k))
-    | None -> raise (Parse (Printf.sprintf "missing field %S" k))
-  in
-  let raw_num k =
-    match List.assoc_opt k fields with
-    | Some (Jnum s) -> Some s
-    | Some (Jstr _) -> raise (Parse (Printf.sprintf "field %S: not a number" k))
-    | None -> None
-  in
-  let num k =
-    match raw_num k with
-    | Some s -> float_of_string s
-    | None -> raise (Parse (Printf.sprintf "missing field %S" k))
-  in
-  let int_of_raw k s =
-    match int_of_string_opt s with
-    | Some i -> i
-    | None ->
-        let f = float_of_string s in
-        let i = int_of_float f in
-        if float_of_int i <> f then
-          raise (Parse (Printf.sprintf "field %S: not an integer" k));
-        i
-  in
-  let int k =
-    match raw_num k with
-    | Some s -> int_of_raw k s
-    | None -> raise (Parse (Printf.sprintf "missing field %S" k))
-  in
-  let opt_int k = Option.map (int_of_raw k) (raw_num k) in
-  let opt_str ~default k =
-    match List.assoc_opt k fields with Some (Jstr s) -> s | _ -> default
-  in
-  let payload () =
-    {
-      kind = str "kind";
-      session = opt_int "session";
-      ballot = opt_int "ballot";
-      phase = opt_int "phase";
-      round = opt_int "round";
-      value = opt_int "value";
-      detail = opt_str ~default:"" "detail";
-    }
-  in
+  let int = get Json.to_int and num = get Json.to_float in
+  let* ev = get Json.to_string "ev" in
+  let* t = num "t" in
   let msg mk =
-    mk ~t:(num "t") ~id:(int "id") ~src:(int "src") ~dst:(int "dst")
-      ~payload:(payload ())
+    let* id = int "id" in
+    let* src = int "src" in
+    let* dst = int "dst" in
+    let* kind = get Json.to_string "kind" in
+    let* session = opt Json.to_int "session" in
+    let* ballot = opt Json.to_int "ballot" in
+    let* phase = opt Json.to_int "phase" in
+    let* round = opt Json.to_int "round" in
+    let* value = opt Json.to_int "value" in
+    let* detail = opt Json.to_string "detail" in
+    let detail = Option.value detail ~default:"" in
+    Ok (mk id src dst { kind; session; ballot; phase; round; value; detail })
   in
-  match str "ev" with
-  | "send" -> msg (fun ~t ~id ~src ~dst ~payload -> Send { t; id; src; dst; payload })
+  match ev with
+  | "send" -> msg (fun id src dst payload -> Send { t; id; src; dst; payload })
   | "deliver" ->
-      msg (fun ~t ~id ~src ~dst ~payload -> Deliver { t; id; src; dst; payload })
-  | "drop" -> msg (fun ~t ~id ~src ~dst ~payload -> Drop { t; id; src; dst; payload })
+      msg (fun id src dst payload -> Deliver { t; id; src; dst; payload })
+  | "drop" -> msg (fun id src dst payload -> Drop { t; id; src; dst; payload })
   | "timer_set" ->
-      Timer_set
-        { t = num "t"; proc = int "proc"; tag = int "tag"; fire_at = num "fire_at" }
+      let* proc = int "proc" in
+      let* tag = int "tag" in
+      let* fire_at = num "fire_at" in
+      Ok (Timer_set { t; proc; tag; fire_at })
   | "timer_fire" ->
-      Timer_fire { t = num "t"; proc = int "proc"; tag = int "tag" }
-  | "crash" -> Crash { t = num "t"; proc = int "proc" }
-  | "restart" -> Restart { t = num "t"; proc = int "proc" }
-  | "decide" -> Decide { t = num "t"; proc = int "proc"; value = int "value" }
-  | "note" -> Note { t = num "t"; proc = int "proc"; text = str "text" }
-  | ev -> raise (Parse (Printf.sprintf "unknown event kind %S" ev))
+      let* proc = int "proc" in
+      let* tag = int "tag" in
+      Ok (Timer_fire { t; proc; tag })
+  | "crash" ->
+      let* proc = int "proc" in
+      Ok (Crash { t; proc })
+  | "restart" ->
+      let* proc = int "proc" in
+      Ok (Restart { t; proc })
+  | "decide" ->
+      let* proc = int "proc" in
+      let* value = int "value" in
+      Ok (Decide { t; proc; value })
+  | "note" ->
+      let* proc = int "proc" in
+      let* text = get Json.to_string "text" in
+      Ok (Note { t; proc; text })
+  | ev -> Error (Printf.sprintf "unknown event kind %S" ev)
 
 let of_jsonl s =
   let tr = create ~enabled:true () in
-  let lines = String.split_on_char '\n' s in
   let rec go lineno = function
     | [] -> Ok tr
-    | line :: rest ->
-        let trimmed = String.trim line in
-        if trimmed = "" then go (lineno + 1) rest
-        else begin
-          match entry_of_fields (parse_line trimmed) with
-          | e ->
-              record tr e;
-              go (lineno + 1) rest
-          | exception Parse msg ->
-              Error (Printf.sprintf "line %d: %s" lineno msg)
-        end
+    | line :: rest when String.trim line = "" -> go (lineno + 1) rest
+    | line :: rest -> (
+        match Result.bind (Json.parse line) entry_of_json with
+        | Ok e ->
+            record tr e;
+            go (lineno + 1) rest
+        | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
   in
-  go 1 lines
+  go 1 (String.split_on_char '\n' s)

@@ -54,8 +54,6 @@ val payload :
     protocols with no semantic coordinates (e.g. heartbeats). *)
 val info : string -> payload
 
-val pp_payload : Format.formatter -> payload -> unit
-
 type entry =
   | Send of { t : Sim_time.t; id : int; src : int; dst : int; payload : payload }
   | Deliver of
@@ -157,13 +155,13 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 JSONL export / import} *)
 
-(** One flat JSON object per entry, newline-terminated lines, oldest
-    first.  Floats are printed with enough digits to round-trip. *)
+(** One flat {!Json} object per entry, newline-terminated lines, oldest
+    first.  Times print as {!Json.float}, which round-trips every finite
+    float; optional payload fields are omitted when [None]. *)
 val to_jsonl : t -> string
 
-(** A single entry as a JSON object (no trailing newline). *)
-val entry_to_json : entry -> string
-
 (** Parse JSONL produced by {!to_jsonl} (blank lines ignored) into a
-    fresh unbounded trace.  [Error msg] names the offending line. *)
+    fresh unbounded trace, through {!Json.parse}.  Integer fields must be
+    integer lexemes and times JSON numbers (no [inf] or [nan]).
+    [Error msg] names the offending line. *)
 val of_jsonl : string -> (t, string) result

@@ -127,8 +127,6 @@ let close t = disconnect t
 
 let reconnect_count t = Stdlib.max 0 t.reconnects
 
-let backoff_total t = t.backoff_total
-
 let member t = t.member
 
 let fd_exn t =

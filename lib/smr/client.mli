@@ -27,10 +27,6 @@ val close : t -> unit
 val member : t -> int
 (** Index of the member currently connected to. *)
 
-val reconnect_count : t -> int
-
-val backoff_total : t -> float
-(** Total seconds this client has slept between reconnect rounds. *)
 
 val backoff_delay : ?base:float -> ?cap:float -> round:int -> float -> float
 (** [backoff_delay ~round jitter] — the pure reconnect-delay curve:

@@ -60,9 +60,6 @@ val leading : state -> bool
 (** Length of the contiguous chosen prefix. *)
 val chosen_upto : state -> int
 
-(** The contiguous chosen prefix, oldest first. *)
-val log_prefix : state -> Command.t list
-
 (** The commands actually applied (first occurrences of non-noop
     commands in prefix order). *)
 val applied : state -> Command.t list

@@ -94,9 +94,6 @@ let set_peer_ports t ports =
 let chosen_count t =
   match t.st with Some st -> Multi_paxos.chosen_upto st | None -> 0
 
-let is_leading t =
-  match t.st with Some st -> Multi_paxos.leading st | None -> false
-
 let kv_get t key = Kv_state.get t.kv key
 
 let kv_checksum t = Kv_state.checksum t.kv

@@ -93,8 +93,6 @@ val registry : t -> Sim.Registry.t
 
 val chosen_count : t -> int
 
-val is_leading : t -> bool
-
 val kv_get : t -> string -> string option
 (** Local (non-linearizable) read of the applied store. *)
 

@@ -1,5 +1,5 @@
 (* R9 clean: handlers build text in the reusable ctx scratch buffer via
-   the Numfmt emitters and grow lists by cons, not append. *)
+   Numfmt.add_int and grow lists by cons, not append. *)
 let handle_vote ctx st votes v =
   let buf = Sim.Scratch.buffer (Engine.scratch ctx) in
   Buffer.add_string buf "vote:";

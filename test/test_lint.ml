@@ -311,6 +311,14 @@ let test_json_shape () =
   Alcotest.(check bool) "warnings array" true (contains json "\"warnings\":[");
   Alcotest.(check bool) "graph node count" true
     (contains json "\"callgraph_nodes\":");
+  (match Sim.Json.parse json with
+  | Error msg -> Alcotest.fail ("report is not JSON: " ^ msg)
+  | Ok j ->
+      Alcotest.(check (result int string))
+        "one array element per finding"
+        (Ok (List.length r.findings))
+        (Result.map List.length
+           (Result.bind (Sim.Json.member "findings" j) Sim.Json.to_list)));
   let clean = Lint.Driver.run ~root:"." ~paths:[ fixture "r1_good.ml" ] () in
   Alcotest.(check bool) "ok:true" true
     (let j = Lint.Driver.report_to_json clean in

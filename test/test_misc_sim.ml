@@ -130,6 +130,36 @@ let prop_percentile_bounds =
       let hi = List.fold_left Float.max Float.neg_infinity xs in
       p >= lo && p <= hi)
 
+(* --- Registry JSON ---------------------------------------------------- *)
+
+(* The bytes BENCH_RESULTS.json embeds: sorted keys, %.6f sums, %g
+   bounds, the overflow bucket last. *)
+let test_registry_json_bytes () =
+  let reg = Sim.Registry.create () in
+  Sim.Registry.inc reg ~by:3 "b\"q";
+  Sim.Registry.inc reg "a";
+  Sim.Registry.observe ~buckets:[| 1.; 2.5 |] reg "h" 0.5;
+  Sim.Registry.observe ~buckets:[| 1.; 2.5 |] reg "h" 3.;
+  Alcotest.(check string)
+    "to_json"
+    {|{"counters":{"a":1,"b\"q":3},"histograms":{"h":{"n":2,"sum":3.500000,"buckets":[1,2.5],"counts":[1,0,1]}}}|}
+    (Sim.Json.print (Sim.Registry.to_json reg))
+
+(* A sample of infinity (a latency over delta = 0) must not print a bare
+   [inf], which no JSON reader accepts. *)
+let test_registry_json_non_finite () =
+  let reg = Sim.Registry.create () in
+  Sim.Registry.observe reg "lat" infinity;
+  let s = Sim.Json.print (Sim.Registry.to_json reg) in
+  match Sim.Json.parse s with
+  | Error msg -> Alcotest.failf "%s: %s" s msg
+  | Ok j ->
+      let sum =
+        Result.bind (Sim.Json.member "histograms" j) (fun h ->
+            Result.bind (Sim.Json.member "lat" h) (Sim.Json.member "sum"))
+      in
+      Alcotest.(check bool) "sum is null" true (sum = Ok Sim.Json.Null)
+
 let suite =
   [
     Alcotest.test_case "sim_time operations" `Quick test_time_ops;
@@ -143,4 +173,7 @@ let suite =
     Alcotest.test_case "metrics summary" `Quick test_metrics_summary;
     Alcotest.test_case "linear fit" `Quick test_linear_fit;
     QCheck_alcotest.to_alcotest prop_percentile_bounds;
+    Alcotest.test_case "registry json bytes" `Quick test_registry_json_bytes;
+    Alcotest.test_case "registry json: non-finite is null" `Quick
+      test_registry_json_non_finite;
   ]

@@ -1,93 +1,5 @@
-(* Numfmt emitters must be byte-compatible with the Printf forms they
-   replaced: trace fixtures, the JSONL round-trip and external parsers
-   all depend on the exact rendering.  Every check here compares against
-   Printf.sprintf on the same value. *)
-
-let sc = lazy (Sim.Numfmt.scratch ())
-
-let g17 f =
-  let buf = Buffer.create 32 in
-  Sim.Numfmt.add_g17 (Lazy.force sc) buf f;
-  Buffer.contents buf
-
-let check_g17 f =
-  Alcotest.(check string)
-    (Printf.sprintf "%%.17g of %h" f)
-    (Printf.sprintf "%.17g" f) (g17 f)
-
-(* Edge floats: zeros, signs, subnormals, extremes, exact decimal ties
-   (half-even), the e-style/f-style boundary at e16/e17, and values
-   whose 17-digit renderings are load-bearing for round-trips. *)
-let edge_floats =
-  [
-    0.;
-    -0.;
-    1.;
-    -1.;
-    0.1;
-    -0.1;
-    1. /. 3.;
-    2. /. 3.;
-    0.5;
-    1.5;
-    1e-300;
-    -1e-300;
-    1e300;
-    4.9e-324 (* min subnormal *);
-    Float.min_float;
-    Float.max_float;
-    -.Float.max_float;
-    epsilon_float;
-    1e16;
-    1e17;
-    -1e16;
-    -1e17;
-    123456789012345678.;
-    9007199254740993. (* 2^53 + 1, rounds *);
-    9007199254740992.;
-    ldexp 1. (-25) (* exact tie, even 17th digit: stays *);
-    ldexp 3. (-26) (* tail beyond the 18th digit: rounds up *);
-    ldexp 5. (-27);
-    ldexp 3. (-25);
-    ldexp 7. (-30);
-    1e-5;
-    1.0000000000000002e-05;
-    0.0001;
-    0.00001 (* f/e-style boundary at e-4/e-5 *);
-    3.141592653589793;
-    2.718281828459045;
-    6.02214076e23;
-    1.6e-35;
-    infinity;
-    neg_infinity;
-    nan;
-    -.nan;
-    Int64.float_of_bits 0x7FF8000000000001L (* NaN with payload *);
-    Int64.float_of_bits 0xFFF0000000000001L (* negative signalling NaN *);
-  ]
-
-let test_edge_floats () = List.iter check_g17 edge_floats
-
-(* Random doubles drawn from raw bit patterns cover the whole
-   representable range, not just qcheck's tame generator. *)
-let prop_g17_matches_sprintf_bits =
-  QCheck.Test.make ~count:2000 ~name:"add_g17 = sprintf %.17g on raw bits"
-    (QCheck.make
-       QCheck.Gen.(map Int64.of_int int)
-       ~print:(fun b -> Printf.sprintf "bits %Lx" b))
-    (fun bits ->
-      let f = Int64.float_of_bits bits in
-      String.equal (Printf.sprintf "%.17g" f) (g17 f))
-
-let prop_g17_matches_sprintf_float =
-  QCheck.Test.make ~count:2000 ~name:"add_g17 = sprintf %.17g on floats"
-    QCheck.float (fun f -> String.equal (Printf.sprintf "%.17g" f) (g17 f))
-
-let prop_g17_round_trips =
-  QCheck.Test.make ~count:1000 ~name:"add_g17 output round-trips"
-    QCheck.float (fun f ->
-      QCheck.assume (Float.is_finite f);
-      Float.equal (float_of_string (g17 f)) f)
+(* Numfmt.add_int must write the bytes of string_of_int: protocol notes
+   built with it land in traces and their JSONL exports. *)
 
 let int_str n =
   let buf = Buffer.create 24 in
@@ -106,32 +18,8 @@ let prop_int_matches =
   QCheck.Test.make ~count:2000 ~name:"add_int = string_of_int" QCheck.int
     (fun n -> String.equal (string_of_int n) (int_str n))
 
-let test_hex () =
-  for code = 0 to 0x1F do
-    let buf = Buffer.create 8 in
-    Sim.Numfmt.add_u4_hex buf code;
-    Alcotest.(check string)
-      (Printf.sprintf "add_u4_hex %d" code)
-      (Printf.sprintf "\\u%04x" code)
-      (Buffer.contents buf)
-  done;
-  List.iter
-    (fun code ->
-      let buf = Buffer.create 8 in
-      Sim.Numfmt.add_u4_hex buf code;
-      Alcotest.(check string)
-        (Printf.sprintf "add_u4_hex %d" code)
-        (Printf.sprintf "\\u%04x" code)
-        (Buffer.contents buf))
-    [ 0x7F; 0xFF; 0xABC; 0xFFFF ]
-
 let suite =
   [
-    Alcotest.test_case "edge floats match sprintf" `Quick test_edge_floats;
     Alcotest.test_case "edge ints match string_of_int" `Quick test_edge_ints;
-    Alcotest.test_case "control-char hex escapes" `Quick test_hex;
-    QCheck_alcotest.to_alcotest prop_g17_matches_sprintf_bits;
-    QCheck_alcotest.to_alcotest prop_g17_matches_sprintf_float;
-    QCheck_alcotest.to_alcotest prop_g17_round_trips;
     QCheck_alcotest.to_alcotest prop_int_matches;
   ]

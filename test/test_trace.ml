@@ -146,6 +146,22 @@ let test_jsonl_rejects_garbage () =
   (match Sim.Trace.of_jsonl "not json at all\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage accepted");
+  (* integer fields take integer lexemes only, and a time must be a JSON
+     number: the exporter writes neither 3.0 for an int nor inf/nan *)
+  let good = {|{"ev":"crash","t":1,"proc":2}|} in
+  List.iter
+    (fun bad ->
+      match Sim.Trace.of_jsonl (good ^ "\n" ^ bad) with
+      | Error msg ->
+          Alcotest.(check string) "error names the line" "line 2:"
+            (String.sub msg 0 7)
+      | Ok _ -> Alcotest.failf "accepted %s" bad)
+    [
+      {|{"ev":"crash","t":1,"proc":3.0}|};
+      {|{"ev":"crash","t":inf,"proc":3}|};
+      {|{"ev":"crash","t":nan,"proc":3}|};
+      {|{"ev":"crash","t":null,"proc":3}|};
+    ];
   match Sim.Trace.of_jsonl "" with
   | Ok tr -> Alcotest.(check int) "empty input, empty trace" 0 (Sim.Trace.length tr)
   | Error msg -> Alcotest.fail msg
