@@ -259,75 +259,6 @@ let engine_stats () =
 let engine_metric_names =
   [ "engine_events_per_s"; "alloc_words_per_event"; "alloc_words_per_run" ]
 
-(* --- real-socket cluster throughput ---------------------------------- *)
-
-(* An in-process 3-replica cluster on loopback (port 0, one Netio loop
-   per replica thread) loaded by the blocking pipelined client — the
-   same stack `consensus_sim serve`/`client --load` run across real
-   processes, minus fork/exec.  Produces the serve_* family: headline
-   numbers as top-level JSON keys, plus the replica-side counters and
-   commit-latency histogram merged into ["metrics"] when a registry is
-   supplied. *)
-let serve_delta = 0.02
-
-let serve_stats ?metrics ~commands ~pipeline () =
-  let n = 3 in
-  let cluster = Array.make n ("127.0.0.1", 0) in
-  let replicas =
-    Array.init n (fun id ->
-        Smr.Replica.create
-          {
-            (Smr.Replica.default_config ~id ~cluster) with
-            delta = serve_delta;
-            batch = 256;
-            window = 64;
-            seed = 7;
-          })
-  in
-  let ports = Array.map Smr.Replica.port replicas in
-  Array.iter (fun r -> Smr.Replica.set_peer_ports r ports) replicas;
-  let threads =
-    Array.map (fun r -> Thread.create (fun () -> Smr.Replica.run r) ()) replicas
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter Smr.Replica.stop replicas;
-      Array.iter Thread.join threads)
-    (fun () ->
-      let endpoints = Array.map (fun p -> ("127.0.0.1", p)) ports in
-      let c = Smr.Client.connect endpoints in
-      let report =
-        Fun.protect
-          ~finally:(fun () -> Smr.Client.close c)
-          (fun () ->
-            Smr.Client.run_load c
-              { Smr.Client.default_load with commands; pipeline; seed = 3 })
-      in
-      let pct q =
-        1000. *. Smr.Client.percentile report.Smr.Client.latencies q
-      in
-      (match metrics with
-      | Some reg ->
-          Array.iter
-            (fun l ->
-              Sim.Registry.observe reg "serve_client_latency_delta"
-                (l /. serve_delta))
-            report.Smr.Client.latencies;
-          Array.iter
-            (fun r -> Sim.Registry.merge_into ~dst:reg (Smr.Replica.registry r))
-            replicas
-      | None -> ());
-      Printf.printf
-        "serve: %d commands at %.0f cmd/s over the loopback socket cluster \
-         (pipeline %d; p50 %.2f ms, p99 %.2f ms)\n\n\
-         %!"
-        report.Smr.Client.completed report.Smr.Client.throughput pipeline
-        (pct 0.5) (pct 0.99);
-      (report.Smr.Client.throughput, pct 0.5, pct 0.99))
-
-let serve_metric_names =
-  [ "serve_commands_per_s"; "serve_latency_p50_ms"; "serve_latency_p99_ms" ]
-
 (* --- chaos campaign throughput ---------------------------------------- *)
 
 (* A seeded fault campaign through the in-process chaos proxy (see
@@ -337,7 +268,7 @@ let serve_metric_names =
    breaks, so a failed campaign fails the bench. *)
 let chaos_stats ?metrics ~commands ~pipeline () =
   let schedule =
-    Chaos.Schedule.generate ~seed:7L ~n:3 ~ts:0.4 ~delta:serve_delta
+    Chaos.Schedule.generate ~seed:7L ~n:3 ~ts:0.4 ~delta:0.02
       ~horizon:1.6 ()
   in
   let outcome =
@@ -413,13 +344,12 @@ let loc_metric_names = [ "loc_lib"; "loc_bin" ]
 let smoke () =
   let micro = run_micro cheap_cases in
   ignore (engine_stats () : float * float * float);
-  ignore (serve_stats ~commands:5_000 ~pipeline:128 () : float * float * float);
   ignore (chaos_stats ~commands:2_000 ~pipeline:64 () : float * int);
   let loc = loc_stats () in
   let produced =
     List.sort_uniq String.compare
       (List.map (fun (name, _, _) -> name) micro
-      @ engine_metric_names @ serve_metric_names @ chaos_metric_names
+      @ engine_metric_names @ chaos_metric_names
       @ if loc = None then [] else loc_metric_names)
   in
   let schema_path =
@@ -470,14 +400,13 @@ let json_float f =
 let json_opt f = function Some v -> f v | None -> Sim.Json.Null
 
 let write_results ~path ~speed ~domains ~wall ~serial_wall ~micro ~metrics
-    ~mcheck ~fuzz ~engine ~serve ~chaos ~invariants_ok ~lint ~loc =
+    ~mcheck ~fuzz ~engine ~chaos ~invariants_ok ~lint ~loc =
   let open Sim.Json in
   let mc_states, mc_wall, mc_states_per_s, mc_visited_mb, mc_speedup =
     mcheck
   in
   let fuzz_runs, fuzz_wall, fuzz_runs_per_s, fuzz_failures = fuzz in
   let events_per_s, words_per_event, words_per_run = engine in
-  let serve_tp, serve_p50_ms, serve_p99_ms = serve in
   let chaos_tp, chaos_faults = chaos in
   let lint_ok, findings, rules_run, callgraph_nodes =
     match lint with
@@ -519,9 +448,6 @@ let write_results ~path ~speed ~domains ~wall ~serial_wall ~micro ~metrics
         ("fuzz_wall_clock_s", json_float fuzz_wall);
         ("fuzz_runs_per_s", json_float fuzz_runs_per_s);
         ("fuzz_failures", int fuzz_failures);
-        ("serve_commands_per_s", json_float serve_tp);
-        ("serve_latency_p50_ms", json_float serve_p50_ms);
-        ("serve_latency_p99_ms", json_float serve_p99_ms);
         ("chaos_commands_per_s", json_float chaos_tp);
         ("chaos_faults_injected", int chaos_faults);
         ("trace_invariants_ok", Bool invariants_ok);
@@ -706,17 +632,8 @@ let () =
         findings rules_run callgraph_nodes
   | None -> Format.printf "lint: skipped (no source tree)@.");
   let engine = engine_stats () in
-  (* Socket-cluster throughput: sized so the load runs for a few seconds
-     at the measured steady state (pipeline 1024 is the sweet spot; 2048
-     thrashes the closed loop — see README). *)
-  let serve =
-    let commands =
-      match speed with Harness.Experiments.Full -> 200_000 | Quick -> 50_000
-    in
-    serve_stats ~metrics ~commands ~pipeline:1024 ()
-  in
-  (* Same socket stack again, this time through the chaos proxy under
-     the canonical seeded fault campaign. *)
+  (* The socket stack through the chaos proxy under the canonical
+     seeded fault campaign. *)
   let chaos =
     let commands =
       match speed with Harness.Experiments.Full -> 50_000 | Quick -> 10_000
@@ -726,5 +643,5 @@ let () =
   let loc = loc_stats () in
   let path = "BENCH_RESULTS.json" in
   write_results ~path ~speed:speed_name ~domains ~wall ~serial_wall ~micro
-    ~metrics ~mcheck ~fuzz ~engine ~serve ~chaos ~invariants_ok ~lint ~loc;
+    ~metrics ~mcheck ~fuzz ~engine ~chaos ~invariants_ok ~lint ~loc;
   Format.printf "(wrote %s)@." path

@@ -31,16 +31,16 @@ open Cmdliner
 (* Shared argument parsing                                             *)
 (* ------------------------------------------------------------------ *)
 
-type proto_kind = Modified_paxos | Traditional_paxos | Rotating | B_consensus | Smr
-
+(* The single-decree protocols by name, straight from the table;
+   `run`, `sweep`, `realtime` and `fuzz` all parse -p with it. *)
 let protocols =
-  [
-    ("modified-paxos", Modified_paxos);
-    ("traditional-paxos", Traditional_paxos);
-    ("rotating-coordinator", Rotating);
-    ("b-consensus", B_consensus);
-    ("smr", Smr);
-  ]
+  List.map
+    (fun (e : Harness.Protocols.entry) -> (e.name, e.protocol))
+    Harness.Protocols.table
+
+let protocol_conv = Arg.enum protocols
+
+let proto_doc = "Protocol: " ^ Arg.doc_alts_enum protocols
 
 let networks delta =
   [
@@ -106,13 +106,8 @@ let network_arg =
 let proto_arg =
   Arg.(
     value
-    & opt (enum protocols) Modified_paxos
-    & info [ "protocol"; "p" ]
-        ~doc:
-          "Protocol: $(b,modified-paxos) (the paper's algorithm), \
-           $(b,traditional-paxos), $(b,rotating-coordinator), \
-           $(b,b-consensus), or $(b,smr) (state machine replication; see \
-           --commands).")
+    & opt protocol_conv Harness.Protocols.Modified_paxos
+    & info [ "protocol"; "p" ] ~docv:"P" ~doc:(proto_doc ^ "."))
 
 let crash_arg =
   Arg.(
@@ -215,29 +210,14 @@ let run_cmd_impl proto n delta ts rho seed network crashes restarts down
   | Ok () -> ()
   | Error msg -> failwith ("invalid scenario: " ^ msg));
   match proto with
-  | Modified_paxos ->
-      let cfg = Dgl.Config.make ?sigma ?epsilon ~rho ~n ~delta () in
-      let r = Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg) in
-      print_result ~ts ~delta r ~trace
-  | Traditional_paxos ->
-      let oracle = Baselines.Leader_election.make ~n ~ts ~delta ~faults () in
-      let r =
-        Sim.Engine.run sc
-          (Baselines.Traditional_paxos.protocol ~n ~delta ~oracle ())
-      in
-      print_result ~ts ~delta r ~trace
-  | Rotating ->
-      let r =
-        Sim.Engine.run sc (Baselines.Rotating_coordinator.protocol ~n ~delta ())
-      in
-      print_result ~ts ~delta r ~trace
-  | B_consensus ->
-      let r =
-        Sim.Engine.run sc
-          (Bconsensus.Modified_b_consensus.protocol ~n ~delta ~rho ())
-      in
-      print_result ~ts ~delta r ~trace
-  | Smr ->
+  | Some p -> (
+      match
+        (Harness.Protocols.entry p).build ?sigma ?epsilon ~n ~delta ~ts ~rho
+          ~faults ()
+      with
+      | Harness.Protocols.Packed { protocol; _ } ->
+          print_result ~ts ~delta (Sim.Engine.run sc protocol) ~trace)
+  | None ->
       let cfg = Dgl.Config.make ?sigma ?epsilon ~rho ~n ~delta () in
       let workloads =
         Array.init n (fun p ->
@@ -269,9 +249,23 @@ let run_cmd_impl proto n delta ts rho seed network crashes restarts down
       | None -> Format.printf "logs: identical applied sequences@."
       | Some _ -> Format.printf "LOG DIVERGENCE@.")
 
+(* [None] is -p smr, multi-decree state machine replication: a `run`-only
+   name outside the single-decree table. *)
+let run_proto_arg =
+  let choices =
+    List.map (fun (name, p) -> (name, Some p)) protocols @ [ ("smr", None) ]
+  in
+  Arg.(
+    value
+    & opt (enum choices) (Some Harness.Protocols.Modified_paxos)
+    & info [ "protocol"; "p" ] ~docv:"P"
+        ~doc:
+          (proto_doc
+         ^ "; or $(b,smr) (state machine replication; see --commands)."))
+
 let run_term =
   Term.(
-    const run_cmd_impl $ proto_arg $ n_arg $ delta_arg $ ts_arg $ rho_arg
+    const run_cmd_impl $ run_proto_arg $ n_arg $ delta_arg $ ts_arg $ rho_arg
     $ seed_arg $ network_arg $ crash_arg $ restart_arg $ down_arg $ trace_arg
     $ sigma_arg $ epsilon_arg $ horizon_arg $ commands_arg)
 
@@ -331,80 +325,29 @@ let sweep_impl proto sizes seeds delta ts network =
     "undecided";
   List.iter
     (fun n ->
+      let down = Harness.Adversaries.faulty_minority ~n in
+      let faults = Sim.Fault.make ~initially_down:down [] in
+      let live = Harness.Measure.procs ~n ~except:down () in
       let lats =
         List.concat
           (List.init seeds (fun i ->
                let seed = Int64.of_int ((i * 7919) + 1) in
-               let faults =
-                 Sim.Fault.make
-                   ~initially_down:(Harness.Adversaries.faulty_minority ~n)
-                   []
-               in
                let sc =
                  Sim.Scenario.make ~name:"sweep" ~n ~ts ~delta ~seed
                    ~network:network_policy ~faults ()
                in
-               let live =
-                 Harness.Measure.procs ~n
-                   ~except:(Harness.Adversaries.faulty_minority ~n)
-                   ()
-               in
-               let r =
-                 match proto with
-                 | Modified_paxos ->
-                     let cfg = Dgl.Config.make ~n ~delta () in
-                     let r =
-                       Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg)
-                     in
-                     List.map
-                       (fun p ->
-                         match r.Sim.Engine.decision_times.(p) with
-                         | Some t -> (t -. ts) /. delta
-                         | None -> Float.infinity)
-                       live
-                 | Traditional_paxos ->
-                     let oracle =
-                       Baselines.Leader_election.make ~n ~ts ~delta ~faults ()
-                     in
-                     let r =
-                       Sim.Engine.run sc
-                         (Baselines.Traditional_paxos.protocol ~n ~delta
-                            ~oracle ())
-                     in
-                     List.map
-                       (fun p ->
-                         match r.Sim.Engine.decision_times.(p) with
-                         | Some t -> (t -. ts) /. delta
-                         | None -> Float.infinity)
-                       live
-                 | Rotating ->
-                     let r =
-                       Sim.Engine.run sc
-                         (Baselines.Rotating_coordinator.protocol ~n ~delta ())
-                     in
-                     List.map
-                       (fun p ->
-                         match r.Sim.Engine.decision_times.(p) with
-                         | Some t -> (t -. ts) /. delta
-                         | None -> Float.infinity)
-                       live
-                 | B_consensus ->
-                     let r =
-                       Sim.Engine.run sc
-                         (Bconsensus.Modified_b_consensus.protocol ~n ~delta
-                            ~rho:0. ())
-                     in
-                     List.map
-                       (fun p ->
-                         match r.Sim.Engine.decision_times.(p) with
-                         | Some t -> (t -. ts) /. delta
-                         | None -> Float.infinity)
-                       live
-                 | Smr ->
-                     failwith "sweep does not support -p smr (single-shot \
-                               consensus latencies only)"
-               in
-               r))
+               match
+                 (Harness.Protocols.entry proto).build ~n ~delta ~ts ~rho:0.
+                   ~faults ()
+               with
+               | Harness.Protocols.Packed { protocol; _ } ->
+                   let r = Sim.Engine.run sc protocol in
+                   List.map
+                     (fun p ->
+                       match r.Sim.Engine.decision_times.(p) with
+                       | Some t -> (t -. ts) /. delta
+                       | None -> Float.infinity)
+                     live))
       in
       let finite = List.filter Float.is_finite lats in
       let undecided = List.length lats - List.length finite in
@@ -906,14 +849,16 @@ let realtime_impl proto n delta ts seed =
     }
   in
   let proposals = Array.init n (fun i -> 100 + i) in
-  let run p = Realtime.Netio_engine.run cfg ~proposals p in
   let r : Realtime.Netio_engine.result =
     match proto with
-    | Modified_paxos ->
-        run (Dgl.Modified_paxos.protocol (Dgl.Config.make ~n ~delta ()))
-    | B_consensus ->
-        run (Bconsensus.Modified_b_consensus.protocol ~n ~delta ~rho:0. ())
-    | Traditional_paxos | Rotating | Smr ->
+    | Harness.Protocols.Modified_paxos | B_consensus -> (
+        match
+          (Harness.Protocols.entry proto).build ~n ~delta ~ts ~rho:0.
+            ~faults:Sim.Fault.none ()
+        with
+        | Harness.Protocols.Packed { protocol; _ } ->
+            Realtime.Netio_engine.run cfg ~proposals protocol)
+    | Ungated_paxos | Traditional_paxos | Rotating_coordinator ->
         failwith
           "realtime supports -p modified-paxos and -p b-consensus (the \
            leader oracle and workload plumbing are simulator-side)"
@@ -1034,7 +979,6 @@ let serve_impl id cluster bind delta batch window snapshot seed verbose =
       batch;
       window;
       snapshot;
-      snapshot_period = 0.05;
       seed = Int64.to_int seed;
       verbose;
     }
@@ -1216,7 +1160,11 @@ let client_impl cluster member op_args load commands pipeline value_bytes
           (fun l ->
             Sim.Registry.observe reg "serve_client_latency_delta" (l /. delta))
           report.Smr.Client.latencies;
-        let pct q = Smr.Client.percentile report.Smr.Client.latencies q in
+        let pct q =
+          match report.Smr.Client.latencies with
+          | [||] -> 0.
+          | sorted -> Sim.Metrics.percentile_sorted q sorted
+        in
         Printf.printf
           "load: %d commands in %.3fs = %.0f cmd/s (%d resubmitted, %d \
            reconnects, %.3fs backoff)\n"
@@ -1364,19 +1312,6 @@ let fuzz_impl budget seed domains protocol corpus_dir =
     | Some d -> d
     | None -> Harness.Measure.domain_count ()
   in
-  let protocol =
-    Option.map
-      (fun s ->
-        match Harness.Fuzz_scenario.protocol_of_name s with
-        | Some p -> p
-        | None ->
-            failwith
-              (Printf.sprintf "unknown protocol %S (try: %s)" s
-                 (String.concat ", "
-                    (List.map Harness.Fuzz_scenario.protocol_name
-                       Harness.Fuzz_scenario.protocols))))
-      protocol
-  in
   (* Everything on stdout is a pure function of (budget, seed, protocol)
      — identical at any --domains; wall-clock and pool size go to stderr
      so stdout can be diffed across domain counts. *)
@@ -1422,8 +1357,8 @@ let fuzz_cmd =
   let protocol_arg =
     Arg.(
       value
-      & opt (some string) None
-      & info [ "protocol" ; "p" ] ~docv:"P"
+      & opt (some protocol_conv) None
+      & info [ "protocol"; "p" ] ~docv:"P"
           ~doc:
             "Fuzz only this protocol.  Default: a mix of every correct \
              implementation; $(b,ungated-paxos) (the A1 ablation, broken \
@@ -1762,6 +1697,7 @@ let replay_cmd =
 let list_impl () =
   Format.printf "protocols:@.";
   List.iter (fun (name, _) -> Format.printf "  %s@." name) protocols;
+  Format.printf "  smr@.";
   Format.printf "networks:@.";
   List.iter (fun (name, _) -> Format.printf "  %s@." name) (networks 0.01);
   Format.printf "experiments:@.";

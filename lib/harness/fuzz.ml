@@ -11,33 +11,6 @@ type outcome = {
 (* Liveness deadlines                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Budgets are deliberately loose multiples of each protocol's decision
-   bound: tight enough that the A1 ungated ablation blows through them
-   under high-session injections, loose enough that the correct
-   protocols never do (a false positive here would break `dev check`).
-   Traditional Paxos gets the paper's O(N delta) allowance — one extra
-   retry round per obsolete ballot and per failed leader candidate. *)
-let liveness_budget (fs : Fuzz_scenario.t) =
-  let d = fs.delta in
-  let n = float_of_int fs.n in
-  match fs.protocol with
-  | Fuzz_scenario.Modified_paxos | Fuzz_scenario.Ungated_paxos -> 60. *. d
-  | Fuzz_scenario.Traditional_paxos ->
-      let inj = float_of_int (List.length fs.injections) in
-      (40. +. (8. *. inj) +. (4. *. n)) *. d
-  | Fuzz_scenario.Rotating_coordinator -> (40. +. (10. *. n)) *. d
-  | Fuzz_scenario.B_consensus -> 80. *. d
-
-(* The paper bounds restart recovery only for the modified algorithms
-   (Section 4, "Process Restarts"); for the baselines a restarted
-   process may legitimately idle until someone speaks to it, so the
-   liveness check covers only never-faulty processes there. *)
-let covers_restarts = function
-  | Fuzz_scenario.Modified_paxos | Fuzz_scenario.Ungated_paxos -> true
-  | Fuzz_scenario.Traditional_paxos | Fuzz_scenario.Rotating_coordinator
-  | Fuzz_scenario.B_consensus ->
-      false
-
 let ever_faulty (f : Sim.Fault.t) p =
   List.mem p f.Sim.Fault.initially_down
   || List.exists (fun e -> e.Sim.Fault.proc = p) f.Sim.Fault.events
@@ -53,13 +26,19 @@ let last_restart (f : Sim.Fault.t) p =
       | _ -> acc)
     None f.Sim.Fault.events
 
+let liveness_budget (fs : Fuzz_scenario.t) =
+  (Protocols.entry fs.protocol).liveness_budget ~n:fs.n
+    ~injections:(List.length fs.injections)
+  *. fs.delta
+
 let liveness_violations (fs : Fuzz_scenario.t) decision_times =
   let budget = liveness_budget fs in
+  let covers_restarts = (Protocols.entry fs.protocol).covers_restarts in
   List.filter_map
     (fun p ->
       let faulty = ever_faulty fs.faults p in
       if not (Sim.Fault.alive_at fs.faults ~proc:p ~time:fs.horizon) then None
-      else if faulty && not (covers_restarts fs.protocol) then None
+      else if faulty && not covers_restarts then None
       else
         let start =
           if faulty then
@@ -104,84 +83,36 @@ let outcome_of_run (fs : Fuzz_scenario.t) (report : Invariants.report)
     msgs_dropped = r.Sim.Engine.messages_dropped;
   }
 
-let dgl_injections (fs : Fuzz_scenario.t) =
-  List.map
-    (fun { Fuzz_scenario.at; src; dst; session } ->
-      ( at,
-        src,
-        dst,
-        Dgl.Messages.P1a
-          { mbal = Consensus.Ballot.of_session ~n:fs.n ~proc:src session } ))
-    fs.injections
-
-let paxos_injections (fs : Fuzz_scenario.t) =
-  List.map
-    (fun { Fuzz_scenario.at; src; dst; session } ->
-      ( at,
-        src,
-        dst,
-        Baselines.Paxos_messages.P1a
-          { mbal = Consensus.Ballot.of_session ~n:fs.n ~proc:src session } ))
-    fs.injections
-
 let run_one (fs : Fuzz_scenario.t) =
   (match Fuzz_scenario.validate fs with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Fuzz.run_one: " ^ msg));
   let sc = Fuzz_scenario.to_scenario fs in
-  match fs.protocol with
-  | Fuzz_scenario.Modified_paxos | Fuzz_scenario.Ungated_paxos ->
-      let options =
-        {
-          Dgl.Modified_paxos.default_options with
-          session_gate =
-            (match fs.protocol with
-            | Fuzz_scenario.Ungated_paxos -> false
-            | _ -> true);
-        }
+  match
+    (Protocols.entry fs.protocol).build ~n:fs.n ~delta:fs.delta ~ts:fs.ts
+      ~rho:fs.rho ~faults:fs.faults ()
+  with
+  | Protocols.Packed { protocol; inject; timer_bounds } ->
+      let injections =
+        match inject with
+        | None -> []
+        | Some inject ->
+            List.map
+              (fun { Fuzz_scenario.at; src; dst; session } ->
+                (at, src, dst, inject ~src ~session))
+              fs.injections
       in
-      let cfg = Dgl.Config.make ~n:fs.n ~delta:fs.delta ~rho:fs.rho () in
-      let r =
-        Sim.Engine.run ~injections:(dgl_injections fs) sc
-          (Dgl.Modified_paxos.protocol ~options cfg)
-      in
-      outcome_of_run fs
-        (Invariants.check_run ~timer_bounds:(fs.delta, cfg.Dgl.Config.sigma) r)
-        r
-  | Fuzz_scenario.Traditional_paxos ->
-      let oracle =
-        Baselines.Leader_election.make ~n:fs.n ~ts:fs.ts ~delta:fs.delta
-          ~faults:fs.faults ()
-      in
-      let r =
-        Sim.Engine.run ~injections:(paxos_injections fs) sc
-          (Baselines.Traditional_paxos.protocol ~n:fs.n ~delta:fs.delta ~oracle
-             ())
-      in
-      outcome_of_run fs (Invariants.check_run r) r
-  | Fuzz_scenario.Rotating_coordinator ->
-      let r =
-        Sim.Engine.run sc
-          (Baselines.Rotating_coordinator.protocol ~n:fs.n ~delta:fs.delta ())
-      in
-      outcome_of_run fs (Invariants.check_run r) r
-  | Fuzz_scenario.B_consensus ->
-      let r =
-        Sim.Engine.run sc
-          (Bconsensus.Modified_b_consensus.protocol ~n:fs.n ~delta:fs.delta
-             ~rho:fs.rho ())
-      in
-      outcome_of_run fs (Invariants.check_run r) r
+      let r = Sim.Engine.run ~injections sc protocol in
+      outcome_of_run fs (Invariants.check_run ?timer_bounds r) r
 
 (* ------------------------------------------------------------------ *)
 (* Generation                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let default_protocols =
-  [
-    Fuzz_scenario.Modified_paxos; Fuzz_scenario.Traditional_paxos;
-    Fuzz_scenario.Rotating_coordinator; Fuzz_scenario.B_consensus;
-  ]
+  List.filter_map
+    (fun (e : Protocols.entry) -> if e.correct then Some e.protocol else None)
+    Protocols.table
 
 (* Scenario [index] draws from a splitmix64 stream whose seed is offset
    by a golden-ratio multiple of the index, the standard way to derive
@@ -268,14 +199,10 @@ let gen_network rng ~n ~delta =
    outranks the receiver's ballot and re-arms its session timer, which
    the ungated algorithm cannot absorb. *)
 let gen_injections rng (protocol : Fuzz_scenario.protocol) ~n ~ts ~delta =
-  let takes =
-    match protocol with
-    | Fuzz_scenario.Modified_paxos | Fuzz_scenario.Ungated_paxos
-    | Fuzz_scenario.Traditional_paxos ->
-        true
-    | Fuzz_scenario.Rotating_coordinator | Fuzz_scenario.B_consensus -> false
-  in
-  if (not takes) || Sim.Prng.bool rng 0.4 then []
+  if
+    (not (Protocols.entry protocol).takes_injections)
+    || Sim.Prng.bool rng 0.4
+  then []
   else
     let session_for i =
       match protocol with
@@ -541,7 +468,7 @@ let campaign ?protocol ~budget ~seed () =
 let pp_summary fmt s =
   Format.fprintf fmt "fuzz: budget=%d seed=%Ld protocol=%s@." s.budget s.seed
     (match s.protocol with
-    | Some p -> Fuzz_scenario.protocol_name p
+    | Some p -> Protocols.name p
     | None -> "mixed");
   Format.fprintf fmt
     "runs=%d failures=%d events=%d msgs=%d decided=%d shrink_tries=%d@."

@@ -1,45 +1,9 @@
-type protocol =
+type protocol = Protocols.protocol =
   | Modified_paxos
   | Ungated_paxos
   | Traditional_paxos
   | Rotating_coordinator
   | B_consensus
-
-let protocols =
-  [
-    Modified_paxos; Ungated_paxos; Traditional_paxos; Rotating_coordinator;
-    B_consensus;
-  ]
-
-let protocol_name = function
-  | Modified_paxos -> "modified-paxos"
-  | Ungated_paxos -> "ungated-paxos"
-  | Traditional_paxos -> "traditional-paxos"
-  | Rotating_coordinator -> "rotating-coordinator"
-  | B_consensus -> "b-consensus"
-
-let protocol_of_name s =
-  match String.lowercase_ascii s with
-  | "modified-paxos" -> Some Modified_paxos
-  | "ungated-paxos" -> Some Ungated_paxos
-  | "traditional-paxos" -> Some Traditional_paxos
-  | "rotating-coordinator" -> Some Rotating_coordinator
-  | "b-consensus" -> Some B_consensus
-  | _ -> None
-
-let equal_protocol a b =
-  match (a, b) with
-  | Modified_paxos, Modified_paxos
-  | Ungated_paxos, Ungated_paxos
-  | Traditional_paxos, Traditional_paxos
-  | Rotating_coordinator, Rotating_coordinator
-  | B_consensus, B_consensus ->
-      true
-  | _ -> false
-
-let takes_injections = function
-  | Modified_paxos | Ungated_paxos | Traditional_paxos -> true
-  | Rotating_coordinator | B_consensus -> false
 
 type injection = { at : float; src : int; dst : int; session : int }
 
@@ -72,11 +36,12 @@ let validate t =
       | Error _ as e -> e
       | Ok () ->
           if
-            t.injections <> [] && not (takes_injections t.protocol)
+            t.injections <> []
+            && not (Protocols.entry t.protocol).takes_injections
           then
             Error
               (Printf.sprintf "%s takes no injections"
-                 (protocol_name t.protocol))
+                 (Protocols.name t.protocol))
           else (
             match
               List.find_opt
@@ -114,7 +79,7 @@ let equal_fault_event (a : Sim.Fault.event) (b : Sim.Fault.event) =
 
 let equal a b =
   String.equal a.name b.name
-  && equal_protocol a.protocol b.protocol
+  && a.protocol = b.protocol
   && Int.equal a.n b.n && Float.equal a.ts b.ts
   && Float.equal a.delta b.delta
   && Float.equal a.rho b.rho
@@ -158,7 +123,7 @@ let to_json t =
   Sim.Json.Obj
     [
       ("name", Sim.Json.Str t.name);
-      ("protocol", Sim.Json.Str (protocol_name t.protocol));
+      ("protocol", Sim.Json.Str (Protocols.name t.protocol));
       ("n", Sim.Json.int t.n);
       ("ts", Sim.Json.float t.ts);
       ("delta", Sim.Json.float t.delta);
@@ -224,7 +189,7 @@ let of_json j =
     Result.bind (Sim.Json.member "protocol" j) Sim.Json.to_string
   in
   let* protocol =
-    match protocol_of_name protocol with
+    match Protocols.of_name protocol with
     | Some p -> Ok p
     | None -> Error (Printf.sprintf "unknown protocol %S" protocol)
   in
@@ -271,7 +236,7 @@ let pp fmt t =
   Format.fprintf fmt
     "%s[%s n=%d ts=%g delta=%g rho=%g seed=%Ld net=%s down=%d faults=%d \
      inj=%d]"
-    t.name (protocol_name t.protocol) t.n t.ts t.delta t.rho t.seed
+    t.name (Protocols.name t.protocol) t.n t.ts t.delta t.rho t.seed
     (Sim.Network_spec.name t.network)
     (List.length t.faults.Sim.Fault.initially_down)
     (List.length t.faults.Sim.Fault.events)

@@ -9,33 +9,24 @@
     generates, delta-debugs, persists to the regression corpus, and
     replays. *)
 
-(** Which implementation the scenario runs.  [Ungated_paxos] is modified
-    Paxos with condition (ii) of Start Phase 1 dropped (the A1 ablation)
-    — an intentionally broken variant kept as a fuzzer target: campaigns
-    against it must find the obsolete-ballot liveness attack. *)
-type protocol =
+(** Which implementation the scenario runs; its JSON form is
+    {!Protocols.name}.  [Ungated_paxos] (the A1 ablation) is kept as a
+    fuzzer target: campaigns against it must find the obsolete-ballot
+    liveness attack. *)
+type protocol = Protocols.protocol =
   | Modified_paxos
   | Ungated_paxos
   | Traditional_paxos
   | Rotating_coordinator
   | B_consensus
 
-val protocol_name : protocol -> string
-
-(** Inverse of {!protocol_name} (case-insensitive). *)
-val protocol_of_name : string -> protocol option
-
-(** All five, in declaration order. *)
-val protocols : protocol list
-
 (** An obsolete message placed directly into the network: a phase 1a of
     session [session] owned by [src] (ballot [session * n + src]),
     delivered to [dst] at instant [at] — the paper's "message sent
     before [TS] by a process that has since failed", without simulating
-    the execution that produced it.  Compiled per protocol:
-    {!Dgl.Messages.P1a} for the (un)gated modified algorithm,
-    {!Baselines.Paxos_messages.P1a} for traditional Paxos.  The
-    round-based protocols take no injections. *)
+    the execution that produced it.  Compiled by the protocol's
+    {!Protocols.packed} encoder; the round-based protocols take no
+    injections. *)
 type injection = { at : float; src : int; dst : int; session : int }
 
 type t = {

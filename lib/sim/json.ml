@@ -87,7 +87,7 @@ let escape buf s =
 
 (* [indent = None] prints compact; [Some base] pretty-prints with
    two-space steps starting at [base]. *)
-let rec add buf ~indent j =
+let rec add_indented buf ~indent j =
   let pad n = String.make (2 * n) ' ' in
   let sequence ~open_c ~close_c items add_item =
     Buffer.add_char buf open_c;
@@ -117,22 +117,24 @@ let rec add buf ~indent j =
   | Str s -> escape buf s
   | Arr items ->
       sequence ~open_c:'[' ~close_c:']' items (fun ~indent x ->
-          add buf ~indent x)
+          add_indented buf ~indent x)
   | Obj fields ->
       sequence ~open_c:'{' ~close_c:'}' fields (fun ~indent (k, v) ->
           escape buf k;
           Buffer.add_string buf
             (match indent with None -> ":" | Some _ -> ": ");
-          add buf ~indent v)
+          add_indented buf ~indent v)
+
+let add buf j = add_indented buf ~indent:None j
 
 let print j =
   let buf = Buffer.create 256 in
-  add buf ~indent:None j;
+  add buf j;
   Buffer.contents buf
 
 let print_pretty j =
   let buf = Buffer.create 256 in
-  add buf ~indent:(Some 0) j;
+  add_indented buf ~indent:(Some 0) j;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -49,6 +49,10 @@ val member_opt : string -> t -> t option
 
 (** {2 Printing and parsing} *)
 
+(** [add buf j] appends {!print}'s rendering of [j] to [buf] — for
+    writers of many documents, such as {!Trace.to_jsonl}. *)
+val add : Buffer.t -> t -> unit
+
 (** Compact one-line rendering. *)
 val print : t -> string
 

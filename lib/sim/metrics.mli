@@ -28,6 +28,9 @@ val stddev : float list -> float
     samples. Raises on empty input. *)
 val percentile : float -> float list -> float
 
+(** {!percentile} over an array already sorted ascending, in O(1). *)
+val percentile_sorted : float -> float array -> float
+
 (** Ordinary least squares fit [y = a + b * x]; returns [(a, b)].
     Raises on fewer than two points or degenerate x. *)
 val linear_fit : (float * float) list -> float * float

@@ -498,7 +498,7 @@ let to_jsonl t =
   let buf = Buffer.create (256 * t.len) in
   iter
     (fun e ->
-      Buffer.add_string buf (Json.print (json_of_entry e));
+      Json.add buf (json_of_entry e);
       Buffer.add_char buf '\n')
     t;
   Buffer.contents buf

@@ -91,6 +91,3 @@ val run_load : ?timeout:float -> t -> load -> report
 (** Keep [pipeline] requests in flight until [commands] complete; on a
     connection failure, fail over and resubmit the outstanding window.
     The op mix is 70% put / 20% get / 10% cas over [keyspace] keys. *)
-
-val percentile : float array -> float -> float
-(** [percentile sorted q] with [q] in [0,1] (e.g. [0.99]). *)

@@ -31,10 +31,12 @@ type config = {
   batch : int;  (* max client commands folded into one decree *)
   window : int;  (* max own decrees in flight (pipelining depth) *)
   snapshot : string option;  (* durable-essence path; None = volatile *)
-  snapshot_period : float;
   seed : int;
   verbose : bool;
 }
+
+(* Seconds between dirty-state snapshots (at least; see [run]). *)
+let snapshot_period = 0.05
 
 let default_config ~id ~cluster =
   {
@@ -45,7 +47,6 @@ let default_config ~id ~cluster =
     batch = 64;
     window = 32;
     snapshot = None;
-    snapshot_period = 0.05;
     seed = 1;
     verbose = false;
   }
@@ -586,12 +587,12 @@ let run t =
       let before = Netio.now t.io in
       write_snapshot t;
       let took = Netio.now t.io -. before in
-      let delay = Float.max t.cfg.snapshot_period (20. *. took) in
+      let delay = Float.max snapshot_period (20. *. took) in
       Netio.after t.io delay snapshot_loop
     end
   in
   (match t.cfg.snapshot with
-  | Some _ -> Netio.after t.io t.cfg.snapshot_period snapshot_loop
+  | Some _ -> Netio.after t.io snapshot_period snapshot_loop
   | None -> ());
   log t "listening on port %d" t.port;
   Netio.run t.io;

@@ -19,9 +19,9 @@
       atomically: fsync, then rename; encoded as a single Wire M1b
       frame) so a SIGKILLed process restarts into the same ballot/vote
       state it last persisted, then catches up the chosen tail from its
-      peers.  Snapshotting is periodic (group-commit style), so the
-      last ~[snapshot_period] of promises/votes can be lost across a
-      SIGKILL — an explicit divergence from the paper's synchronous
+      peers.  Snapshotting is periodic (group-commit style, at most
+      every 50 ms), so the last ~50 ms of promises/votes can be lost
+      across a SIGKILL — an explicit divergence from the paper's synchronous
       stable-storage model (see "Durability caveat", DESIGN.md §5h);
       recovery additionally relies on a majority of peers staying up,
       which is the crash model of the paper's restart analysis.
@@ -41,14 +41,12 @@ type config = {
   batch : int;  (** max client commands folded into one decree *)
   window : int;  (** max own decrees in flight (pipelining depth) *)
   snapshot : string option;  (** durable-essence path; [None] = volatile *)
-  snapshot_period : float;  (** seconds between dirty-state snapshots *)
   seed : int;  (** PRNG seed (per-replica offset applied) *)
   verbose : bool;  (** progress chatter on stderr *)
 }
 
 val default_config : id:int -> cluster:(string * int) array -> config
-(** delta 0.05s, batch 64, window 32, snapshot off, 50 ms snapshot
-    period. *)
+(** delta 0.05s, batch 64, window 32, snapshot off. *)
 
 type t
 

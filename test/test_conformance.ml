@@ -1,6 +1,7 @@
-(* A uniform conformance matrix: every single-shot consensus protocol in
-   the repository, run over the same grid of networks, fault scripts and
-   seeds, must satisfy termination-after-TS, agreement and validity.
+(* A uniform conformance matrix: every correct single-decree protocol in
+   [Harness.Protocols]' table, run over the same grid of networks, fault
+   scripts and seeds, must satisfy termination-after-TS, agreement and
+   validity.
 
    This complements the per-protocol suites (which test
    protocol-specific behaviour) with breadth: the same conditions for
@@ -10,80 +11,10 @@ let delta = 0.01
 
 let ts = 0.5
 
-type runner = {
-  rname : string;
-  run :
-    n:int ->
-    seed:int64 ->
-    network:Sim.Network.t ->
-    faults:Sim.Fault.t ->
-    unit Sim.Engine.run_result;
-}
-
-(* Erase the protocol state type so runners fit one list. *)
-let erase (r : _ Sim.Engine.run_result) : unit Sim.Engine.run_result =
-  {
-    scenario = r.Sim.Engine.scenario;
-    protocol_name = r.protocol_name;
-    decision_times = r.decision_times;
-    decision_values = r.decision_values;
-    messages_sent = r.messages_sent;
-    messages_delivered = r.messages_delivered;
-    messages_dropped = r.messages_dropped;
-    end_time = r.end_time;
-    events_processed = r.events_processed;
-    trace = r.trace;
-    metrics = r.metrics;
-    agreement_violation = r.agreement_violation;
-    final_states = Array.map (Option.map ignore) r.final_states;
-  }
-
 let scenario ~n ~seed ~network ~faults =
   Sim.Scenario.make ~name:"conformance" ~n ~ts ~delta ~seed ~network ~faults
     ~horizon:(ts +. (500. *. delta))
     ()
-
-let runners =
-  [
-    {
-      rname = "modified-paxos";
-      run =
-        (fun ~n ~seed ~network ~faults ->
-          let cfg = Dgl.Config.make ~n ~delta () in
-          erase
-            (Sim.Engine.run
-               (scenario ~n ~seed ~network ~faults)
-               (Dgl.Modified_paxos.protocol cfg)));
-    };
-    {
-      rname = "traditional-paxos";
-      run =
-        (fun ~n ~seed ~network ~faults ->
-          let oracle = Baselines.Leader_election.make ~n ~ts ~delta ~faults () in
-          erase
-            (Sim.Engine.run
-               (scenario ~n ~seed ~network ~faults)
-               (Baselines.Traditional_paxos.protocol ~n ~delta ~oracle ())));
-    };
-    {
-      rname = "rotating-coordinator";
-      run =
-        (fun ~n ~seed ~network ~faults ->
-          erase
-            (Sim.Engine.run
-               (scenario ~n ~seed ~network ~faults)
-               (Baselines.Rotating_coordinator.protocol ~n ~delta ())));
-    };
-    {
-      rname = "modified-b-consensus";
-      run =
-        (fun ~n ~seed ~network ~faults ->
-          erase
-            (Sim.Engine.run
-               (scenario ~n ~seed ~network ~faults)
-               (Bconsensus.Modified_b_consensus.protocol ~n ~delta ~rho:0. ())));
-    };
-  ]
 
 let networks =
   [
@@ -109,7 +40,7 @@ let fault_grid ~n =
       [] );
   ]
 
-let check_grid runner () =
+let check_grid (entry : Harness.Protocols.entry) () =
   let n = 5 in
   List.iter
     (fun (net_name, network) ->
@@ -117,30 +48,39 @@ let check_grid runner () =
         (fun (fault_name, faults, excluded) ->
           List.iter
             (fun seed ->
-              let r = runner.run ~n ~seed ~network ~faults in
               let label =
-                Printf.sprintf "%s/%s/%s/seed=%Ld" runner.rname net_name
+                Printf.sprintf "%s/%s/%s/seed=%Ld" entry.name net_name
                   fault_name seed
               in
-              (match Harness.Measure.check_safety r with
-              | Ok () -> ()
-              | Error msg -> Alcotest.fail (label ^ ": " ^ msg));
-              List.iter
-                (fun p ->
-                  if not (List.mem p excluded) then
-                    Alcotest.(check bool)
-                      (Printf.sprintf "%s: p%d decided" label p)
-                      true
-                      (r.Sim.Engine.decision_values.(p) <> None))
-                (List.init n Fun.id))
+              match entry.build ~n ~delta ~ts ~rho:0. ~faults () with
+              | Harness.Protocols.Packed { protocol; _ } ->
+                  let r =
+                    Sim.Engine.run (scenario ~n ~seed ~network ~faults) protocol
+                  in
+                  (match Harness.Measure.check_safety r with
+                  | Ok () -> ()
+                  | Error msg -> Alcotest.fail (label ^ ": " ^ msg));
+                  List.iter
+                    (fun p ->
+                      if not (List.mem p excluded) then
+                        Alcotest.(check bool)
+                          (Printf.sprintf "%s: p%d decided" label p)
+                          true
+                          (r.Sim.Engine.decision_values.(p) <> None))
+                    (List.init n Fun.id))
             [ 11L; 22L ])
         (fault_grid ~n))
     networks
 
+(* Every correct protocol of the table; the A1 ablation is broken by
+   design. *)
 let suite =
-  List.map
-    (fun runner ->
-      Alcotest.test_case
-        (runner.rname ^ ": full grid (5 nets x 3 faults x 2 seeds)")
-        `Quick (check_grid runner))
-    runners
+  List.filter_map
+    (fun (entry : Harness.Protocols.entry) ->
+      if entry.correct then
+        Some
+          (Alcotest.test_case
+             (entry.name ^ ": full grid (5 nets x 3 faults x 2 seeds)")
+             `Quick (check_grid entry))
+      else None)
+    Harness.Protocols.table

@@ -28,7 +28,7 @@ let prop_generate_targeted_valid =
         (fun protocol ->
           let s = F.generate ~protocol ~seed ~index () in
           Fs.validate s = Ok () && s.Fs.protocol = protocol)
-        Fs.protocols)
+        (List.map (fun e -> e.Harness.Protocols.protocol) Harness.Protocols.table))
 
 (* --- Scenario JSON ----------------------------------------------------- *)
 
@@ -219,6 +219,27 @@ let test_perfbench_campaign_pin () =
   Alcotest.(check int) "messages" 528270 !msgs;
   Alcotest.(check int) "decided" 1808 !decided
 
+(* Each entry's facts agree with what its builder returns: [takes_injections]
+   exactly when the packed protocol has an injection encoder, and the
+   names round-trip. *)
+let test_protocol_table () =
+  List.iter
+    (fun (e : Harness.Protocols.entry) ->
+      Alcotest.(check bool)
+        (e.name ^ " round-trips its name") true
+        (Harness.Protocols.of_name (String.uppercase_ascii e.name)
+        = Some e.protocol);
+      match
+        e.build ~n:3 ~delta:0.01 ~ts:0.5 ~rho:0. ~faults:Sim.Fault.none ()
+      with
+      | Harness.Protocols.Packed { inject; _ } ->
+          Alcotest.(check bool)
+            (e.name ^ " injection encoder iff takes_injections")
+            e.takes_injections (Option.is_some inject))
+    Harness.Protocols.table;
+  Alcotest.(check bool) "unknown name" true
+    (Harness.Protocols.of_name "smr" = None)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_generate_valid;
@@ -237,4 +258,5 @@ let suite =
       test_corpus_save_load_replay;
     Alcotest.test_case "b-consensus round-jump regression" `Quick
       test_bc_round_jump_regression;
+    Alcotest.test_case "protocol table" `Quick test_protocol_table;
   ]
