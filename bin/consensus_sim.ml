@@ -92,10 +92,13 @@ let seed_arg =
   Arg.(
     value & opt int64 1L & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
+(* Parsed by name only: [lossy-light] depends on delta, so the policy is
+   looked up in [networks delta] once every argument is known. *)
 let network_arg =
+  let names = List.map (fun (name, _) -> (name, name)) (networks 0.) in
   Arg.(
     value
-    & opt string "lossy"
+    & opt (enum names) "lossy"
     & info [ "network" ]
         ~doc:
           "Pre-TS network behaviour: $(b,lossy) (50% loss, long delays), \
@@ -197,11 +200,7 @@ let run_cmd_impl proto n delta ts rho seed network crashes restarts down
       (List.map (fun (p, t) -> Sim.Fault.crash ~at:t p) crashes
       @ List.map (fun (p, t) -> Sim.Fault.restart ~at:t p) restarts)
   in
-  let network =
-    match List.assoc_opt network (networks delta) with
-    | Some p -> p
-    | None -> failwith (Printf.sprintf "unknown network %S" network)
-  in
+  let network = List.assoc network (networks delta) in
   let sc =
     Sim.Scenario.make ~name:"cli" ~n ~ts ~delta ~rho ~seed ~network ~faults
       ?horizon ~record_trace:trace ()
@@ -278,28 +277,37 @@ let run_cmd =
 (* experiment                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* An experiment id, or one of [extra]; case-insensitive like
+   [Experiments.by_id], and parsed to lower case. *)
+let experiment_id_conv ~extra =
+  let ids = Harness.Experiments.ids @ extra in
+  let parse s =
+    let id = String.lowercase_ascii s in
+    if List.mem id ids then Ok id
+    else
+      Error
+        (`Msg
+           (Printf.sprintf "unknown experiment %S (try: %s)" s
+              (String.concat ", " ids)))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 let experiment_impl id full =
   let speed =
     if full then Harness.Experiments.Full else Harness.Experiments.Quick
   in
-  match String.lowercase_ascii id with
-  | "all" ->
+  match Harness.Experiments.by_id id with
+  | Some f -> Harness.Report.print Format.std_formatter (f ~speed ())
+  | None (* "all" *) ->
       Harness.Report.print_all Format.std_formatter
         (Harness.Experiments.all ~speed ())
-  | id -> (
-      match Harness.Experiments.by_id id with
-      | Some f -> Harness.Report.print Format.std_formatter (f ~speed ())
-      | None ->
-          failwith
-            (Printf.sprintf "unknown experiment %S (try: %s, all)" id
-               (String.concat ", " Harness.Experiments.ids)))
 
 let experiment_cmd =
   let id_arg =
     Arg.(
       value
-      & pos 0 string "all"
-      & info [] ~docv:"ID" ~doc:"Experiment id (e1..e9, a1, a2, or all).")
+      & pos 0 (experiment_id_conv ~extra:[ "all" ]) "all"
+      & info [] ~docv:"ID" ~doc:"Experiment id (e1..e11, a1..a4, or all).")
   in
   let full_arg =
     Arg.(
@@ -316,11 +324,7 @@ let experiment_cmd =
 (* ------------------------------------------------------------------ *)
 
 let sweep_impl proto sizes seeds delta ts network =
-  let network_policy =
-    match List.assoc_opt network (networks delta) with
-    | Some p -> p
-    | None -> failwith (Printf.sprintf "unknown network %S" network)
-  in
+  let network_policy = List.assoc network (networks delta) in
   Format.printf "  %-4s | %-10s | %-10s | %s@." "n" "mean(d)" "worst(d)"
     "undecided";
   List.iter
@@ -414,7 +418,7 @@ let check_impl model gate max_session depth max_states domains exact_keys =
       elapsed
   in
   match model with
-  | "paxos" ->
+  | `Paxos ->
       let cfg =
         {
           Mcheck.Model.n = 3;
@@ -437,7 +441,7 @@ let check_impl model gate max_session depth max_states domains exact_keys =
       Format.printf "%a@." Mcheck.Explorer.pp_outcome o;
       (* pp_outcome already reports collisions *)
       footer None
-  | "b-consensus" ->
+  | `B_consensus ->
       let cfg =
         {
           Mcheck.Bc_model.n = 3;
@@ -471,7 +475,6 @@ let check_impl model gate max_session depth max_states domains exact_keys =
              else "bounded (cap hit)")
             o.Mcheck.Explore.states o.transitions);
       footer o.Mcheck.Explore.collisions
-  | m -> failwith (Printf.sprintf "unknown model %S (paxos, b-consensus)" m)
 
 let check_cmd =
   let gate_arg =
@@ -497,7 +500,8 @@ let check_cmd =
   in
   let model_arg =
     Arg.(
-      value & opt string "paxos"
+      value
+      & opt (enum [ ("paxos", `Paxos); ("b-consensus", `B_consensus) ]) `Paxos
       & info [ "model" ] ~docv:"MODEL"
           ~doc:
             "$(b,paxos) (the session-gated core) or $(b,b-consensus) (the \
@@ -709,35 +713,30 @@ let print_trace_summary fmt trace =
    length is unknown up front. *)
 let read_whole_file path = In_channel.with_open_bin path In_channel.input_all
 
-let trace_impl id import export filters timeline stats =
-  let trace, proposals, timer_bounds, metrics =
-    match import with
-    | Some path ->
-        (match Sim.Trace.of_jsonl (read_whole_file path) with
-        | Ok t ->
-            Format.printf "imported %d entries from %s@." (Sim.Trace.length t)
-              path;
-            (t, None, None, None)
-        | Error msg -> failwith (Printf.sprintf "%s: %s" path msg))
-    | None -> (
-        match id with
-        | None ->
-            failwith
-              "nothing to do: give an experiment id (see `consensus-sim \
-               list`) or --import FILE"
-        | Some id -> (
-            match Harness.Experiments.replay id with
-            | None ->
-                failwith
-                  (Printf.sprintf "unknown experiment %S (try: %s)" id
-                     (String.concat ", " Harness.Experiments.ids))
-            | Some Harness.Experiments.
-                     { replay_id; scenario; trace; metrics; proposals;
-                       timer_bounds; _ } ->
-                Format.printf "replayed %s: scenario %a@." replay_id
-                  Sim.Scenario.pp scenario;
-                (trace, proposals, timer_bounds, Some metrics)))
-  in
+(* The trace to inspect, with what checking it needs: imported from
+   [--import], else replayed from [id]; [None] when neither is given. *)
+let load_trace id import =
+  match (import, id) with
+  | Some path, _ -> (
+      match Sim.Trace.of_jsonl (read_whole_file path) with
+      | Ok t ->
+          Format.printf "imported %d entries from %s@." (Sim.Trace.length t)
+            path;
+          Some (t, None, None, None)
+      | Error msg -> failwith (Printf.sprintf "%s: %s" path msg))
+  | None, Some id ->
+      Option.map
+        (fun Harness.Experiments.
+               { replay_id; scenario; trace; metrics; proposals;
+                 timer_bounds; _ } ->
+          Format.printf "replayed %s: scenario %a@." replay_id Sim.Scenario.pp
+            scenario;
+          (trace, proposals, timer_bounds, Some metrics))
+        (Harness.Experiments.replay id)
+  | None, None -> None
+
+let inspect_trace (trace, proposals, timer_bounds, metrics) export filters
+    timeline stats =
   print_trace_summary Format.std_formatter trace;
   (match export with
   | Some path ->
@@ -774,11 +773,20 @@ let trace_impl id import export filters timeline stats =
   Format.printf "%a@." Harness.Invariants.pp report;
   if not (Harness.Invariants.ok report) then exit 1
 
+let trace_impl id import export filters timeline stats =
+  match load_trace id import with
+  | Some loaded -> `Ok (inspect_trace loaded export filters timeline stats)
+  | None ->
+      `Error
+        ( true,
+          "nothing to do: give an experiment id (see `consensus-sim list`) \
+           or --import FILE" )
+
 let trace_cmd =
   let id_arg =
     Arg.(
       value
-      & pos 0 (some string) None
+      & pos 0 (some (experiment_id_conv ~extra:[])) None
       & info [] ~docv:"ID"
           ~doc:("Experiment id to replay with tracing on: "
                ^ String.concat ", " Harness.Experiments.ids))
@@ -828,63 +836,37 @@ let trace_cmd =
          (Cmd.Exit.info 1 ~doc:"on a trace-invariant violation."
          :: Cmd.Exit.defaults))
     Term.(
-      const trace_impl $ id_arg $ import_arg $ export_arg $ filter_arg
-      $ timeline_arg $ stats_arg)
+      ret
+        (const trace_impl $ id_arg $ import_arg $ export_arg $ filter_arg
+       $ timeline_arg $ stats_arg))
 
 (* ------------------------------------------------------------------ *)
 (* realtime                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let realtime_impl proto n delta ts seed =
-  let cfg =
-    {
-      Realtime.Netio_engine.n;
-      delta;
-      ts;
-      duration = ts +. Float.max 2.0 (200. *. delta);
-      pre_loss = 1.0;
-      seed;
-      faults = [];
-      record_trace = true;
-    }
+  let sc =
+    Sim.Scenario.make ~name:"realtime" ~n ~ts ~delta ~seed
+      ~network:Sim.Network.silent_until_ts
+      ~horizon:(ts +. Float.max 2.0 (200. *. delta))
+      ~record_trace:true ~trace_capacity:65536 ()
   in
-  let proposals = Array.init n (fun i -> 100 + i) in
-  let r : Realtime.Netio_engine.result =
-    match proto with
-    | Harness.Protocols.Modified_paxos | B_consensus -> (
-        match
-          (Harness.Protocols.entry proto).build ~n ~delta ~ts ~rho:0.
-            ~faults:Sim.Fault.none ()
-        with
-        | Harness.Protocols.Packed { protocol; _ } ->
-            Realtime.Netio_engine.run cfg ~proposals protocol)
-    | Ungated_paxos | Traditional_paxos | Rotating_coordinator ->
-        failwith
-          "realtime supports -p modified-paxos and -p b-consensus (the \
-           leader oracle and workload plumbing are simulator-side)"
-  in
-  Format.printf
-    "Netio loop, wall clock: delta = %.0f ms, silent until %.0f ms@."
-    (delta *. 1000.) (ts *. 1000.);
-  Array.iteri
-    (fun p d ->
-      match d with
-      | Some (t, v) ->
-          Format.printf "  p%d decided %d at %4.0f ms (%.1f delta after ts)@."
-            p v (t *. 1000.)
-            ((t -. ts) /. delta)
-      | None -> Format.printf "  p%d: no decision by the deadline@." p)
-    r.decisions;
-  Format.printf "messages: %d sent, %d delivered, %d dropped@." r.messages_sent
-    r.messages_delivered r.messages_dropped;
-  if r.agreement_violation then Format.printf "AGREEMENT VIOLATION@.";
-  (* The same trace-driven checker the simulator uses: wall-clock trace,
-     so no timer bounds, but agreement/causality/monotonicity apply. *)
-  let report = Harness.Invariants.check ~proposals r.trace in
-  Format.printf "%a@." Harness.Invariants.pp report;
-  let undecided = Array.exists Option.is_none r.decisions in
-  if r.agreement_violation || undecided || not (Harness.Invariants.ok report)
-  then exit 1
+  match
+    (Harness.Protocols.entry proto).build ~n ~delta ~ts ~rho:0.
+      ~faults:Sim.Fault.none ()
+  with
+  | Harness.Protocols.Packed { protocol; _ } ->
+      let r = Realtime.Netio_engine.run sc protocol in
+      print_result ~ts ~delta r ~trace:false;
+      (* The simulator's trace checker, without timer bounds: real
+         scheduling jitters. *)
+      let report = Harness.Invariants.check_run r in
+      Format.printf "%a@." Harness.Invariants.pp report;
+      if
+        Result.is_error (Harness.Measure.check_safety r)
+        || (not (Sim.Engine.all_decided r))
+        || not (Harness.Invariants.ok report)
+      then exit 1
 
 let realtime_cmd =
   let delta_rt =
@@ -902,13 +884,16 @@ let realtime_cmd =
     (Cmd.info "realtime"
        ~doc:
          "Run the protocol on a wall-clock event loop with real delays \
-          instead of the simulator.  Exits non-zero unless every process \
-          decides, agreement holds and the trace invariants pass."
+          instead of the simulator (silent before TS, times in seconds \
+          from the start of the run).  Exits non-zero unless every \
+          process decides, agreement and validity hold and the trace \
+          invariants pass."
        ~exits:
          (Cmd.Exit.info 1
             ~doc:
               "when a process does not decide by the deadline, on an \
-               agreement violation, or on a trace-invariant violation."
+               agreement or validity violation, or on a trace-invariant \
+               violation."
          :: Cmd.Exit.defaults))
     Term.(const realtime_impl $ proto_arg $ n_arg $ delta_rt $ ts_rt $ seed_arg)
 

@@ -140,6 +140,8 @@ let e1_run ~n ~lossy ~record_trace seed =
   in
   Sim.Engine.run ~injections sc (Dgl.Modified_paxos.protocol (mp_cfg n))
 
+(* Modified Paxos decides by [TS + eps + 3 tau + 5 delta], independent
+   of [N] (Section 4, proof step 8). *)
 let e1 ?(speed = Quick) () =
   let bound = Dgl.Config.decision_bound (mp_cfg 3) /. delta in
   let rows, notes, reg =
@@ -202,6 +204,8 @@ let e2_run ~n ~record_trace seed =
     sc
     (Baselines.Traditional_paxos.protocol ~n ~delta ~oracle ())
 
+(* Traditional Paxos is delayed [O(N delta)] by obsolete high ballots
+   (Section 2). *)
 let e2 ?(speed = Quick) () =
   let rows, notes, reg =
     par_collect (sizes speed) (fun obs n ->
@@ -251,6 +255,8 @@ let e3_run ~n ~record_trace seed =
   in
   Sim.Engine.run sc (Baselines.Rotating_coordinator.protocol ~n ~delta ())
 
+(* Rotating-coordinator round-based consensus needs [O(N delta)] when
+   the [⌈N/2⌉-1] first coordinators are faulty (Section 3). *)
 let e3 ?(speed = Quick) () =
   let rows, notes, reg =
     par_collect (sizes speed) (fun obs n ->
@@ -306,6 +312,8 @@ let e4_run ~offset ~record_trace seed =
   in
   Sim.Engine.run sc (Dgl.Modified_paxos.protocol (mp_cfg n))
 
+(* A process that restarts after [TS] decides within [O(delta)] of its
+   restart (Section 4, "Process Restarts"). *)
 let e4 ?(speed = Quick) () =
   let bound = Dgl.Config.restart_bound (mp_cfg 5) /. delta in
   let offsets = [ 10.; 20.; 40.; 80. ] in
@@ -361,6 +369,8 @@ let e5_run ~n ~lossy ~record_trace seed =
   Sim.Engine.run sc
     (Bconsensus.Modified_b_consensus.protocol ~n ~delta ~rho:0. ())
 
+(* Modified B-Consensus also decides within [O(delta)] of [TS],
+   "about the same" as modified Paxos (Section 5). *)
 let e5 ?(speed = Quick) () =
   let dgl_ref = Dgl.Config.decision_bound (mp_cfg 3) /. delta in
   let rows, notes, reg =
@@ -432,6 +442,8 @@ let e6_run ~eps_factor ~rate ~record_trace seed =
   in
   Sim.Engine.run sc (Dgl.Modified_paxos.protocol (e6_cfg eps_factor))
 
+(* Message-complexity vs decision-latency trade-off in [epsilon]
+   (Section 4, "Reducing Message Complexity"). *)
 let e6 ?(speed = Quick) () =
   let n = 5 in
   let eps_factors = [ 0.125; 0.25; 0.5; 1.; 2.; 4. ] in
@@ -500,6 +512,8 @@ let e7_run ~prestart ~record_trace seed =
   in
   Sim.Engine.run sc (Dgl.Modified_paxos.protocol ~options (mp_cfg n))
 
+(* Stable case: with phase 1 pre-executed, decision within 3 message
+   delays (Section 4, "Reducing Message Complexity"). *)
 let e7 ?(speed = Quick) () =
   ignore speed;
   let lats, notes, reg =
@@ -549,6 +563,8 @@ let e8_run ~sigma_factor ~record_trace seed =
   in
   Sim.Engine.run sc (Dgl.Modified_paxos.protocol (e8_cfg sigma_factor))
 
+(* Sensitivity to the session-timeout upper bound [sigma] (enters the
+   bound through [tau = max (2 delta + eps) sigma]). *)
 let e8 ?(speed = Quick) () =
   let sigmas = [ 4.05; 5.; 6.; 8.; 10. ] in
   let rows, notes, reg =
@@ -598,6 +614,8 @@ let e9_run ~rho ~record_trace seed =
   in
   Sim.Engine.run sc (Dgl.Modified_paxos.protocol (e9_cfg rho))
 
+(* Tolerance of clock-rate error [rho] while the timer window
+   [[4 delta, sigma]] stays feasible. *)
 let e9 ?(speed = Quick) () =
   let rhos = [ 0.; 0.02; 0.05; 0.1 ] in
   let rows, notes, reg =
@@ -663,6 +681,8 @@ let a1_run ~n ~gated ~record_trace seed =
   Sim.Engine.run ~injections sc
     (Dgl.Modified_paxos.protocol ~options (mp_cfg n))
 
+(* Ablation: dropping the session gate (condition (ii) of Start
+   Phase 1) re-opens the [O(N delta)] obsolete-ballot attack. *)
 let a1 ?(speed = Quick) () =
   let rows, notes, reg =
     par_collect (sizes speed) (fun obs n ->
@@ -720,6 +740,8 @@ let a2_run ~hold_back_factor ~record_trace seed =
   Sim.Engine.run sc
     (Bconsensus.Modified_b_consensus.protocol ~tuning ~n ~delta ~rho:0. ())
 
+(* Ablation: oracle hold-backs shorter than [2 delta] break same-order
+   delivery and slow modified B-Consensus down. *)
 let a2 ?(speed = Quick) () =
   let factors = [ 0.; 0.5; 1.; 2.; 4. ] in
   let rows, notes, reg =
@@ -794,6 +816,9 @@ let e10_run ~stable_from_start ~record_trace seed =
   in
   Sim.Engine.run sc (Smr.Multi_paxos.protocol (mp_cfg n) ~workloads)
 
+(* State machine replication (lib/smr): with phase 1 pre-executed for
+   all instances, a stable leader commits each command within 3 message
+   delays (Section 4, "Reducing Message Complexity"). *)
 let e10 ?(speed = Quick) () =
   ignore speed;
   let run obs ~stable_from_start =
@@ -938,6 +963,9 @@ let a3_run ~probe ~isolation ~jump ~record_trace seed =
   Sim.Engine.run sc
     (Bconsensus.Modified_b_consensus.protocol ~tuning ~n ~delta ~rho:0. ())
 
+(* Ablation: with round jumping disabled (the original B-Consensus
+   shape) a straggler executes every round in order and its catch-up
+   grows with how far behind it is (Section 5, last paragraph). *)
 let a3 ?(speed = Quick) () =
   ignore speed;
   let straggler = 4 in
@@ -1052,6 +1080,10 @@ let e11_run ~n ~stale ~record_trace seed =
   Sim.Engine.run ~injections sc
     (Baselines.Heartbeat_omega.protocol ~tuning:e11_tuning ~n ~delta ())
 
+(* A concrete heartbeat-based leader elector stabilizes in O(delta)
+   after TS only without obsolete heartbeats; stale heartbeats from dead
+   low-id processes delay it O(N delta) — the Section 3 remark about
+   leader-based algorithms, made executable. *)
 let e11 ?(speed = Quick) () =
   let rows, notes, reg =
     par_collect (sizes speed) (fun obs n ->
@@ -1130,6 +1162,10 @@ let a4_run ~progress_gate ~record_trace seed =
   Sim.Engine.run sc
     (Smr.Multi_paxos.protocol ~progress_gate (mp_cfg n) ~workloads)
 
+(* Ablation: without the progress gate the SMR layer's leadership
+   churns every session timeout even in a healthy system (the gate is
+   this repository's realization of the paper's "same behavior as
+   normal Paxos in the stable case"; see DESIGN.md 4b.5). *)
 let a4 ?(speed = Quick) () =
   ignore speed;
   let run obs ~progress_gate =

@@ -8,73 +8,9 @@
 
 type speed = Quick | Full
 
-(** Modified Paxos decides by [TS + eps + 3 tau + 5 delta], independent
-    of [N] (Section 4, proof step 8). *)
-val e1 : ?speed:speed -> unit -> Report.table
-
-(** Traditional Paxos is delayed [O(N delta)] by obsolete high ballots
-    (Section 2). *)
-val e2 : ?speed:speed -> unit -> Report.table
-
-(** Rotating-coordinator round-based consensus needs [O(N delta)] when
-    the [⌈N/2⌉-1] first coordinators are faulty (Section 3). *)
-val e3 : ?speed:speed -> unit -> Report.table
-
-(** A process that restarts after [TS] decides within [O(delta)] of its
-    restart (Section 4, "Process Restarts"). *)
-val e4 : ?speed:speed -> unit -> Report.table
-
-(** Modified B-Consensus also decides within [O(delta)] of [TS],
-    "about the same" as modified Paxos (Section 5). *)
-val e5 : ?speed:speed -> unit -> Report.table
-
-(** Message-complexity vs decision-latency trade-off in [epsilon]
-    (Section 4, "Reducing Message Complexity"). *)
-val e6 : ?speed:speed -> unit -> Report.table
-
-(** Stable case: with phase 1 pre-executed, decision within 3 message
-    delays (Section 4, "Reducing Message Complexity"). *)
-val e7 : ?speed:speed -> unit -> Report.table
-
-(** Sensitivity to the session-timeout upper bound [sigma] (enters the
-    bound through [tau = max (2 delta + eps) sigma]). *)
-val e8 : ?speed:speed -> unit -> Report.table
-
-(** Tolerance of clock-rate error [rho] while the timer window
-    [[4 delta, sigma]] stays feasible. *)
-val e9 : ?speed:speed -> unit -> Report.table
-
-(** State machine replication (lib/smr): with phase 1 pre-executed for
-    all instances, a stable leader commits each command within 3 message
-    delays (Section 4, "Reducing Message Complexity"). *)
-val e10 : ?speed:speed -> unit -> Report.table
-
-(** A concrete heartbeat-based leader elector stabilizes in O(delta)
-    after TS only without obsolete heartbeats; stale heartbeats from dead
-    low-id processes delay it O(N delta) — the Section 3 remark about
-    leader-based algorithms, made executable. *)
-val e11 : ?speed:speed -> unit -> Report.table
-
-(** Ablation: dropping the session gate (condition (ii) of Start
-    Phase 1) re-opens the [O(N delta)] obsolete-ballot attack. *)
-val a1 : ?speed:speed -> unit -> Report.table
-
-(** Ablation: oracle hold-backs shorter than [2 delta] break same-order
-    delivery and slow modified B-Consensus down. *)
-val a2 : ?speed:speed -> unit -> Report.table
-
-(** Ablation: with round jumping disabled (the original B-Consensus
-    shape) a straggler executes every round in order and its catch-up
-    grows with how far behind it is (Section 5, last paragraph). *)
-val a3 : ?speed:speed -> unit -> Report.table
-
-(** Ablation: without the progress gate the SMR layer's leadership
-    churns every session timeout even in a healthy system (the gate is
-    this repository's realization of the paper's "same behavior as
-    normal Paxos in the stable case"; see DESIGN.md 4b.5). *)
-val a4 : ?speed:speed -> unit -> Report.table
-
-(** All of the above, in order. *)
+(** Every table, in order: E1–E11 then the ablations A1–A4 (what each
+    regenerates is documented at its definition and in DESIGN.md
+    section 4). *)
 val all : ?speed:speed -> unit -> Report.table list
 
 (** The headline comparison as a chartable (label, worst-latency) series:

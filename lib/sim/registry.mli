@@ -65,9 +65,6 @@ val merge_into : dst:t -> t -> unit
 (** Drop all counters and histograms. *)
 val reset : t -> unit
 
-(** All counters as [(name, total)], sorted by name (deterministic). *)
-val counters : t -> (string * int) list
-
 (** All histograms as [(name, sample_count, sum)], sorted by name. *)
 val histograms : t -> (string * int * float) list
 

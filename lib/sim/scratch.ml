@@ -7,18 +7,9 @@
    stores states); scratch is only for values that die before the handler
    returns. *)
 
-type t = {
-  mutable ints : int array;
-  mutable floats : float array;
-  buf : Buffer.t;
-}
+type t = { mutable floats : float array; buf : Buffer.t }
 
-let create () = { ints = [||]; floats = [||]; buf = Buffer.create 64 }
-
-let ints t n =
-  if Array.length t.ints < n then
-    t.ints <- Array.make (Stdlib.max n (2 * Array.length t.ints)) 0;
-  t.ints
+let create () = { floats = [||]; buf = Buffer.create 64 }
 
 let floats t n =
   if Array.length t.floats < n then

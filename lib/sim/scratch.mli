@@ -13,11 +13,9 @@ type t
 
 val create : unit -> t
 
-(** [ints t n] is a reusable array of length >= [n] with arbitrary
+(** [floats t n] is a reusable array of length >= [n] with arbitrary
     (stale) contents.  The same storage is returned on every call,
     grown as needed. *)
-val ints : t -> int -> int array
-
 val floats : t -> int -> float array
 
 (** An emptied reusable buffer for building note/label text. *)
