@@ -66,6 +66,14 @@ let fault_spec_conv =
   let print fmt (p, t) = Format.fprintf fmt "%d@%g" p t in
   Arg.conv (parse, print)
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let n_arg =
   Arg.(value & opt int 5 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
 
@@ -193,6 +201,47 @@ let print_result ~ts ~delta (r : _ Sim.Engine.run_result) ~trace =
   | Ok () -> Format.printf "safety: agreement + validity OK@."
   | Error msg -> Format.printf "SAFETY: %s@." msg
 
+(* -p smr: multi-decree state machine replication of [commands]
+   increments submitted to process 1. *)
+let run_smr sc cfg ~n ~ts ~delta ~commands ~trace =
+  let workloads =
+    Array.init n (fun p ->
+        if p <> 1 mod n then []
+        else
+          List.init commands (fun k ->
+              ( (ts /. 2.) +. (10. *. delta *. float_of_int k),
+                Smr.Command.make ~id:k (Smr.Command.Add (k + 1)) )))
+  in
+  let r = Sim.Engine.run sc (Smr.Multi_paxos.protocol cfg ~workloads) in
+  Format.printf "protocol: %s@." r.Sim.Engine.protocol_name;
+  Format.printf "scenario: %a@." Sim.Scenario.pp r.scenario;
+  if trace then Sim.Trace.pp Format.std_formatter r.trace;
+  Array.iteri
+    (fun p st ->
+      match st with
+      | Some st ->
+          Format.printf
+            "replica %d: register=%d, log=%d entries, %d commands \
+             applied, converged=%b@."
+            p
+            (Smr.Multi_paxos.register st)
+            (Smr.Multi_paxos.chosen_upto st)
+            (List.length (Smr.Multi_paxos.applied st))
+            (r.Sim.Engine.decision_values.(p) <> None)
+      | None -> Format.printf "replica %d: down@." p)
+    r.final_states;
+  (match r.agreement_violation with
+  | None -> Format.printf "logs: identical applied sequences@."
+  | Some _ -> Format.printf "LOG DIVERGENCE@.")
+
+(* A scenario that [Sim.Scenario.validate] rejects, and parameters that a
+   protocol builder rejects with [Invalid_argument], are usage errors
+   (exit 124), not internal ones (exit 125). *)
+let checked_build sc build =
+  match Sim.Scenario.validate sc with
+  | Error msg -> Error ("invalid scenario: " ^ msg)
+  | Ok () -> ( try Ok (build ()) with Invalid_argument msg -> Error msg)
+
 let run_cmd_impl proto n delta ts rho seed network crashes restarts down
     trace sigma epsilon horizon commands =
   let faults =
@@ -205,48 +254,23 @@ let run_cmd_impl proto n delta ts rho seed network crashes restarts down
     Sim.Scenario.make ~name:"cli" ~n ~ts ~delta ~rho ~seed ~network ~faults
       ?horizon ~record_trace:trace ()
   in
-  (match Sim.Scenario.validate sc with
-  | Ok () -> ()
-  | Error msg -> failwith ("invalid scenario: " ^ msg));
   match proto with
   | Some p -> (
       match
-        (Harness.Protocols.entry p).build ?sigma ?epsilon ~n ~delta ~ts ~rho
-          ~faults ()
+        checked_build sc (fun () ->
+            (Harness.Protocols.entry p).build ?sigma ?epsilon ~n ~delta ~ts
+              ~rho ~faults ())
       with
-      | Harness.Protocols.Packed { protocol; _ } ->
-          print_result ~ts ~delta (Sim.Engine.run sc protocol) ~trace)
-  | None ->
-      let cfg = Dgl.Config.make ?sigma ?epsilon ~rho ~n ~delta () in
-      let workloads =
-        Array.init n (fun p ->
-            if p <> 1 mod n then []
-            else
-              List.init commands (fun k ->
-                  ( (ts /. 2.) +. (10. *. delta *. float_of_int k),
-                    Smr.Command.make ~id:k (Smr.Command.Add (k + 1)) )))
-      in
-      let r = Sim.Engine.run sc (Smr.Multi_paxos.protocol cfg ~workloads) in
-      Format.printf "protocol: %s@." r.Sim.Engine.protocol_name;
-      Format.printf "scenario: %a@." Sim.Scenario.pp r.scenario;
-      if trace then Sim.Trace.pp Format.std_formatter r.trace;
-      Array.iteri
-        (fun p st ->
-          match st with
-          | Some st ->
-              Format.printf
-                "replica %d: register=%d, log=%d entries, %d commands \
-                 applied, converged=%b@."
-                p
-                (Smr.Multi_paxos.register st)
-                (Smr.Multi_paxos.chosen_upto st)
-                (List.length (Smr.Multi_paxos.applied st))
-                (r.Sim.Engine.decision_values.(p) <> None)
-          | None -> Format.printf "replica %d: down@." p)
-        r.final_states;
-      (match r.agreement_violation with
-      | None -> Format.printf "logs: identical applied sequences@."
-      | Some _ -> Format.printf "LOG DIVERGENCE@.")
+      | Error msg -> `Error (false, msg)
+      | Ok (Harness.Protocols.Packed { protocol; _ }) ->
+          `Ok (print_result ~ts ~delta (Sim.Engine.run sc protocol) ~trace))
+  | None -> (
+      match
+        checked_build sc (fun () ->
+            Dgl.Config.make ?sigma ?epsilon ~rho ~n ~delta ())
+      with
+      | Error msg -> `Error (false, msg)
+      | Ok cfg -> `Ok (run_smr sc cfg ~n ~ts ~delta ~commands ~trace))
 
 (* [None] is -p smr, multi-decree state machine replication: a `run`-only
    name outside the single-decree table. *)
@@ -264,9 +288,10 @@ let run_proto_arg =
 
 let run_term =
   Term.(
-    const run_cmd_impl $ run_proto_arg $ n_arg $ delta_arg $ ts_arg $ rho_arg
-    $ seed_arg $ network_arg $ crash_arg $ restart_arg $ down_arg $ trace_arg
-    $ sigma_arg $ epsilon_arg $ horizon_arg $ commands_arg)
+    ret
+      (const run_cmd_impl $ run_proto_arg $ n_arg $ delta_arg $ ts_arg
+     $ rho_arg $ seed_arg $ network_arg $ crash_arg $ restart_arg $ down_arg
+     $ trace_arg $ sigma_arg $ epsilon_arg $ horizon_arg $ commands_arg))
 
 let run_cmd =
   Cmd.v
@@ -323,52 +348,64 @@ let experiment_cmd =
 (* sweep                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* One row: [seeds] runs of the size-[n] scenario [sc], latency after TS
+   in delta units over the processes outside [down]. *)
+let sweep_row ~seeds ~ts ~delta (n, down, sc, build) =
+  let live = Harness.Measure.procs ~n ~except:down () in
+  let lats =
+    List.concat
+      (List.init seeds (fun i ->
+           let sc = Sim.Scenario.with_seed sc (Int64.of_int ((i * 7919) + 1)) in
+           match build () with
+           | Harness.Protocols.Packed { protocol; _ } ->
+               let r = Sim.Engine.run sc protocol in
+               List.map
+                 (fun p ->
+                   match r.Sim.Engine.decision_times.(p) with
+                   | Some t -> (t -. ts) /. delta
+                   | None -> Float.infinity)
+                 live))
+  in
+  let finite = List.filter Float.is_finite lats in
+  let undecided = List.length lats - List.length finite in
+  match finite with
+  | [] -> Format.printf "  %-4d | %-10s | %-10s | %d@." n "-" "-" undecided
+  | _ ->
+      Format.printf "  %-4d | %-10.2f | %-10.1f | %d@." n
+        (Sim.Metrics.mean finite)
+        (List.fold_left Float.max 0. finite)
+        undecided
+
 let sweep_impl proto sizes seeds delta ts network =
-  let network_policy = List.assoc network (networks delta) in
-  Format.printf "  %-4s | %-10s | %-10s | %s@." "n" "mean(d)" "worst(d)"
-    "undecided";
-  List.iter
-    (fun n ->
-      let down = Harness.Adversaries.faulty_minority ~n in
-      let faults = Sim.Fault.make ~initially_down:down [] in
-      let live = Harness.Measure.procs ~n ~except:down () in
-      let lats =
-        List.concat
-          (List.init seeds (fun i ->
-               let seed = Int64.of_int ((i * 7919) + 1) in
-               let sc =
-                 Sim.Scenario.make ~name:"sweep" ~n ~ts ~delta ~seed
-                   ~network:network_policy ~faults ()
-               in
-               match
-                 (Harness.Protocols.entry proto).build ~n ~delta ~ts ~rho:0.
-                   ~faults ()
-               with
-               | Harness.Protocols.Packed { protocol; _ } ->
-                   let r = Sim.Engine.run sc protocol in
-                   List.map
-                     (fun p ->
-                       match r.Sim.Engine.decision_times.(p) with
-                       | Some t -> (t -. ts) /. delta
-                       | None -> Float.infinity)
-                     live))
-      in
-      let finite = List.filter Float.is_finite lats in
-      let undecided = List.length lats - List.length finite in
-      match finite with
-      | [] -> Format.printf "  %-4d | %-10s | %-10s | %d@." n "-" "-" undecided
-      | _ ->
-          Format.printf "  %-4d | %-10.2f | %-10.1f | %d@." n
-            (Sim.Metrics.mean finite)
-            (List.fold_left Float.max 0. finite)
-            undecided)
-    sizes
+  let network = List.assoc network (networks delta) in
+  let row n =
+    let down = Harness.Adversaries.faulty_minority ~n in
+    let faults = Sim.Fault.make ~initially_down:down [] in
+    let sc =
+      Sim.Scenario.make ~name:"sweep" ~n ~ts ~delta ~network ~faults ()
+    in
+    let build () =
+      (Harness.Protocols.entry proto).build ~n ~delta ~ts ~rho:0. ~faults ()
+    in
+    Result.map (fun _ -> (n, down, sc, build)) (checked_build sc build)
+  in
+  (* every size is checked before the first row prints *)
+  match
+    List.partition_map
+      (function Ok r -> Either.Left r | Error msg -> Either.Right msg)
+      (List.map row sizes)
+  with
+  | _, msg :: _ -> `Error (false, msg)
+  | rows, [] ->
+      Format.printf "  %-4s | %-10s | %-10s | %s@." "n" "mean(d)" "worst(d)"
+        "undecided";
+      `Ok (List.iter (sweep_row ~seeds ~ts ~delta) rows)
 
 let sweep_cmd =
   let sizes_arg =
     Arg.(
       value
-      & opt (list int) [ 3; 5; 9; 17 ]
+      & opt (list positive_int) [ 3; 5; 9; 17 ]
       & info [ "sizes" ] ~docv:"N,N,..." ~doc:"Cluster sizes to sweep.")
   in
   let seeds_arg =
@@ -382,8 +419,9 @@ let sweep_cmd =
          "Sweep cluster sizes for one protocol (faulty minority down, \
           latency after TS in delta units).")
     Term.(
-      const sweep_impl $ proto_arg $ sizes_arg $ seeds_arg $ delta_arg
-      $ ts_arg $ network_arg)
+      ret
+        (const sweep_impl $ proto_arg $ sizes_arg $ seeds_arg $ delta_arg
+       $ ts_arg $ network_arg))
 
 (* ------------------------------------------------------------------ *)
 (* check (bounded model checking)                                      *)
@@ -852,10 +890,12 @@ let realtime_impl proto n delta ts seed =
       ~record_trace:true ~trace_capacity:65536 ()
   in
   match
-    (Harness.Protocols.entry proto).build ~n ~delta ~ts ~rho:0.
-      ~faults:Sim.Fault.none ()
+    checked_build sc (fun () ->
+        (Harness.Protocols.entry proto).build ~n ~delta ~ts ~rho:0.
+          ~faults:Sim.Fault.none ())
   with
-  | Harness.Protocols.Packed { protocol; _ } ->
+  | Error msg -> `Error (false, msg)
+  | Ok (Harness.Protocols.Packed { protocol; _ }) ->
       let r = Realtime.Netio_engine.run sc protocol in
       print_result ~ts ~delta r ~trace:false;
       (* The simulator's trace checker, without timer bounds: real
@@ -866,7 +906,8 @@ let realtime_impl proto n delta ts seed =
         Result.is_error (Harness.Measure.check_safety r)
         || (not (Sim.Engine.all_decided r))
         || not (Harness.Invariants.ok report)
-      then exit 1
+      then exit 1;
+      `Ok ()
 
 let realtime_cmd =
   let delta_rt =
@@ -895,7 +936,8 @@ let realtime_cmd =
                agreement or validity violation, or on a trace-invariant \
                violation."
          :: Cmd.Exit.defaults))
-    Term.(const realtime_impl $ proto_arg $ n_arg $ delta_rt $ ts_rt $ seed_arg)
+    Term.(
+      ret (const realtime_impl $ proto_arg $ n_arg $ delta_rt $ ts_rt $ seed_arg))
 
 (* ------------------------------------------------------------------ *)
 (* serve / client: the real-process socket cluster                     *)

@@ -104,7 +104,7 @@ let fold_canonical f acc st =
     st.msgs acc
 
 let fingerprint st =
-  Fingerprint.finish (fold_canonical Fingerprint.add_int Fingerprint.empty st)
+  Fingerprint.(finish (fold_canonical add (hasher ()) st))
 
 let with_proc st p proc =
   let procs = Array.copy st.procs in

@@ -34,8 +34,9 @@ let split_chunks ~parts xs =
     go 0 xs []
   end
 
-let run ?(domains = 1) ?(exact_keys = false) ?registry ~initial ~successors
-    ~fingerprint ~key ~properties ~max_depth ~max_states () =
+let run (type key) ?(domains = 1) ?(exact_keys = false) ?registry ~initial
+    ~successors ~fingerprint ~(key : _ -> key) ~properties ~max_depth
+    ~max_states () =
   let pool =
     if domains > 1 then Some (Sim.Domain_pool.create ~domains ()) else None
   in
@@ -43,17 +44,27 @@ let run ?(domains = 1) ?(exact_keys = false) ?registry ~initial ~successors
     match pool with Some p -> Sim.Domain_pool.shutdown p | None -> ()
   in
   Fun.protect ~finally @@ fun () ->
-  let visited_fp : unit Fingerprint.Tbl.t = Fingerprint.Tbl.create 4096 in
+  let visited_fp = Fingerprint.Set.create () in
   (* exact-keys mode: the structural table is authoritative (results are
      ground truth) and [visited_fp] runs alongside purely to count
-     collisions *)
-  let visited_exact =
-    if exact_keys then Some (Hashtbl.create ~random:false 4096) else None
-  in
+     collisions.  Keys are bucketed on a hash of the whole key: the
+     default [Hashtbl.hash] reads only 10 meaningful words, which left
+     the 190k keys of the depth-10 Paxos search about 2k hash values,
+     while [hash_param 256 256] reads up to 256 values (the runtime's
+     cap), all of a key at these depths.  Structural equality decides
+     membership. *)
+  let module Exact = Hashtbl.Make (struct
+    type t = key
+
+    let equal = ( = )
+
+    let hash = Hashtbl.hash_param 256 256
+  end) in
+  let visited_exact = if exact_keys then Some (Exact.create 4096) else None in
   let stored () =
     match visited_exact with
-    | Some t -> Hashtbl.length t
-    | None -> Fingerprint.Tbl.length visited_fp
+    | Some t -> Exact.length t
+    | None -> Fingerprint.Set.length visited_fp
   in
   let transitions = ref 0 in
   let complete = ref true in
@@ -71,19 +82,19 @@ let run ?(domains = 1) ?(exact_keys = false) ?registry ~initial ~successors
       match visited_exact with
       | Some t ->
           let k = key st in
-          if Hashtbl.mem t k then `Seen
-          else if Hashtbl.length t >= max_states then `Full
+          if Exact.mem t k then `Seen
+          else if Exact.length t >= max_states then `Full
           else begin
-            if Fingerprint.Tbl.mem visited_fp fp then incr collisions;
-            Hashtbl.replace t k ();
-            Fingerprint.Tbl.replace visited_fp fp ();
+            if Fingerprint.Set.mem visited_fp fp then incr collisions;
+            Exact.replace t k ();
+            Fingerprint.Set.add visited_fp fp;
             `Stored
           end
       | None ->
-          if Fingerprint.Tbl.mem visited_fp fp then `Seen
-          else if Fingerprint.Tbl.length visited_fp >= max_states then `Full
+          if Fingerprint.Set.mem visited_fp fp then `Seen
+          else if Fingerprint.Set.length visited_fp >= max_states then `Full
           else begin
-            Fingerprint.Tbl.replace visited_fp fp ();
+            Fingerprint.Set.add visited_fp fp;
             `Stored
           end
     in
@@ -96,10 +107,8 @@ let run ?(domains = 1) ?(exact_keys = false) ?registry ~initial ~successors
         complete := false;
         check st
   in
-  let expand states =
-    List.map
-      (fun st -> List.map (fun s -> (fingerprint s, s)) (successors st))
-      states
+  let expand_state st =
+    List.map (fun s -> (fingerprint s, s)) (successors st)
   in
   let seed = ref [] in
   admit seed (fingerprint initial, initial);
@@ -121,22 +130,24 @@ let run ?(domains = 1) ?(exact_keys = false) ?registry ~initial ~successors
       frontier := []
     end
     else begin
-      let chunks = split_chunks ~parts:(domains * 4) !frontier in
-      let expanded =
-        match pool with
-        | Some p -> Sim.Domain_pool.map p expand chunks
-        | None -> List.map expand chunks
-      in
-      (* every generated edge of the level counts, deterministically,
-         whether or not the merge below stops at a violation *)
-      List.iter
-        (List.iter (fun succs -> transitions := !transitions + List.length succs))
-        expanded;
       let next = ref [] in
-      List.iter
-        (List.iter
-           (List.iter (fun fs -> if Option.is_none !violation then admit next fs)))
-        expanded;
+      (* every generated edge of the level counts, deterministically,
+         whether or not the merge stops at a violation *)
+      let merge succs =
+        transitions := !transitions + List.length succs;
+        List.iter
+          (fun fs -> if Option.is_none !violation then admit next fs)
+          succs
+      in
+      (match pool with
+      | Some p ->
+          let chunks = split_chunks ~parts:(domains * 4) !frontier in
+          List.iter (List.iter merge)
+            (Sim.Domain_pool.map p (List.map expand_state) chunks)
+      | None ->
+          (* merge each state's successors as soon as they exist, so
+             the ones that are already visited die young *)
+          List.iter (fun st -> merge (expand_state st)) !frontier);
       frontier := List.rev !next;
       incr depth
     end

@@ -17,18 +17,21 @@
     first [violation] — lowest chunk index, then lowest in-chunk index,
     the same rule as {!Sim.Domain_pool.map}'s exception choice — are
     identical at 1 and N domains.  [domains = 1] runs the same layered
-    algorithm inline on the calling domain with no pool at all (the
-    exact serial path).
+    algorithm inline on the calling domain with no pool at all, merging
+    each state's successors as soon as they are generated (the same
+    order, without holding a whole expanded level).
 
     {2 Visited keys}
 
-    The visited set is keyed on 128-bit {!Fingerprint}s of the
-    producer's canonical encoding — 16 bytes per state instead of a
-    deep structural key.  [exact_keys] is the verification mode: the
-    structural [key] table becomes authoritative (so its results are
-    ground truth) and the fingerprint table runs alongside purely to
-    count collisions — a nonzero [collisions] means two structurally
-    distinct stored states shared a fingerprint.
+    The visited set is a {!Fingerprint.Set} of 128-bit fingerprints of
+    the producer's canonical encoding — one flat table of 16-byte slots
+    instead of a deep structural key per state.  [exact_keys] is the
+    verification mode: a hash table on the structural [key] (bucketed
+    on a hash of the whole key, compared structurally) becomes
+    authoritative, so its results are ground truth, and the fingerprint
+    set runs alongside purely to count collisions — a nonzero
+    [collisions] means two structurally distinct stored states shared
+    a fingerprint.
 
     {2 Bound semantics}
 

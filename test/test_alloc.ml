@@ -124,6 +124,63 @@ let test_b_consensus () =
          (Bconsensus.Modified_b_consensus.protocol ~n ~delta ~rho:0. ()))
         .Sim.Engine.events_processed)
 
+(* Model-checker fingerprints.  The hasher keeps its two int64 lanes in
+   one 16-byte [Bytes] and reads and writes them inside one function, so
+   nothing is boxed per input word even under [-opaque].  Measured (dev
+   profile, OCaml 5.1): 18.0 words per [Model.fingerprint] call — the
+   hasher, the result and the fold closures — whatever the message
+   count.  The constant is pinned ~2x above that and the slope at
+   <= 1 word per message; boxed lanes cost several words per input word,
+   about five input words per message. *)
+
+let fingerprint_budget = 36.
+
+let mcheck_cfg =
+  { Mcheck.Model.n = 3; proposals = [| 10; 20; 30 |]; max_session = 2;
+    gate = true }
+
+let msg_count st = Mcheck.Model.Msgset.cardinal st.Mcheck.Model.msgs
+
+(* Walk the search space greedily, taking the first successor that adds a
+   message, for up to [steps] steps. *)
+let rec grow st steps =
+  if steps = 0 then st
+  else
+    match
+      List.find_opt
+        (fun s -> msg_count s > msg_count st)
+        (Mcheck.Model.successors mcheck_cfg st)
+    with
+    | Some s -> grow s (steps - 1)
+    | None -> st
+
+let words_per_fingerprint st =
+  let calls = 1000 in
+  ignore (Sys.opaque_identity (Mcheck.Model.fingerprint st));
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Mcheck.Model.fingerprint st))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int calls
+
+let test_fingerprint_budget () =
+  let empty = Mcheck.Model.initial mcheck_cfg in
+  let full = grow empty 20 in
+  let msgs = msg_count full in
+  Alcotest.(check bool) (Printf.sprintf "%d messages reached" msgs) true
+    (msgs >= 15);
+  let w0 = words_per_fingerprint empty and w1 = words_per_fingerprint full in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words/fingerprint with no message within [0, %.0f]"
+       w0 fingerprint_budget)
+    true
+    (w0 >= 0. && w0 <= fingerprint_budget);
+  let slope = (w1 -. w0) /. float_of_int msgs in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per message within 1" slope)
+    true
+    (Float.abs slope <= 1.)
+
 let suite =
   [
     Alcotest.test_case "engine loop allocates nothing" `Quick
@@ -137,4 +194,6 @@ let suite =
     Alcotest.test_case "rotating coordinator run budget" `Quick
       test_rotating_coordinator;
     Alcotest.test_case "b-consensus run budget" `Quick test_b_consensus;
+    Alcotest.test_case "mcheck fingerprint budget" `Quick
+      test_fingerprint_budget;
   ]

@@ -13,8 +13,11 @@
 
 (* --- a toy chain: state = i, succ i = [i+1] -------------------------- *)
 
-let int_fp i =
-  Mcheck.Fingerprint.finish (Mcheck.Fingerprint.add_int Mcheck.Fingerprint.empty i)
+let fp_of xs =
+  Mcheck.Fingerprint.(
+    finish (List.fold_left add (hasher ()) xs))
+
+let int_fp i = fp_of [ i ]
 
 let chain ?(domains = 1) ?(exact_keys = false) ~max_depth ~max_states properties
     =
@@ -76,10 +79,6 @@ let test_exhaustive_small () =
 (* --- fingerprints ---------------------------------------------------- *)
 
 let test_fingerprint_basics () =
-  let fp_of xs =
-    Mcheck.Fingerprint.finish
-      (List.fold_left Mcheck.Fingerprint.add_int Mcheck.Fingerprint.empty xs)
-  in
   Alcotest.(check bool) "deterministic" true
     (Mcheck.Fingerprint.equal (fp_of [ 1; 2; 3 ]) (fp_of [ 1; 2; 3 ]));
   Alcotest.(check bool) "order-sensitive" false
@@ -88,16 +87,132 @@ let test_fingerprint_basics () =
     (Mcheck.Fingerprint.equal (fp_of [ 1 ]) (fp_of [ 1; 0 ]));
   Alcotest.(check int) "hex is 128 bits" 32
     (String.length (Mcheck.Fingerprint.to_hex (fp_of [ 42 ])));
-  Alcotest.(check int) "compare agrees with equal" 0
-    (Mcheck.Fingerprint.compare (fp_of [ 5 ]) (fp_of [ 5 ]))
+  let hex = Mcheck.Fingerprint.to_hex (fp_of [ 5 ]) in
+  Alcotest.(check string) "of_hex inverts to_hex" hex
+    Mcheck.Fingerprint.(to_hex (of_hex hex));
+  Alcotest.check_raises "of_hex rejects upper case"
+    (Invalid_argument "Fingerprint.of_hex") (fun () ->
+      ignore (Mcheck.Fingerprint.of_hex (String.uppercase_ascii hex)))
 
 let test_fingerprint_no_collisions_smoke () =
   (* 100k single-word inputs: all fingerprints distinct *)
-  let tbl = Mcheck.Fingerprint.Tbl.create 1024 in
+  let set = Mcheck.Fingerprint.Set.create () in
   for i = 0 to 99_999 do
-    Mcheck.Fingerprint.Tbl.replace tbl (int_fp i) ()
+    Mcheck.Fingerprint.Set.add set (int_fp i)
   done;
-  Alcotest.(check int) "distinct" 100_000 (Mcheck.Fingerprint.Tbl.length tbl)
+  Alcotest.(check int) "distinct" 100_000 (Mcheck.Fingerprint.Set.length set)
+
+(* Pinned fingerprint values: a change to the hasher or to a canonical
+   stream that alters any fingerprint fails here, not silently in the
+   visited-set layout. *)
+
+let paxos_cfg =
+  { Mcheck.Model.n = 3; proposals = [| 10; 20; 30 |]; max_session = 1;
+    gate = true }
+
+let bc_cfg =
+  { Mcheck.Bc_model.n = 3; proposals = [| 10; 20; 30 |]; max_round = 1;
+    mutation = None }
+
+(* MD5 over the hex fingerprint of every successor generated by a BFS to
+   [depth], deduplicated on the structural key. *)
+let bfs_digest ~initial ~successors ~key ~fingerprint ~depth =
+  let buf = Buffer.create 4096 in
+  let seen = Hashtbl.create 1024 in
+  Hashtbl.replace seen (key initial) ();
+  let rec level d frontier =
+    if d < depth then
+      level (d + 1)
+        (List.concat_map
+           (fun st ->
+             List.filter
+               (fun s ->
+                 Buffer.add_string buf
+                   (Mcheck.Fingerprint.to_hex (fingerprint s));
+                 let k = key s in
+                 (not (Hashtbl.mem seen k))
+                 && (Hashtbl.replace seen k (); true))
+               (successors st))
+           frontier)
+  in
+  level 0 [ initial ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_fingerprint_values_pinned () =
+  let hex fp = Mcheck.Fingerprint.to_hex fp in
+  Alcotest.(check string) "paxos initial" "19a59802b31661a82dea809d8220f6ff"
+    (hex (Mcheck.Model.fingerprint (Mcheck.Model.initial paxos_cfg)));
+  Alcotest.(check string) "b-consensus initial"
+    "f93fd91f81e46cac8cc006b19010c1a4"
+    (hex (Mcheck.Bc_model.fingerprint (Mcheck.Bc_model.initial bc_cfg)));
+  Alcotest.(check string) "paxos depth-4 successors (983 edges)"
+    "869ba3d238755783d3e7578b6c97d4a3"
+    (bfs_digest ~initial:(Mcheck.Model.initial paxos_cfg)
+       ~successors:(Mcheck.Model.successors paxos_cfg) ~key:Mcheck.Model.key
+       ~fingerprint:Mcheck.Model.fingerprint ~depth:4);
+  Alcotest.(check string) "b-consensus depth-4 successors (228 edges)"
+    "f385ce6636bb9da1d7d1872502fdc1d9"
+    (bfs_digest ~initial:(Mcheck.Bc_model.initial bc_cfg)
+       ~successors:(Mcheck.Bc_model.successors bc_cfg)
+       ~key:Mcheck.Bc_model.key ~fingerprint:Mcheck.Bc_model.fingerprint
+       ~depth:4)
+
+(* --- the flat fingerprint set against a Hashtbl reference ------------ *)
+
+(* Keys are raw 128-bit values.  Lanes come from a few fixed values
+   (zero, all ones, the ends of the initial table) or uniformly, so keys
+   often share a home slot and probe chains wrap around the table end;
+   the all-zero key (the empty-slot pattern) turns up regularly.  Up to
+   3000 operations cross the growth points at 513, 1025 and 2049
+   members. *)
+let lane_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl [ 0L; 1L; -1L; 1023L; 1024L ]);
+        (1, map Int64.of_int (int_range 0 3));
+        (3, ui64);
+      ])
+
+let key_gen =
+  QCheck.Gen.map2
+    (fun hi lo -> Printf.sprintf "%016Lx%016Lx" hi lo)
+    lane_gen lane_gen
+
+let ops_arb =
+  QCheck.make
+    ~print:(fun ops ->
+      Printf.sprintf "%d ops: %s ..." (List.length ops)
+        (String.concat " "
+           (List.filteri (fun i _ -> i < 8)
+              (List.map
+                 (fun (add, k) -> (if add then "add " else "mem ") ^ k)
+                 ops))))
+    QCheck.Gen.(list_size (int_range 0 3000) (pair (frequencyl [ (7, true); (3, false) ]) key_gen))
+
+let prop_set_matches_hashtbl =
+  QCheck.Test.make ~name:"fingerprint set agrees with a Hashtbl" ~count:60
+    ops_arb (fun ops ->
+      let set = Mcheck.Fingerprint.Set.create () in
+      let reference = Hashtbl.create 16 in
+      List.for_all
+        (fun (add, hex) ->
+          let fp = Mcheck.Fingerprint.of_hex hex in
+          if add then begin
+            Mcheck.Fingerprint.Set.add set fp;
+            Hashtbl.replace reference hex ()
+          end;
+          Bool.equal
+            (Mcheck.Fingerprint.Set.mem set fp)
+            (Hashtbl.mem reference hex)
+          && Mcheck.Fingerprint.Set.length set = Hashtbl.length reference)
+        ops
+      && List.for_all
+           (fun (_, hex) ->
+             Bool.equal
+               (Mcheck.Fingerprint.Set.mem set (Mcheck.Fingerprint.of_hex hex))
+               (Hashtbl.mem reference hex))
+           ops)
 
 let test_model_fingerprint_matches_key () =
   (* over a real BFS prefix, fingerprint equality coincides with
@@ -270,6 +385,9 @@ let suite =
     Alcotest.test_case "fingerprint basics" `Quick test_fingerprint_basics;
     Alcotest.test_case "fingerprints: 100k distinct" `Quick
       test_fingerprint_no_collisions_smoke;
+    Alcotest.test_case "fingerprint values pinned" `Quick
+      test_fingerprint_values_pinned;
+    QCheck_alcotest.to_alcotest prop_set_matches_hashtbl;
     Alcotest.test_case "exact-keys: zero collisions, both models" `Quick
       test_model_fingerprint_matches_key;
     Alcotest.test_case "first witness deterministic" `Quick
