@@ -259,6 +259,64 @@ let engine_stats () =
 let engine_metric_names =
   [ "engine_events_per_s"; "alloc_words_per_event"; "alloc_words_per_run" ]
 
+(* --- trace recording and export ------------------------------------- *)
+
+(* What recording a trace adds to a run: the fuzz generator's
+   Modified-Paxos scenarios (seed 42, as perfbench's engine layer uses
+   them) run under the engine untraced and traced, engine time only, so
+   [trace_overhead_frac] is (traced - untraced) / untraced.  Each side
+   keeps its best of [reps] alternating passes, which damps a host whose
+   speed wanders.  [trace_export_ms] is [Trace.to_jsonl] over the A4
+   replay's trace (the largest replay), best of [reps]. *)
+let trace_stats ~runs ~reps =
+  let scenarios =
+    List.init runs (fun index ->
+        Harness.Fuzz.generate ~protocol:Harness.Fuzz_scenario.Modified_paxos
+          ~seed:42L ~index ())
+  in
+  let pass ~record_trace =
+    let t0 = Unix.gettimeofday () in
+    List.iter
+      (fun fs ->
+        let sc = Harness.Fuzz_scenario.to_scenario ~record_trace fs in
+        let cfg =
+          Dgl.Config.make ~n:fs.Harness.Fuzz_scenario.n
+            ~delta:fs.Harness.Fuzz_scenario.delta
+            ~rho:fs.Harness.Fuzz_scenario.rho ()
+        in
+        ignore
+          (Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg)
+            : _ Sim.Engine.run_result))
+      scenarios;
+    Unix.gettimeofday () -. t0
+  in
+  ignore (pass ~record_trace:false : float);
+  let off = ref infinity and on = ref infinity in
+  for _ = 1 to reps do
+    off := Float.min !off (pass ~record_trace:false);
+    on := Float.min !on (pass ~record_trace:true)
+  done;
+  let overhead = (!on -. !off) /. !off in
+  let trace =
+    match Harness.Experiments.replay "a4" with
+    | Some rp -> rp.Harness.Experiments.trace
+    | None -> invalid_arg "bench: no a4 replay"
+  in
+  let export_s = ref infinity in
+  for _ = 1 to reps do
+    let t0 = Unix.gettimeofday () in
+    ignore (Sim.Trace.to_jsonl trace : string);
+    export_s := Float.min !export_s (Unix.gettimeofday () -. t0)
+  done;
+  Printf.printf
+    "trace: recording costs %.2f of the untraced engine time over %d \
+     modified-paxos fuzz runs; a4 export (%d entries) %.1f ms\n\n\
+     %!"
+    overhead runs (Sim.Trace.length trace) (1e3 *. !export_s);
+  (overhead, 1e3 *. !export_s)
+
+let trace_metric_names = [ "trace_overhead_frac"; "trace_export_ms" ]
+
 (* --- chaos campaign throughput ---------------------------------------- *)
 
 (* A seeded fault campaign through the in-process chaos proxy (see
@@ -344,12 +402,13 @@ let loc_metric_names = [ "loc_lib"; "loc_bin" ]
 let smoke () =
   let micro = run_micro cheap_cases in
   ignore (engine_stats () : float * float * float);
+  ignore (trace_stats ~runs:50 ~reps:1 : float * float);
   ignore (chaos_stats ~commands:2_000 ~pipeline:64 () : float * int);
   let loc = loc_stats () in
   let produced =
     List.sort_uniq String.compare
       (List.map (fun (name, _, _) -> name) micro
-      @ engine_metric_names @ chaos_metric_names
+      @ engine_metric_names @ trace_metric_names @ chaos_metric_names
       @ if loc = None then [] else loc_metric_names)
   in
   let schema_path =
@@ -400,13 +459,14 @@ let json_float f =
 let json_opt f = function Some v -> f v | None -> Sim.Json.Null
 
 let write_results ~path ~speed ~domains ~wall ~serial_wall ~micro ~metrics
-    ~mcheck ~fuzz ~engine ~chaos ~invariants_ok ~lint ~loc =
+    ~mcheck ~fuzz ~engine ~trace ~chaos ~invariants_ok ~lint ~loc =
   let open Sim.Json in
   let mc_states, mc_wall, mc_states_per_s, mc_visited_mb, mc_speedup =
     mcheck
   in
   let fuzz_runs, fuzz_wall, fuzz_runs_per_s, fuzz_failures = fuzz in
   let events_per_s, words_per_event, words_per_run = engine in
+  let trace_overhead, export_ms = trace in
   let chaos_tp, chaos_faults = chaos in
   let lint_ok, findings, rules_run, callgraph_nodes =
     match lint with
@@ -429,6 +489,8 @@ let write_results ~path ~speed ~domains ~wall ~serial_wall ~micro ~metrics
         ("engine_events_per_s", json_float events_per_s);
         ("alloc_words_per_event", json_float words_per_event);
         ("alloc_words_per_run", json_float words_per_run);
+        ("trace_overhead_frac", json_float trace_overhead);
+        ("trace_export_ms", json_float export_ms);
         ( "experiments",
           Obj
             [
@@ -632,6 +694,7 @@ let () =
         findings rules_run callgraph_nodes
   | None -> Format.printf "lint: skipped (no source tree)@.");
   let engine = engine_stats () in
+  let trace = trace_stats ~runs:200 ~reps:3 in
   (* The socket stack through the chaos proxy under the canonical
      seeded fault campaign. *)
   let chaos =
@@ -643,5 +706,5 @@ let () =
   let loc = loc_stats () in
   let path = "BENCH_RESULTS.json" in
   write_results ~path ~speed:speed_name ~domains ~wall ~serial_wall ~micro
-    ~metrics ~mcheck ~fuzz ~engine ~chaos ~invariants_ok ~lint ~loc;
+    ~metrics ~mcheck ~fuzz ~engine ~trace ~chaos ~invariants_ok ~lint ~loc;
   Format.printf "(wrote %s)@." path

@@ -108,5 +108,5 @@ let protocol ?tuning ~n ~delta () =
             st);
     msg_payload =
       (fun (Heartbeat { id }) ->
-        Sim.Trace.payload ~detail:(Printf.sprintf "p%d" id) "hb");
+        Sim.Trace.payload ~detail:(Sim.Numfmt.prefixed "p" id) "hb");
   }

@@ -11,7 +11,7 @@ type t =
 let info = function
   | P1a { mbal } -> Printf.sprintf "1a(b%d)" mbal
   | P1b { mbal; vote } ->
-      Printf.sprintf "1b(b%d,%s)" mbal (Format.asprintf "%a" Vote.pp vote)
+      Printf.sprintf "1b(b%d,%s)" mbal (Vote.to_string vote)
   | P2a { mbal; value } -> Printf.sprintf "2a(b%d,v%d)" mbal value
   | P2b { mbal; value } -> Printf.sprintf "2b(b%d,v%d)" mbal value
   | Rejected { mbal } -> Printf.sprintf "rejected(b%d)" mbal
@@ -21,7 +21,7 @@ let payload = function
   | P1a { mbal } -> Sim.Trace.payload ~ballot:mbal ~phase:1 "1a"
   | P1b { mbal; vote } ->
       Sim.Trace.payload ~ballot:mbal ~phase:1
-        ~detail:(Format.asprintf "%a" Vote.pp vote)
+        ~detail:(Vote.to_string vote)
         "1b"
   | P2a { mbal; value } -> Sim.Trace.payload ~ballot:mbal ~phase:2 ~value "2a"
   | P2b { mbal; value } -> Sim.Trace.payload ~ballot:mbal ~phase:2 ~value "2b"

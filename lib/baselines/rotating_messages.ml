@@ -20,7 +20,7 @@ let info = function
 let payload = function
   | Estimate { round; est; ts } ->
       Sim.Trace.payload ~round ~value:est
-        ~detail:(Printf.sprintf "ts%d" ts)
+        ~detail:(Sim.Numfmt.prefixed "ts" ts)
         "est"
   | Propose { round; value } -> Sim.Trace.payload ~round ~value "propose"
   | Ack { round; value } -> Sim.Trace.payload ~round ~value "ack"

@@ -13,7 +13,7 @@ let round_of = function
 let info = function
   | First { stamp; round; value } ->
       Printf.sprintf "first(r%d,v%d,@%s)" round value
-        (Format.asprintf "%a" Logical_clock.pp_stamp stamp)
+        (Logical_clock.stamp_to_string stamp)
   | Report { round; value } -> Printf.sprintf "report(r%d,v%d)" round value
   | Lock { round; value } -> (
       match value with
@@ -24,7 +24,7 @@ let info = function
 let payload = function
   | First { stamp; round; value } ->
       Sim.Trace.payload ~round ~value
-        ~detail:(Format.asprintf "@%a" Logical_clock.pp_stamp stamp)
+        ~detail:("@" ^ Logical_clock.stamp_to_string stamp)
         "first"
   | Report { round; value } -> Sim.Trace.payload ~round ~value "report"
   | Lock { round; value } -> (

@@ -17,4 +17,11 @@ let compare_stamp (a : stamp) (b : stamp) =
   let c = Int.compare a.counter b.counter in
   if c <> 0 then c else Int.compare a.origin b.origin
 
-let pp_stamp fmt (s : stamp) = Format.fprintf fmt "%d.%d" s.counter s.origin
+let stamp_to_string (s : stamp) =
+  let b = Buffer.create 16 in
+  Sim.Numfmt.add_int b s.counter;
+  Buffer.add_char b '.';
+  Sim.Numfmt.add_int b s.origin;
+  Buffer.contents b
+
+let pp_stamp fmt s = Format.pp_print_string fmt (stamp_to_string s)

@@ -20,4 +20,8 @@ val make : vbal:Ballot.t -> vval:Types.value -> t
     highest [vbal], or [fallback] when every vote is [none]. *)
 val choose : fallback:Types.value -> t list -> Types.value
 
+(** ["vote:none"] or ["vote{b<vbal>=<vval>}"], without [Format]. *)
+val to_string : t -> string
+
+(** Prints {!to_string}. *)
 val pp : Format.formatter -> t -> unit

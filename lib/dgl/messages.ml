@@ -19,7 +19,7 @@ let session_sender ~n:_ ~src = function
 let info = function
   | P1a { mbal } -> Printf.sprintf "1a(b%d)" mbal
   | P1b { mbal; vote } ->
-      Printf.sprintf "1b(b%d,%s)" mbal (Format.asprintf "%a" Vote.pp vote)
+      Printf.sprintf "1b(b%d,%s)" mbal (Vote.to_string vote)
   | P2a { mbal; value } -> Printf.sprintf "2a(b%d,v%d)" mbal value
   | P2b { mbal; value } -> Printf.sprintf "2b(b%d,v%d)" mbal value
   | Decision { value } -> Printf.sprintf "decision(v%d)" value
@@ -31,7 +31,7 @@ let payload ~n = function
   | P1b { mbal; vote } ->
       Sim.Trace.payload ~ballot:mbal ~session:(Ballot.session ~n mbal)
         ~phase:1
-        ~detail:(Format.asprintf "%a" Vote.pp vote)
+        ~detail:(Vote.to_string vote)
         "1b"
   | P2a { mbal; value } ->
       Sim.Trace.payload ~ballot:mbal ~session:(Ballot.session ~n mbal)

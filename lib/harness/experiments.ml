@@ -833,18 +833,18 @@ let e10 ?(speed = Quick) () =
     | None -> ());
     (* commit latency per command from trace notes *)
     let submits = Hashtbl.create 16 and chosens = Hashtbl.create 16 in
-    List.iter
-      (fun e ->
-        match e with
-        | Sim.Trace.Note { t; text; _ } -> (
-            match String.split_on_char ':' text with
-            | [ "submit"; id ] -> Hashtbl.replace submits (int_of_string id) t
-            | [ "chosen"; id ] ->
-                let id = int_of_string id in
-                if not (Hashtbl.mem chosens id) then Hashtbl.add chosens id t
-            | _ -> ())
-        | _ -> ())
-      (Sim.Trace.entries r.Sim.Engine.trace);
+    let tr = r.Sim.Engine.trace in
+    for i = 0 to Sim.Trace.length tr - 1 do
+      if Sim.Trace.tag_at tr i = Sim.Trace.Tag_note then
+        match String.split_on_char ':' (Sim.Trace.text_at tr i) with
+        | [ "submit"; id ] ->
+            Hashtbl.replace submits (int_of_string id) (Sim.Trace.entry_time tr i)
+        | [ "chosen"; id ] ->
+            let id = int_of_string id in
+            if not (Hashtbl.mem chosens id) then
+              Hashtbl.add chosens id (Sim.Trace.entry_time tr i)
+        | _ -> ()
+    done;
     let lats =
       Sim.Sorted_tbl.fold ~compare:Int.compare
         (fun id t0 acc ->

@@ -32,141 +32,176 @@ let pp fmt r =
   end
 
 (* Notes of the form "session:<k>:<how>" are the modified algorithms'
-   session-entry markers (see lib/dgl/modified_paxos.ml). *)
+   session-entry markers (see lib/dgl/modified_paxos.ml).  The prefix
+   test keeps every other note from being split. *)
 let session_of_note text =
-  match String.split_on_char ':' text with
-  | "session" :: k :: _ -> int_of_string_opt k
-  | _ -> None
+  if not (String.starts_with ~prefix:"session:" text) then None
+  else
+    match String.split_on_char ':' text with
+    | "session" :: k :: _ -> int_of_string_opt k
+    | _ -> None
 
+(* Tables keyed by message id or process number, hashing an int to
+   itself (no polymorphic hash, no boxed key). *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+(* The checker reads each record's fields in place ([Trace.tag_at],
+   [Trace.id_at], ...) and never decodes a payload; a message's origin
+   is kept as a record index, not as a tuple of its fields. *)
 let check ?proposals ?timer_bounds trace =
+  let module T = Sim.Trace in
   let violations = ref [] in
   let add check detail = violations := { check; detail } :: !violations in
-  let wrapped = Sim.Trace.dropped_oldest trace > 0 in
-  (* agreement + decide-once + validity *)
-  let decided : (int, Sim.Sim_time.t * int) Hashtbl.t = Hashtbl.create 8 in
+  let wrapped = T.dropped_oldest trace > 0 in
+  let time_str i = Sim.Sim_time.to_string (T.entry_time trace i) in
+  (* decide-once: procs that decided; agreement: the first decision *)
+  let decided : unit Itbl.t = Itbl.create 8 in
   let first_decision = ref None in
-  (* message causality: id -> (send_time, src, dst) *)
-  let sends : (int, Sim.Sim_time.t * int * int) Hashtbl.t =
-    Hashtbl.create 256
+  (* message causality: id -> index of the entry that minted it, or -1.
+     A simulator run mints no more ids than it records entries, so
+     those index an array; larger ids (a wrapped ring, an imported
+     trace) go to a table. *)
+  let n = T.length trace in
+  let dense = Array.make n (-1) and sparse : int Itbl.t = Itbl.create 16 in
+  let origin id =
+    if id < n then dense.(id)
+    else try Itbl.find sparse id with Not_found -> -1
   in
-  (* timer causality: (proc, tag) -> pending fire_at list *)
-  let timers : (int * int, Sim.Sim_time.t list) Hashtbl.t =
-    Hashtbl.create 64
+  let set_origin id i =
+    if id < n then dense.(id) <- i else Itbl.replace sparse id i
   in
+  (* timer causality: proc -> tag -> pending fire_at list, newest first *)
+  let timers : Sim.Sim_time.t list Itbl.t Itbl.t = Itbl.create 8 in
+  let timers_of proc =
+    match Itbl.find timers proc with
+    | tbl -> tbl
+    | exception Not_found ->
+        let tbl = Itbl.create 8 in
+        Itbl.add timers proc tbl;
+        tbl
+  in
+  let pending tbl tag = try Itbl.find tbl tag with Not_found -> [] in
   (* session monotonicity: proc -> last session entered *)
-  let sessions : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let check_msg_causality ~what ~t ~id ~src ~dst =
-    if (not wrapped) && id >= 0 then
-      match Hashtbl.find_opt sends id with
-      | None ->
-          add "causality"
-            (Printf.sprintf
-               "%s of message #%d %d->%d at %s has no recorded send" what id
-               src dst (Sim.Sim_time.to_string t))
-      | Some (t0, src0, dst0) ->
-          if src0 <> src || dst0 <> dst then
-            add "causality"
-              (Printf.sprintf
-                 "message #%d sent as %d->%d but %s as %d->%d" id src0 dst0
-                 what src dst)
-          else if Sim.Sim_time.compare t0 t > 0 then
-            add "causality"
-              (Printf.sprintf "message #%d %s at %s before its send at %s" id
-                 what
-                 (Sim.Sim_time.to_string t)
-                 (Sim.Sim_time.to_string t0))
+  let sessions : int Itbl.t = Itbl.create 8 in
+  let check_msg_causality ~what i ~origin =
+    let id = T.id_at trace i and src = T.src_at trace i
+    and dst = T.dst_at trace i in
+    let src0 = T.src_at trace origin and dst0 = T.dst_at trace origin in
+    if src0 <> src || dst0 <> dst then
+      add "causality"
+        (Printf.sprintf "message #%d sent as %d->%d but %s as %d->%d" id src0
+           dst0 what src dst)
+    else if T.compare_times trace origin i > 0 then
+      add "causality"
+        (Printf.sprintf "message #%d %s at %s before its send at %s" id what
+           (time_str i) (time_str origin))
   in
-  Sim.Trace.iter
-    (fun e ->
-      match e with
-      | Sim.Trace.Send { t; id; src; dst; _ } ->
-          if id >= 0 && not (Hashtbl.mem sends id) then
-            Hashtbl.add sends id (t, src, dst)
-      | Sim.Trace.Deliver { t; id; src; dst; _ } ->
-          check_msg_causality ~what:"delivery" ~t ~id ~src ~dst
-      | Sim.Trace.Drop { t; id; src; dst; _ } ->
-          (* A drop with no recorded send is the network refusing the
-             message at send time — it is its own origin record. *)
-          if id >= 0 && Hashtbl.mem sends id then
-            check_msg_causality ~what:"drop" ~t ~id ~src ~dst
-          else if id >= 0 then Hashtbl.add sends id (t, src, dst)
-      | Sim.Trace.Timer_set { t; proc; tag; fire_at } ->
-          if Sim.Sim_time.compare fire_at t < 0 then
-            add "timer"
-              (Printf.sprintf "p%d timer tag=%d set at %s to fire in the past"
-                 proc tag
-                 (Sim.Sim_time.to_string t));
-          (match timer_bounds with
-          | Some (delta, sigma) when tag >= 0 ->
-              (* Session timers must keep their real duration inside the
-                 paper's [4 delta, sigma] window (Section 4). *)
-              let d = Sim.Sim_time.diff fire_at t in
-              if d < (4. *. delta) -. tol || d > sigma +. tol then
-                add "sigma-timer"
+  let orphan ~what i =
+    add "causality"
+      (Printf.sprintf "%s of message #%d %d->%d at %s has no recorded send"
+         what (T.id_at trace i) (T.src_at trace i) (T.dst_at trace i)
+         (time_str i))
+  in
+  for i = 0 to T.length trace - 1 do
+    match T.tag_at trace i with
+    | T.Tag_send ->
+        let id = T.id_at trace i in
+        if id >= 0 && origin id < 0 then set_origin id i
+    | T.Tag_deliver ->
+        let id = T.id_at trace i in
+        if (not wrapped) && id >= 0 then begin
+          let origin = origin id in
+          if origin < 0 then orphan ~what:"delivery" i
+          else check_msg_causality ~what:"delivery" i ~origin
+        end
+    | T.Tag_drop -> (
+        (* A drop with no recorded send is the network refusing the
+           message at send time — it is its own origin record. *)
+        let id = T.id_at trace i in
+        if id >= 0 then
+          let origin = origin id in
+          if origin < 0 then set_origin id i
+          else if not wrapped then check_msg_causality ~what:"drop" i ~origin)
+    | T.Tag_timer_set ->
+        let proc = T.proc_at trace i and tag = T.timer_tag_at trace i in
+        let t = T.entry_time trace i and fire_at = T.fire_time trace i in
+        if Sim.Sim_time.compare fire_at t < 0 then
+          add "timer"
+            (Printf.sprintf "p%d timer tag=%d set at %s to fire in the past"
+               proc tag (time_str i));
+        (match timer_bounds with
+        | Some (delta, sigma) when tag >= 0 ->
+            (* Session timers must keep their real duration inside the
+               paper's [4 delta, sigma] window (Section 4). *)
+            let d = Sim.Sim_time.diff fire_at t in
+            if d < (4. *. delta) -. tol || d > sigma +. tol then
+              add "sigma-timer"
+                (Printf.sprintf
+                   "p%d session timer tag=%d runs %.6fs, outside [4d=%.6f, \
+                    sigma=%.6f]"
+                   proc tag d (4. *. delta) sigma)
+        | _ -> ());
+        let tbl = timers_of proc in
+        Itbl.replace tbl tag (fire_at :: pending tbl tag)
+    | T.Tag_timer_fire ->
+        if not wrapped then begin
+          let proc = T.proc_at trace i and tag = T.timer_tag_at trace i in
+          let tbl = timers_of proc in
+          let due_by = T.entry_time trace i +. tol in
+          match
+            List.partition
+              (fun fire_at -> Sim.Sim_time.compare fire_at due_by <= 0)
+              (pending tbl tag)
+          with
+          | [], _ ->
+              add "timer"
+                (Printf.sprintf
+                   "p%d timer tag=%d fired at %s with no due Timer_set" proc
+                   tag (time_str i))
+          | _ :: due_rest, not_due -> Itbl.replace tbl tag (due_rest @ not_due)
+        end
+    | T.Tag_note -> (
+        match session_of_note (T.text_at trace i) with
+        | None -> ()
+        | Some s -> (
+            let proc = T.proc_at trace i in
+            match Itbl.find_opt sessions proc with
+            | Some prev when s <= prev ->
+                add "session-monotonic"
                   (Printf.sprintf
-                     "p%d session timer tag=%d runs %.6fs, outside [4d=%.6f, \
-                      sigma=%.6f]"
-                     proc tag d (4. *. delta) sigma)
-          | _ -> ());
-          let key = (proc, tag) in
-          let prev = Option.value ~default:[] (Hashtbl.find_opt timers key) in
-          Hashtbl.replace timers key (fire_at :: prev)
-      | Sim.Trace.Timer_fire { t; proc; tag } ->
-          if not wrapped then begin
-            let key = (proc, tag) in
-            let pending =
-              Option.value ~default:[] (Hashtbl.find_opt timers key)
-            in
-            match
-              List.partition
-                (fun fire_at -> Sim.Sim_time.compare fire_at (t +. tol) <= 0)
-                pending
-            with
-            | [], _ ->
-                add "timer"
-                  (Printf.sprintf
-                     "p%d timer tag=%d fired at %s with no due Timer_set"
-                     proc tag
-                     (Sim.Sim_time.to_string t))
-            | _ :: due_rest, not_due ->
-                Hashtbl.replace timers key (due_rest @ not_due)
-          end
-      | Sim.Trace.Note { proc; text; _ } -> (
-          match session_of_note text with
-          | None -> ()
-          | Some s -> (
-              match Hashtbl.find_opt sessions proc with
-              | Some prev when s <= prev ->
-                  add "session-monotonic"
-                    (Printf.sprintf
-                       "p%d entered session %d after already being in \
-                        session %d"
-                       proc s prev)
-              | _ -> Hashtbl.replace sessions proc s))
-      | Sim.Trace.Decide { t; proc; value } -> (
-          (match Hashtbl.find_opt decided proc with
-          | Some _ ->
-              add "decide-once"
-                (Printf.sprintf "p%d decided twice (again at %s)" proc
-                   (Sim.Sim_time.to_string t))
-          | None -> Hashtbl.add decided proc (t, value));
-          (match !first_decision with
-          | None -> first_decision := Some (proc, value)
-          | Some (p0, v0) ->
-              if value <> v0 then
-                add "agreement"
-                  (Printf.sprintf "p%d decided %d but p%d decided %d" proc
-                     value p0 v0));
-          match proposals with
-          | Some props when not (Array.exists (( = ) value) props) ->
-              add "validity"
-                (Printf.sprintf "p%d decided %d, which nobody proposed" proc
-                   value)
-          | _ -> ())
-      | Sim.Trace.Crash _ | Sim.Trace.Restart _ -> ())
-    trace;
+                     "p%d entered session %d after already being in session \
+                      %d"
+                     proc s prev)
+            | _ -> Itbl.replace sessions proc s))
+    | T.Tag_decide -> (
+        let proc = T.proc_at trace i and value = T.decided_at trace i in
+        if Itbl.mem decided proc then
+          add "decide-once"
+            (Printf.sprintf "p%d decided twice (again at %s)" proc
+               (time_str i))
+        else Itbl.add decided proc ();
+        (match !first_decision with
+        | None -> first_decision := Some (proc, value)
+        | Some (p0, v0) ->
+            if value <> v0 then
+              add "agreement"
+                (Printf.sprintf "p%d decided %d but p%d decided %d" proc value
+                   p0 v0));
+        match proposals with
+        | Some props when not (Array.exists (( = ) value) props) ->
+            add "validity"
+              (Printf.sprintf "p%d decided %d, which nobody proposed" proc
+                 value)
+        | _ -> ())
+    | T.Tag_crash | T.Tag_restart -> ()
+  done;
   {
-    entries_checked = Sim.Trace.length trace;
+    entries_checked = T.length trace;
     wrapped;
     violations = List.rev !violations;
   }

@@ -24,7 +24,10 @@ type ('msg, 'state) ctx = ('msg, 'state) Runtime.ctx
    friends): a slot is claimed per *sent* message, shared by all
    scheduled copies via a refcount, and recycled through a free list
    once the last copy leaves the queue — so a steady-state run touches a
-   constant set of slots and the event loop allocates nothing. *)
+   constant set of slots and the event loop allocates nothing.  A traced
+   run also keeps, per slot, the trace record number of the message's
+   send, so each delivery copies that record instead of building the
+   payload again. *)
 
 let kind_bits = 2
 let kind_mask = (1 lsl kind_bits) - 1
@@ -45,6 +48,9 @@ type ('msg, 'state) t = {
   mutable arena_msgs : 'msg array;
   mutable arena_ids : int array;
   mutable arena_refs : int array;
+  (* Trace record number of each live slot's send (-1: none recorded);
+     allocated only when the run records a trace. *)
+  mutable arena_recs : int array;
   mutable arena_len : int;
   mutable free_head : int;  (* -1 = none *)
   net_env : Network.env;
@@ -122,11 +128,16 @@ let arena_grow eng filler =
   Array.blit eng.arena_ids 0 ids 0 cap;
   let refs = Array.make ncap 0 in
   Array.blit eng.arena_refs 0 refs 0 cap;
+  if Trace.enabled eng.trace then begin
+    let recs = Array.make ncap (-1) in
+    Array.blit eng.arena_recs 0 recs 0 cap;
+    eng.arena_recs <- recs
+  end;
   eng.arena_msgs <- msgs;
   eng.arena_ids <- ids;
   eng.arena_refs <- refs
 
-let arena_alloc eng msg ~id ~refs =
+let arena_alloc eng msg ~id ~refs ~sent =
   let slot =
     match eng.free_head with
     | -1 ->
@@ -142,6 +153,7 @@ let arena_alloc eng msg ~id ~refs =
   eng.arena_msgs.(slot) <- msg;
   eng.arena_ids.(slot) <- id;
   eng.arena_refs.(slot) <- refs;
+  if Trace.enabled eng.trace then eng.arena_recs.(slot) <- sent;
   slot
 
 let arena_release eng slot =
@@ -216,10 +228,16 @@ let eng_send eng p ~dst msg =
   else begin
     let id = eng.next_msg_id in
     eng.next_msg_id <- id + 1;
-    if Trace.enabled eng.trace then
-      Trace.record_send eng.trace ~t ~id ~src:p ~dst
-        (eng.protocol.msg_payload msg);
-    let slot = arena_alloc eng msg ~id ~refs:copies in
+    let sent =
+      if Trace.enabled eng.trace then begin
+        let sent = Trace.total_recorded eng.trace in
+        Trace.record_send eng.trace ~t ~id ~src:p ~dst
+          (eng.protocol.msg_payload msg);
+        sent
+      end
+      else -1
+    in
+    let slot = arena_alloc eng msg ~id ~refs:copies ~sent in
     let delays = eng.net_delays.Network.delays in
     for i = 0 to copies - 1 do
       schedule_packed eng
@@ -334,19 +352,25 @@ let dispatch (eng : (_, _) t) ~kind ~f1 ~f2 ~f3 =
     let src = f1 and dst = f2 and slot = f3 in
     let msg = eng.arena_msgs.(slot) in
     let id = eng.arena_ids.(slot) in
+    let traced = Trace.enabled eng.trace in
+    let sent = if traced then eng.arena_recs.(slot) else -1 in
     arena_release eng slot;
     match eng.states.(dst) with
     | None ->
         (* Receiver is down: the message is lost on arrival. *)
         eng.dropped <- eng.dropped + 1;
         Registry.inc_handle eng.h_dropped ~proc:dst;
-        if Trace.enabled eng.trace then
+        if traced && not (Trace.drop_as_sent eng.trace ~sent ~key:eng.now_key)
+        then
           Trace.record_drop eng.trace ~t:(now eng) ~id ~src ~dst
             (eng.protocol.msg_payload msg)
     | Some st ->
         eng.delivered <- eng.delivered + 1;
         Registry.inc_handle eng.h_delivered ~proc:dst;
-        if Trace.enabled eng.trace then
+        if
+          traced
+          && not (Trace.deliver_as_sent eng.trace ~sent ~key:eng.now_key)
+        then
           Trace.record_deliver eng.trace ~t:(now eng) ~id ~src ~dst
             (eng.protocol.msg_payload msg);
         let st' = eng.protocol.on_message eng.ctxs.(dst) st ~src msg in
@@ -415,6 +439,7 @@ let run ?(injections = []) scenario protocol =
       arena_msgs = [||];
       arena_ids = [||];
       arena_refs = [||];
+      arena_recs = [||];
       arena_len = 0;
       free_head = -1;
       net_env =
@@ -463,7 +488,7 @@ let run ?(injections = []) scenario protocol =
      origin, so they carry [Trace.no_origin] as their message id. *)
   List.iter
     (fun (at, src, dst, msg) ->
-      let slot = arena_alloc eng msg ~id:Trace.no_origin ~refs:1 in
+      let slot = arena_alloc eng msg ~id:Trace.no_origin ~refs:1 ~sent:(-1) in
       schedule_packed eng ~key:(key_of_event_time at) ~kind:kind_deliver
         ~f1:src ~f2:dst ~f3:slot)
     injections;

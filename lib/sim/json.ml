@@ -14,9 +14,13 @@ let int i = Num (string_of_int i)
 
 let int64 i = Num (Int64.to_string i)
 
+(* The runtime's C formatter, which [Printf]'s ["%.17g"] ends in for a
+   finite float; calling it directly skips interpreting the format on
+   every number a trace export writes. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* "%.17g" round-trips every finite float through float_of_string. *)
-let float f =
-  if Float.is_finite f then Num (Printf.sprintf "%.17g" f) else Null
+let float f = if Float.is_finite f then Num (format_float "%.17g" f) else Null
 
 let type_name = function
   | Null -> "null"
@@ -69,21 +73,37 @@ let member_opt k = function
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let escape buf s =
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let add_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  (* Most strings (every key, most values) need no escaping: copy them
+     whole after one scan. *)
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
   Buffer.add_char buf '"'
+
+let add_key buf k =
+  add_string buf k;
+  Buffer.add_char buf ':'
+
+let add_int = Numfmt.add_int
+
+let add_float buf f =
+  if Float.is_finite f then Buffer.add_string buf (format_float "%.17g" f)
+  else Buffer.add_string buf "null"
 
 (* [indent = None] prints compact; [Some base] pretty-prints with
    two-space steps starting at [base]. *)
@@ -114,13 +134,13 @@ let rec add_indented buf ~indent j =
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num s -> Buffer.add_string buf s
-  | Str s -> escape buf s
+  | Str s -> add_string buf s
   | Arr items ->
       sequence ~open_c:'[' ~close_c:']' items (fun ~indent x ->
           add_indented buf ~indent x)
   | Obj fields ->
       sequence ~open_c:'{' ~close_c:'}' fields (fun ~indent (k, v) ->
-          escape buf k;
+          add_string buf k;
           Buffer.add_string buf
             (match indent with None -> ":" | Some _ -> ": ");
           add_indented buf ~indent v)

@@ -1,10 +1,11 @@
 (** Minimal JSON values: print and parse without an external dependency.
 
     The project's one JSON codec: nothing else escapes a JSON string or
-    parses a JSON document.  Writers build a {!t} and print it — trace
-    JSONL ({!Trace.to_jsonl}, one compact object per line), fuzz corpus
-    files, chaos schedules, the metrics registry, the lint report and
-    [BENCH_RESULTS.json].  Readers use {!parse} and the accessors,
+    parses a JSON document.  Writers build a {!t} and print it — fuzz
+    corpus files, chaos schedules, the metrics registry, the lint report and
+    [BENCH_RESULTS.json] — or, for trace JSONL ({!Trace.to_jsonl}, one
+    compact object per line), append the same bytes piece by piece with
+    the streaming writers.  Readers use {!parse} and the accessors,
     [client --check-recovery]'s latency-trace reader included (the
     client writes those lines with [Printf] on its per-command path:
     two fixed-format floats, no strings).  Numbers keep their raw
@@ -50,8 +51,28 @@ val member_opt : string -> t -> t option
 (** {2 Printing and parsing} *)
 
 (** [add buf j] appends {!print}'s rendering of [j] to [buf] — for
-    writers of many documents, such as {!Trace.to_jsonl}. *)
+    writers of many documents. *)
 val add : Buffer.t -> t -> unit
+
+(** {2 Streaming writers}
+
+    Pieces of the compact rendering, appended straight to a buffer, for
+    writers that emit many small objects without building a {!t} per
+    object ({!Trace.to_jsonl}).  Each writes exactly the bytes {!add}
+    writes for the same value. *)
+
+(** [add_string buf s] appends [s] as a quoted, escaped JSON string. *)
+val add_string : Buffer.t -> string -> unit
+
+(** [add_key buf k] appends the object key [k] and its [:]. *)
+val add_key : Buffer.t -> string -> unit
+
+(** [add_int buf i] appends {!int}[ i]'s lexeme. *)
+val add_int : Buffer.t -> int -> unit
+
+(** [add_float buf f] appends {!float}[ f]'s rendering: [%.17g] for a
+    finite float, [null] otherwise. *)
+val add_float : Buffer.t -> float -> unit
 
 (** Compact one-line rendering. *)
 val print : t -> string

@@ -13,10 +13,18 @@
    non-decreasing time order (engine time is monotone), which is what
    makes windowed queries O(log n + window) via binary search.
 
+   Recording allocates nothing for a payload whose kind is a string
+   literal and whose detail is empty: a literal kind is found by
+   physical identity in a small cache, so only fresh detail and note
+   strings reach the intern [Hashtbl].  A delivery or receiver-down
+   drop can copy its send's record instead of rebuilding the payload
+   ([deliver_as_sent]/[drop_as_sent]).
+
    The [entry] variant is the decode layer: [get]/[iter]/[entries]
-   materialize entries on demand (cold paths — assertions, rendering,
-   JSONL export).  JSONL is derived from the binary records on export
-   and re-imported losslessly; it is no longer the recording format. *)
+   materialize entries on demand (cold paths — assertions, rendering).
+   The field readers ([tag_at], [id_at], ...) and JSONL export read the
+   records in place.  JSONL is derived from the binary records on
+   export and re-imported losslessly; it is not the recording format. *)
 
 type payload = {
   kind : string;
@@ -113,6 +121,7 @@ type t = {
   enabled : bool;
   capacity : int;  (* 0 = unbounded *)
   mutable buf : Bytes.t;
+  mutable cap : int;  (* records [buf] holds *)
   mutable first : int;  (* ring index (in records) of the oldest entry *)
   mutable len : int;  (* retained entries *)
   mutable total : int;  (* entries ever recorded, retained or not *)
@@ -121,7 +130,15 @@ type t = {
   mutable strs : string array;
   mutable nstrs : int;
   str_ids : (string, int) Hashtbl.t;
+  (* kinds (and empty details) seen so far, matched by physical
+     identity: they are string literals, so a hit skips hashing; filled
+     round-robin *)
+  lit_strs : string array;
+  lit_ids : int array;
+  mutable nlits : int;
 }
+
+let lit_cache = 16
 
 let create ?(capacity = 0) ~enabled () =
   if capacity < 0 then invalid_arg "Trace.create: negative capacity";
@@ -129,12 +146,17 @@ let create ?(capacity = 0) ~enabled () =
     enabled;
     capacity;
     buf = Bytes.create 0;
+    cap = 0;
     first = 0;
     len = 0;
     total = 0;
-    strs = Array.make 16 "";
+    (* a disabled trace never interns: keep its tables empty *)
+    strs = (if enabled then Array.make 16 "" else [||]);
     nstrs = 0;
-    str_ids = Hashtbl.create 16;
+    str_ids = Hashtbl.create (if enabled then 16 else 1);
+    lit_strs = (if enabled then Array.make lit_cache "" else [||]);
+    lit_ids = (if enabled then Array.make lit_cache 0 else [||]);
+    nlits = 0;
   }
 
 let enabled t = t.enabled
@@ -148,12 +170,12 @@ let dropped_oldest t = t.total - t.len
 let capacity t = if t.capacity = 0 then None else Some t.capacity
 
 let intern t s =
-  match Hashtbl.find_opt t.str_ids s with
-  | Some i -> i
-  | None ->
+  match Hashtbl.find t.str_ids s with
+  | i -> i
+  | exception Not_found ->
       let i = t.nstrs in
       if i = Array.length t.strs then begin
-        let nbuf = Array.make (2 * i) "" in
+        let nbuf = Array.make (Stdlib.max 16 (2 * i)) "" in
         Array.blit t.strs 0 nbuf 0 i;
         t.strs <- nbuf
       end;
@@ -162,12 +184,35 @@ let intern t s =
       Hashtbl.add t.str_ids s i;
       i
 
-let ring_cap t = Bytes.length t.buf / rec_size
+(* A top-level loop, not a local closure: the hit path allocates
+   nothing. *)
+let rec intern_kind_from t s k =
+  if k = t.nlits || k = lit_cache then begin
+    let i = intern t s in
+    let k = t.nlits mod lit_cache in
+    t.lit_strs.(k) <- s;
+    t.lit_ids.(k) <- i;
+    t.nlits <- t.nlits + 1;
+    i
+  end
+  (* lint: allow R5 — identity is the point: a hit proves the same
+     literal, and a miss falls back to the content-keyed table *)
+  else if t.lit_strs.(k) == s then t.lit_ids.(k)
+  else intern_kind_from t s (k + 1)
+
+let intern_kind t s = intern_kind_from t s 0
+
+let intern_detail t s =
+  if String.length s > 0 then intern t s else intern_kind t s
+
+(* Ring index of the [j]-th record from the start of the buffer, for
+   [j < 2 * cap]: one compare instead of a division. *)
+let ring_index t j = if j >= t.cap then j - t.cap else j
 
 let grow t =
   (* Grow (respecting the bound, if any): unwind the ring so the oldest
      record sits at index 0 of the new buffer. *)
-  let cap = ring_cap t in
+  let cap = t.cap in
   let want = Stdlib.max 64 (2 * cap) in
   let want = if t.capacity > 0 then Stdlib.min want t.capacity else want in
   let nbuf = Bytes.create (want * rec_size) in
@@ -178,6 +223,7 @@ let grow t =
       Bytes.blit t.buf 0 nbuf (head * rec_size) ((t.len - head) * rec_size)
   end;
   t.buf <- nbuf;
+  t.cap <- want;
   t.first <- 0
 
 (* Byte offset of the record slot the next entry should be written to,
@@ -186,14 +232,13 @@ let write_slot t =
   t.total <- t.total + 1;
   if t.capacity > 0 && t.len = t.capacity then begin
     (* Bounded and full: overwrite the oldest slot. *)
-    let cap = ring_cap t in
-    let idx = (t.first + t.len) mod cap in
-    t.first <- (t.first + 1) mod cap;
+    let idx = t.first in
+    t.first <- ring_index t (t.first + 1);
     idx * rec_size
   end
   else begin
-    if t.len = ring_cap t then grow t;
-    let idx = (t.first + t.len) mod ring_cap t in
+    if t.len = t.cap then grow t;
+    let idx = ring_index t (t.first + t.len) in
     t.len <- t.len + 1;
     idx * rec_size
   end
@@ -214,30 +259,34 @@ let set_tag t off tag mask =
 
 (* --- typed recorders ------------------------------------------------ *)
 
+(* Writes optional slot [k] and returns its presence bit ([m] or 0). *)
+let opt_slot tr off k m = function
+  | None ->
+      set_slot tr off k 0;
+      0
+  | Some v ->
+      set_slot tr off k v;
+      m
+
 let record_message tr tag ~t ~id ~src ~dst p =
   if tr.enabled then begin
-    let kind_idx = intern tr p.kind in
-    let detail_idx = intern tr p.detail in
+    let kind_idx = intern_kind tr p.kind in
+    let detail_idx = intern_detail tr p.detail in
     let off = write_slot tr in
-    let mask = ref 0 in
-    let opt m k = function
-      | None -> set_slot tr off k 0
-      | Some v ->
-          mask := !mask lor m;
-          set_slot tr off k v
-    in
     set_time tr off t;
     set_slot tr off 0 id;
     set_slot tr off 1 src;
     set_slot tr off 2 dst;
     set_slot tr off 3 kind_idx;
     set_slot tr off 4 detail_idx;
-    opt mask_session 5 p.session;
-    opt mask_ballot 6 p.ballot;
-    opt mask_phase 7 p.phase;
-    opt mask_round 8 p.round;
-    opt mask_value 9 p.value;
-    set_tag tr off tag !mask
+    let mask =
+      opt_slot tr off 5 mask_session p.session
+      lor opt_slot tr off 6 mask_ballot p.ballot
+      lor opt_slot tr off 7 mask_phase p.phase
+      lor opt_slot tr off 8 mask_round p.round
+      lor opt_slot tr off 9 mask_value p.value
+    in
+    set_tag tr off tag mask
   end
 
 let record_send tr ~t ~id ~src ~dst p = record_message tr tag_send ~t ~id ~src ~dst p
@@ -313,7 +362,7 @@ let record tr e =
 
 (* --- decode --------------------------------------------------------- *)
 
-let offset_of tr i = (tr.first + i) mod ring_cap tr * rec_size
+let offset_of tr i = ring_index tr (tr.first + i) * rec_size
 
 let decode tr off =
   let tag = Char.code (Bytes.get tr.buf off) in
@@ -360,8 +409,106 @@ let get tr i =
   if i < 0 || i >= tr.len then invalid_arg "Trace.get: index out of bounds";
   decode tr (offset_of tr i)
 
-(* Time of the [i]th oldest retained entry without decoding it. *)
-let time_at tr i = get_time tr (offset_of tr i)
+(* --- copies of a recorded send -------------------------------------- *)
+
+(* [sent] numbers records as [total] did when the send was written.  The
+   copy keeps the id, endpoints and payload slots and rewrites the tag
+   and the time, which arrives as its [Sim_time] key (an int, so the
+   call boxes nothing).  [false] when the send is no longer retained or
+   [sent] names no send; the caller then records the entry afresh. *)
+let copy_send tr tag ~sent ~key =
+  tr.enabled
+  && sent >= tr.total - tr.len
+  && sent < tr.total
+  && Char.code
+       (Bytes.unsafe_get tr.buf (offset_of tr (sent - (tr.total - tr.len))))
+     = tag_send
+  && begin
+       let off = write_slot tr in
+       (* A full bounded ring writes over its oldest record; when that
+          was the send itself, its bytes already sit in [off]. *)
+       let i = sent - (tr.total - tr.len) in
+       if i >= 0 then Bytes.blit tr.buf (offset_of tr i) tr.buf off rec_size;
+       (* the time's bits, as [Sim_time.t_of_key] recovers them *)
+       Bytes.set_int64_le tr.buf (off + 8)
+         (Int64.logand (Int64.of_int (key lxor Stdlib.min_int)) Int64.max_int);
+       Bytes.unsafe_set tr.buf off (Char.unsafe_chr tag);
+       true
+     end
+
+let deliver_as_sent tr ~sent ~key = copy_send tr tag_deliver ~sent ~key
+
+let drop_as_sent tr ~sent ~key = copy_send tr tag_drop ~sent ~key
+
+(* --- field readers --------------------------------------------------- *)
+
+type tag =
+  | Tag_send
+  | Tag_deliver
+  | Tag_drop
+  | Tag_timer_set
+  | Tag_timer_fire
+  | Tag_crash
+  | Tag_restart
+  | Tag_decide
+  | Tag_note
+
+let tags =
+  [|
+    Tag_send;
+    Tag_deliver;
+    Tag_drop;
+    Tag_timer_set;
+    Tag_timer_fire;
+    Tag_crash;
+    Tag_restart;
+    Tag_decide;
+    Tag_note;
+  |]
+
+let checked_offset tr i =
+  if i < 0 || i >= tr.len then invalid_arg "Trace: index out of bounds";
+  offset_of tr i
+
+let tag_code tr off = Char.code (Bytes.unsafe_get tr.buf off)
+
+let tag_at tr i = tags.(tag_code tr (checked_offset tr i) - 1)
+
+(* Slot [k] of entry [i], which must carry one of the tags in
+   [lo .. hi]. *)
+let field tr i ~lo ~hi k what =
+  let off = checked_offset tr i in
+  let tag = tag_code tr off in
+  if tag < lo || tag > hi then invalid_arg ("Trace." ^ what ^ ": wrong entry");
+  get_slot tr off k
+
+let id_at tr i = field tr i ~lo:tag_send ~hi:tag_drop 0 "id_at"
+
+let src_at tr i = field tr i ~lo:tag_send ~hi:tag_drop 1 "src_at"
+
+let dst_at tr i = field tr i ~lo:tag_send ~hi:tag_drop 2 "dst_at"
+
+let proc_at tr i = field tr i ~lo:tag_timer_set ~hi:tag_note 0 "proc_at"
+
+let timer_tag_at tr i =
+  field tr i ~lo:tag_timer_set ~hi:tag_timer_fire 1 "timer_tag_at"
+
+let decided_at tr i = field tr i ~lo:tag_decide ~hi:tag_decide 1 "decided_at"
+
+let text_at tr i = tr.strs.(field tr i ~lo:tag_note ~hi:tag_note 1 "text_at")
+
+let entry_time tr i = get_time tr (checked_offset tr i)
+
+let fire_time tr i =
+  let off = checked_offset tr i in
+  if tag_code tr off <> tag_timer_set then
+    invalid_arg "Trace.fire_time: wrong entry";
+  Int64.float_of_bits (Bytes.get_int64_le tr.buf (off + 16 + 16))
+
+let compare_times tr i j =
+  Float.compare
+    (get_time tr (checked_offset tr i))
+    (get_time tr (checked_offset tr j))
 
 let iter f t =
   for i = 0 to t.len - 1 do
@@ -381,7 +528,8 @@ let first_at_or_after t time =
   let lo = ref 0 and hi = ref t.len in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Sim_time.compare (time_at t mid) time < 0 then lo := mid + 1
+    if Sim_time.compare (get_time t (offset_of t mid)) time < 0 then
+      lo := mid + 1
     else hi := mid
   done;
   !lo
@@ -401,9 +549,15 @@ let fold_window f acc t ~lo ~hi =
   !acc
 
 let sends_in_window t ~lo ~hi =
-  fold_window
-    (fun acc e -> match e with Send _ -> acc + 1 | _ -> acc)
-    0 t ~lo ~hi
+  let n = ref 0 and i = ref (first_at_or_after t lo) in
+  while
+    !i < t.len && Sim_time.compare (get_time t (offset_of t !i)) hi <= 0
+  do
+    if Char.code (Bytes.unsafe_get t.buf (offset_of t !i)) = tag_send then
+      incr n;
+    incr i
+  done;
+  !n
 
 let decisions t =
   List.rev
@@ -447,60 +601,101 @@ let pp fmt t = iter (fun e -> Format.fprintf fmt "%a@." pp_entry e) t
 (* JSONL export / import                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* One flat {!Json} object per line, derived from the binary records on
-   export.  Times print as [%.17g] ({!Json.float}), which round-trips
-   every finite float; ints and strings keep their exact values, so
-   [of_jsonl] rebuilds the same entries. *)
+(* One flat {!Json} object per line, written from the binary records
+   straight into the buffer with {!Json}'s primitives.  Times print as
+   [%.17g] ({!Json.add_float}), which round-trips every finite float;
+   ints and strings keep their exact values, so [of_jsonl] rebuilds the
+   same entries. *)
 
-let payload_fields p =
-  let opt k = Option.map (fun i -> (k, Json.int i)) in
-  ("kind", Json.Str p.kind)
-  :: List.filter_map Fun.id
-       [
-         opt "session" p.session;
-         opt "ballot" p.ballot;
-         opt "phase" p.phase;
-         opt "round" p.round;
-         opt "value" p.value;
-         (if p.detail = "" then None else Some ("detail", Json.Str p.detail));
-       ]
+let ev_names =
+  [|
+    "send";
+    "deliver";
+    "drop";
+    "timer_set";
+    "timer_fire";
+    "crash";
+    "restart";
+    "decide";
+    "note";
+  |]
 
-let json_of_entry e =
-  let obj ev t fields =
-    Json.Obj (("ev", Json.Str ev) :: ("t", Json.float t) :: fields)
+(* Entries often share the previous one's time (a broadcast, the sends
+   of one handler): [last] keeps the lexeme {!Json.add_float} wrote for
+   the record at [last_off], reused while the time bits are the same. *)
+type time_lexeme = { mutable last_off : int; mutable last : string }
+
+let add_time buf tr cache off =
+  if
+    cache.last_off >= 0
+    && Int64.equal
+         (Bytes.get_int64_le tr.buf (cache.last_off + 8))
+         (Bytes.get_int64_le tr.buf (off + 8))
+  then Buffer.add_string buf cache.last
+  else begin
+    let start = Buffer.length buf in
+    Json.add_float buf (get_time tr off);
+    cache.last <- Buffer.sub buf start (Buffer.length buf - start)
+  end;
+  cache.last_off <- off
+
+let add_jsonl_entry buf tr cache off =
+  let tag = tag_code tr off in
+  let key k =
+    Buffer.add_char buf ',';
+    Json.add_key buf k
   in
-  let msg ev t id src dst payload =
-    obj ev t
-      (("id", Json.int id) :: ("src", Json.int src) :: ("dst", Json.int dst)
-      :: payload_fields payload)
+  let int k slot =
+    key k;
+    Json.add_int buf (get_slot tr off slot)
   in
-  match e with
-  | Send { t; id; src; dst; payload } -> msg "send" t id src dst payload
-  | Deliver { t; id; src; dst; payload } -> msg "deliver" t id src dst payload
-  | Drop { t; id; src; dst; payload } -> msg "drop" t id src dst payload
-  | Timer_set { t; proc; tag; fire_at } ->
-      obj "timer_set" t
-        [
-          ("proc", Json.int proc);
-          ("tag", Json.int tag);
-          ("fire_at", Json.float fire_at);
-        ]
-  | Timer_fire { t; proc; tag } ->
-      obj "timer_fire" t [ ("proc", Json.int proc); ("tag", Json.int tag) ]
-  | Crash { t; proc } -> obj "crash" t [ ("proc", Json.int proc) ]
-  | Restart { t; proc } -> obj "restart" t [ ("proc", Json.int proc) ]
-  | Decide { t; proc; value } ->
-      obj "decide" t [ ("proc", Json.int proc); ("value", Json.int value) ]
-  | Note { t; proc; text } ->
-      obj "note" t [ ("proc", Json.int proc); ("text", Json.Str text) ]
+  Buffer.add_char buf '{';
+  Json.add_key buf "ev";
+  Json.add_string buf ev_names.(tag - 1);
+  key "t";
+  add_time buf tr cache off;
+  if tag <= tag_drop then begin
+    let mask = Char.code (Bytes.unsafe_get tr.buf (off + 1)) in
+    let opt k m slot = if mask land m <> 0 then int k slot in
+    int "id" 0;
+    int "src" 1;
+    int "dst" 2;
+    key "kind";
+    Json.add_string buf tr.strs.(get_slot tr off 3);
+    opt "session" mask_session 5;
+    opt "ballot" mask_ballot 6;
+    opt "phase" mask_phase 7;
+    opt "round" mask_round 8;
+    opt "value" mask_value 9;
+    let detail = tr.strs.(get_slot tr off 4) in
+    if detail <> "" then begin
+      key "detail";
+      Json.add_string buf detail
+    end
+  end
+  else begin
+    int "proc" 0;
+    if tag = tag_timer_set then begin
+      int "tag" 1;
+      key "fire_at";
+      Json.add_float buf
+        (Int64.float_of_bits (Bytes.get_int64_le tr.buf (off + 16 + 16)))
+    end
+    else if tag = tag_timer_fire then int "tag" 1
+    else if tag = tag_decide then int "value" 1
+    else if tag = tag_note then begin
+      key "text";
+      Json.add_string buf tr.strs.(get_slot tr off 1)
+    end
+  end;
+  Buffer.add_string buf "}\n"
 
 let to_jsonl t =
-  let buf = Buffer.create (256 * t.len) in
-  iter
-    (fun e ->
-      Json.add buf (json_of_entry e);
-      Buffer.add_char buf '\n')
-    t;
+  let buf = Buffer.create (128 * t.len) in
+  let cache = { last_off = -1; last = "" } in
+  for i = 0 to t.len - 1 do
+    add_jsonl_entry buf t cache (offset_of t i)
+  done;
   Buffer.contents buf
 
 let entry_of_json j =

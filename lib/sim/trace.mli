@@ -5,14 +5,33 @@
 
     Storage is a ring of fixed-width binary records in a single [Bytes]
     buffer (see OBSERVABILITY.md for the record format); strings are
-    interned per trace.  Recording through the typed [record_*]
-    functions allocates no per-entry heap blocks; the [entry] variant
-    below is the decode layer, materialized on demand by [get] and
-    friends.  An {e unbounded} trace ([capacity = 0], the default)
-    retains every entry; a {e bounded} trace overwrites the oldest entry
-    once full, so long realtime runs can record in constant memory.
-    Entries are appended in non-decreasing time order, which makes
-    windowed queries [O(log n + window)].
+    interned per trace.  An {e unbounded} trace ([capacity = 0], the
+    default) retains every entry; a {e bounded} trace overwrites the
+    oldest entry once full, so long realtime runs can record in constant
+    memory.  Entries are appended in non-decreasing time order, which
+    makes windowed queries [O(log n + window)].
+
+    {b Cost of a record.}  The typed [record_*] functions write one
+    96-byte record and allocate nothing of their own: no entry, option
+    or closure block.  A message payload whose [kind] is a string
+    literal and whose [detail] is empty costs no hashing either — the
+    kind is found by physical identity in a small per-trace cache; a
+    non-empty detail or a note text is interned through a [Hashtbl]
+    lookup.  (A caller in another module still boxes the float time it
+    passes.)  The [entry] variant below is the decode layer,
+    materialized on demand by [get] and friends; the field readers
+    ({!tag_at}, {!id_at}, ...) read records in place.
+
+    {b A delivery copies its send.}  A [Deliver], or a [Drop] on arrival
+    at a down receiver, has the same id, endpoints and payload as the
+    [Send] that minted its id.  The engine keeps each send's record
+    number ({!total_recorded} just before the send was written) and
+    records the delivery with {!deliver_as_sent} / {!drop_as_sent}:
+    a 96-byte copy with the tag and time rewritten, so the protocol's
+    payload is built once per message.  When a bounded ring has already
+    overwritten the send, or the message was injected without one, the
+    copy reports [false] and the caller records the entry from its
+    payload as before; the retained entries are the same either way.
 
     Message entries ([Send]/[Deliver]/[Drop]) carry a causal message
     [id]: the id minted at [Send] is threaded through to the matching
@@ -110,6 +129,68 @@ val record_decide : t -> t:Sim_time.t -> proc:int -> value:int -> unit
 
 val record_note : t -> t:Sim_time.t -> proc:int -> string -> unit
 
+(** {1 Copies of a recorded send} *)
+
+(** [deliver_as_sent t ~sent ~key] records a [Deliver] at the instant
+    whose {!Sim_time.key_of_t} is [key], copying id, endpoints and
+    payload from the [Send] that was record number [sent] (counted as
+    {!total_recorded} counts).  Allocates nothing.  Returns [false], and
+    records nothing, when that send is no longer retained, [sent] names
+    no [Send], or recording is off. *)
+val deliver_as_sent : t -> sent:int -> key:int -> bool
+
+(** As {!deliver_as_sent}, recording a [Drop]. *)
+val drop_as_sent : t -> sent:int -> key:int -> bool
+
+(** {1 Field readers}
+
+    Read one field of the [i]-th oldest retained entry in place, without
+    decoding it (see {!get} for a whole entry).  Each raises
+    [Invalid_argument] out of bounds or on an entry without that
+    field. *)
+
+type tag =
+  | Tag_send
+  | Tag_deliver
+  | Tag_drop
+  | Tag_timer_set
+  | Tag_timer_fire
+  | Tag_crash
+  | Tag_restart
+  | Tag_decide
+  | Tag_note
+
+val tag_at : t -> int -> tag
+
+(** Time of any entry. *)
+val entry_time : t -> int -> Sim_time.t
+
+(** [compare_times t i j] is [Sim_time.compare] on the times of entries
+    [i] and [j], without boxing either. *)
+val compare_times : t -> int -> int -> int
+
+(** Message id, source and destination of a [Send]/[Deliver]/[Drop]. *)
+val id_at : t -> int -> int
+
+val src_at : t -> int -> int
+
+val dst_at : t -> int -> int
+
+(** Process of any other entry. *)
+val proc_at : t -> int -> int
+
+(** Tag of a [Timer_set] or [Timer_fire]. *)
+val timer_tag_at : t -> int -> int
+
+(** [fire_at] of a [Timer_set]. *)
+val fire_time : t -> int -> Sim_time.t
+
+(** Value of a [Decide]. *)
+val decided_at : t -> int -> int
+
+(** Text of a [Note]. *)
+val text_at : t -> int -> string
+
 (** Retained entries, oldest first. *)
 val entries : t -> entry list
 
@@ -156,8 +237,9 @@ val pp : Format.formatter -> t -> unit
 (** {1 JSONL export / import} *)
 
 (** One flat {!Json} object per entry, newline-terminated lines, oldest
-    first.  Times print as {!Json.float}, which round-trips every finite
-    float; optional payload fields are omitted when [None]. *)
+    first, written from the records with {!Json}'s streaming writers.
+    Times print as {!Json.float}, which round-trips every finite float;
+    optional payload fields are omitted when [None]. *)
 val to_jsonl : t -> string
 
 (** Parse JSONL produced by {!to_jsonl} (blank lines ignored) into a

@@ -85,25 +85,58 @@ let rec equal a b =
   | (Set _ | Add _ | Noop | Kv_get _ | Kv_put _ | Kv_cas _ | Batch _), _ ->
       false
 
-let rec pp fmt c =
+(* Written without [Format]: every traced SMR message with a command
+   carries this text as its payload detail. *)
+let rec add_info b c =
+  let str = Buffer.add_string b in
+  let head op =
+    str "cmd";
+    Sim.Numfmt.add_int b c.id;
+    Buffer.add_char b ':';
+    str op
+  in
   match c.op with
-  | Set v -> Format.fprintf fmt "cmd%d:set(%d)" c.id v
-  | Add d -> Format.fprintf fmt "cmd%d:add(%d)" c.id d
-  | Noop -> Format.fprintf fmt "noop"
-  | Kv_get k -> Format.fprintf fmt "cmd%d:get(%s)" c.id k
+  | Set v ->
+      head "set(";
+      Sim.Numfmt.add_int b v;
+      str ")"
+  | Add d ->
+      head "add(";
+      Sim.Numfmt.add_int b d;
+      str ")"
+  | Noop -> str "noop"
+  | Kv_get k ->
+      head "get(";
+      str k;
+      str ")"
   | Kv_put { key; value } ->
-      Format.fprintf fmt "cmd%d:put(%s=%s)" c.id key value
+      head "put(";
+      str key;
+      str "=";
+      str value;
+      str ")"
   | Kv_cas { key; expect; set } ->
-      Format.fprintf fmt "cmd%d:cas(%s,%s->%s)" c.id key
-        (match expect with None -> "<absent>" | Some e -> e)
-        set
+      head "cas(";
+      str key;
+      str ",";
+      str (match expect with None -> "<absent>" | Some e -> e);
+      str "->";
+      str set;
+      str ")"
   | Batch cmds ->
-      Format.fprintf fmt "cmd%d:batch[%d]{" c.id (List.length cmds);
+      head "batch[";
+      Sim.Numfmt.add_int b (List.length cmds);
+      str "]{";
       List.iteri
         (fun i sub ->
-          if i > 0 then Format.pp_print_char fmt ' ';
-          pp fmt sub)
+          if i > 0 then Buffer.add_char b ' ';
+          add_info b sub)
         cmds;
-      Format.pp_print_char fmt '}'
+      str "}"
 
-let info c = Format.asprintf "%a" pp c
+let info c =
+  let b = Buffer.create 32 in
+  add_info b c;
+  Buffer.contents b
+
+let pp fmt c = Format.pp_print_string fmt (info c)

@@ -43,6 +43,10 @@ val checksum : t list -> int
 
 val equal : t -> t -> bool
 
+(** Prints {!info}. *)
 val pp : Format.formatter -> t -> unit
 
+(** One line, e.g. ["cmd3:put(k=v)"] or ["cmd7:batch[2]{cmd1:set(4) noop}"],
+    built without [Format]: it is the payload detail of every traced SMR
+    message that carries a command. *)
 val info : t -> string

@@ -41,8 +41,12 @@ let payload ~n = function
   | M1b { mbal; votes; chosen_upto } ->
       Sim.Trace.payload ~ballot:mbal ~session:(Ballot.session ~n mbal)
         ~phase:1
-        ~detail:(Printf.sprintf "%d votes,upto %d" (List.length votes)
-                   chosen_upto)
+        ~detail:
+          (let b = Buffer.create 24 in
+           Sim.Numfmt.add_int b (List.length votes);
+           Buffer.add_string b " votes,upto ";
+           Sim.Numfmt.add_int b chosen_upto;
+           Buffer.contents b)
         "1b"
   | M2a { mbal; instance; cmd } ->
       Sim.Trace.payload ~ballot:mbal ~session:(Ballot.session ~n mbal)
@@ -52,6 +56,6 @@ let payload ~n = function
         ~phase:2 ~round:instance ~detail:(Command.info cmd) "2b"
   | Forward { cmd } -> Sim.Trace.payload ~detail:(Command.info cmd) "forward"
   | Chosen_digest { upto } ->
-      Sim.Trace.payload ~detail:(Printf.sprintf "upto %d" upto) "digest"
+      Sim.Trace.payload ~detail:(Sim.Numfmt.prefixed "upto " upto) "digest"
   | Chosen { instance; cmd } ->
       Sim.Trace.payload ~round:instance ~detail:(Command.info cmd) "chosen"

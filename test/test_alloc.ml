@@ -181,6 +181,102 @@ let test_fingerprint_budget () =
     true
     (Float.abs slope <= 1.)
 
+(* Trace recording.  A message entry whose kind is a string literal and
+   whose detail is empty allocates nothing: the kind is found by
+   physical identity, the optional fields are written without an
+   option-matching closure.  A delivery that copies its send's record
+   allocates nothing either: the engine passes its time as an int
+   [Sim_time] key.  (A constant [~t] is a static float, so the calls
+   below box nothing at the call site.) *)
+
+let words_per_call n f =
+  f 0 (* warm up: the first call interns the strings *);
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let literal_payload = Sim.Trace.payload ~session:1 ~ballot:7 ~phase:1 "1a"
+
+let test_trace_record_allocates_nothing () =
+  let tr = Sim.Trace.create ~capacity:64 ~enabled:true () in
+  let w =
+    words_per_call 1000 (fun i ->
+        Sim.Trace.record_send tr ~t:0.5 ~id:i ~src:0 ~dst:1 literal_payload)
+  in
+  Alcotest.(check (float 0.)) "words per literal-kind message record" 0. w
+
+let test_trace_copy_allocates_nothing () =
+  let tr = Sim.Trace.create ~capacity:64 ~enabled:true () in
+  let key = Sim.Sim_time.key_of_t 0.75 in
+  let sent = ref 0 in
+  let w =
+    words_per_call 1000 (fun i ->
+        sent := Sim.Trace.total_recorded tr;
+        Sim.Trace.record_send tr ~t:0.5 ~id:i ~src:0 ~dst:1 literal_payload;
+        if not (Sim.Trace.deliver_as_sent tr ~sent:!sent ~key) then
+          Alcotest.fail "the send just recorded was not copied")
+  in
+  Alcotest.(check (float 0.)) "words per send + copied delivery" 0. w
+
+(* The same through the engine: the traced token ring boxes only the
+   time of each send record (2 words per event; each event is one
+   delivery and one send).  A delivery that rebuilt its entry instead of
+   copying the send would box its time too, doubling the slope. *)
+let traced_ring_budget = 2.
+
+let test_traced_engine_delivery () =
+  let run horizon =
+    let sc =
+      {
+        (Harness.Hotpath.scenario ~n:3 ~horizon ()) with
+        Sim.Scenario.record_trace = true;
+        trace_capacity = 4096;
+      }
+    in
+    let w0 = Gc.minor_words () in
+    let r = Sim.Engine.run sc Harness.Hotpath.pinger in
+    (Gc.minor_words () -. w0, r.Sim.Engine.events_processed)
+  in
+  ignore (run horizon_hi);
+  let w_lo, e_lo = run horizon_lo and w_hi, e_hi = run horizon_hi in
+  let slope = (w_hi -. w_lo) /. float_of_int (e_hi - e_lo) in
+  Alcotest.(check bool)
+    (Printf.sprintf "traced ring slope %.2f words/event within [0, %.0f]" slope
+       traced_ring_budget)
+    true
+    (slope >= 0. && slope <= traced_ring_budget)
+
+(* The arena's trace-record column exists only in traced runs: an
+   untraced modified-paxos run (the bench's [alloc_words_per_run]
+   workload) allocates no more than the 95391 words it did before the
+   column was added (OCaml 5.1, dev profile). *)
+let untraced_run_budget = 95391.
+
+let test_untraced_run_budget () =
+  let sc =
+    Sim.Scenario.make ~name:"bench-alloc" ~n:3 ~ts ~delta ~seed:42L
+      ~network:(Sim.Network.eventually_synchronous ())
+      ~horizon:(ts +. (500. *. delta))
+      ()
+  in
+  let cfg = Dgl.Config.make ~n:3 ~delta () in
+  let once () =
+    ignore
+      (Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg)
+        : _ Sim.Engine.run_result)
+  in
+  once ();
+  let w0 = Gc.minor_words () in
+  once ();
+  let w = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "untraced run: %.0f words within %.0f" w
+       untraced_run_budget)
+    true
+    (w <= untraced_run_budget)
+
 let suite =
   [
     Alcotest.test_case "engine loop allocates nothing" `Quick
@@ -196,4 +292,11 @@ let suite =
     Alcotest.test_case "b-consensus run budget" `Quick test_b_consensus;
     Alcotest.test_case "mcheck fingerprint budget" `Quick
       test_fingerprint_budget;
+    Alcotest.test_case "trace record allocates nothing" `Quick
+      test_trace_record_allocates_nothing;
+    Alcotest.test_case "trace copy allocates nothing" `Quick
+      test_trace_copy_allocates_nothing;
+    Alcotest.test_case "traced delivery copies its send" `Quick
+      test_traced_engine_delivery;
+    Alcotest.test_case "untraced run budget" `Quick test_untraced_run_budget;
   ]

@@ -357,6 +357,83 @@ let prop_trace_times_monotone =
       in
       sorted times)
 
+(* A delivery (or a drop on arrival at a down receiver) copies its
+   send's trace record; when a bounded ring has already overwritten the
+   send, the engine builds the payload again.  Either way the retained
+   entries must be the tail of the same run recorded unbounded. *)
+let traced_paxos_run ?(network = Sim.Network.eventually_synchronous ())
+    ~capacity () =
+  let n = 5 and delta = 0.01 in
+  let sc =
+    Sim.Scenario.make ~name:"trace-copy" ~n ~ts:0.3 ~delta ~seed:17L ~network
+      ~faults:(Sim.Fault.crash_then_restart ~crash_at:0.2 ~restart_at:0.35 3)
+      ~record_trace:true ~trace_capacity:capacity ()
+  in
+  (Sim.Engine.run sc (Dgl.Modified_paxos.protocol (Dgl.Config.make ~n ~delta ())))
+    .Sim.Engine.trace
+
+let rendered tr =
+  List.map (Format.asprintf "%a" Sim.Trace.pp_entry) (Sim.Trace.entries tr)
+
+let test_bounded_trace_is_unbounded_tail () =
+  let unbounded = traced_paxos_run ~capacity:0 () in
+  let full = rendered unbounded and total = Sim.Trace.length unbounded in
+  (* a drop of a message that was sent is a drop at a down receiver *)
+  let sent = Hashtbl.create 256 and down_drops = ref 0 in
+  Sim.Trace.iter
+    (function
+      | Sim.Trace.Send { id; _ } -> Hashtbl.replace sent id ()
+      | Sim.Trace.Drop { id; _ } when Hashtbl.mem sent id -> incr down_drops
+      | _ -> ())
+    unbounded;
+  Alcotest.(check bool) "run has receiver-down drops" true (!down_drops > 0);
+  let orphaned = ref 0 in
+  List.iter
+    (fun capacity ->
+      let tr = traced_paxos_run ~capacity () in
+      Alcotest.(check (list string))
+        (Printf.sprintf "capacity %d keeps the unbounded tail" capacity)
+        (List.filteri (fun i _ -> i >= total - capacity) full)
+        (rendered tr);
+      (* deliveries whose send the ring had already overwritten: these
+         took the rebuild path *)
+      let sent = Hashtbl.create 64 in
+      Sim.Trace.iter
+        (function
+          | Sim.Trace.Send { id; _ } -> Hashtbl.replace sent id ()
+          | Sim.Trace.Deliver { id; _ } when not (Hashtbl.mem sent id) ->
+              incr orphaned
+          | _ -> ())
+        tr)
+    [ 1; 2; 7; 64; total - 1 ];
+  Alcotest.(check bool) "some deliveries outlived their send" true
+    (!orphaned > 0)
+
+let test_duplicates_carry_send_payload () =
+  let tr =
+    traced_paxos_run
+      ~network:
+        (Sim.Network.with_duplication ~prob:0.5
+           (Sim.Network.eventually_synchronous ()))
+      ~capacity:0 ()
+  in
+  let sends = Hashtbl.create 256 and delivered = Hashtbl.create 256 in
+  let deliveries = ref 0 in
+  Sim.Trace.iter
+    (function
+      | Sim.Trace.Send { id; payload; _ } -> Hashtbl.replace sends id payload
+      | Sim.Trace.Deliver { id; payload; _ } ->
+          incr deliveries;
+          Hashtbl.replace delivered id ();
+          Alcotest.(check bool)
+            (Printf.sprintf "delivery of #%d carries its send's payload" id)
+            true
+            (Hashtbl.find_opt sends id = Some payload)
+      | _ -> ())
+    tr;
+  Alcotest.(check bool) "some message delivered twice" true
+    (!deliveries > Hashtbl.length delivered)
+
 let suite =
   [
     Alcotest.test_case "ping: all decide" `Quick test_ping_all_decide;
@@ -386,4 +463,8 @@ let suite =
     Alcotest.test_case "invalid scenario rejected" `Quick
       test_invalid_scenario_rejected;
     QCheck_alcotest.to_alcotest prop_trace_times_monotone;
+    Alcotest.test_case "bounded trace is the unbounded tail" `Quick
+      test_bounded_trace_is_unbounded_tail;
+    Alcotest.test_case "duplicates carry their send's payload" `Quick
+      test_duplicates_carry_send_payload;
   ]

@@ -98,6 +98,47 @@ let test_causality_violations () =
   Alcotest.(check bool) "injection exempt" true
     (Harness.Invariants.ok (Harness.Invariants.check injected))
 
+(* The checker's findings, word for word, on a trace with one of each
+   causality and timer fault: src and dst mismatches, a delivery before
+   its send, an orphan, a drop that contradicts its send, a timer fired
+   with nothing due and one set in the past.  A network refusal (a drop
+   with no send) mints its id, so a later delivery of it is fine. *)
+let test_violation_details () =
+  let drop ~t ~id ~src ~dst =
+    Sim.Trace.Drop { t; id; src; dst; payload = Sim.Trace.info "1a" }
+  in
+  let tr =
+    mk
+      [
+        send ~t:0.1 ~id:5 ~src:0 ~dst:1 "1a";
+        deliver ~t:0.2 ~id:5 ~src:2 ~dst:1 "1a";
+        send ~t:0.4 ~id:6 ~src:0 ~dst:1 "1a";
+        deliver ~t:0.3 ~id:6 ~src:0 ~dst:1 "1a";
+        deliver ~t:0.5 ~id:9 ~src:1 ~dst:0 "1a";
+        drop ~t:0.6 ~id:5 ~src:0 ~dst:2;
+        drop ~t:0.7 ~id:7 ~src:1 ~dst:2;
+        deliver ~t:0.8 ~id:7 ~src:1 ~dst:2 "1a";
+        Sim.Trace.Timer_fire { t = 0.9; proc = 1; tag = 3 };
+        Sim.Trace.Timer_set { t = 1.0; proc = 1; tag = 3; fire_at = 0.5 };
+        Sim.Trace.Timer_fire { t = 1.1; proc = 1; tag = 3 };
+      ]
+  in
+  Alcotest.(check (list string))
+    "violations in trace order"
+    [
+      "causality: message #5 sent as 0->1 but delivery as 2->1";
+      "causality: message #6 delivery at 0.300000s before its send at \
+       0.400000s";
+      "causality: delivery of message #9 1->0 at 0.500000s has no recorded \
+       send";
+      "causality: message #5 sent as 0->1 but drop as 0->2";
+      "timer: p1 timer tag=3 fired at 0.900000s with no due Timer_set";
+      "timer: p1 timer tag=3 set at 1.000000s to fire in the past";
+    ]
+    (List.map
+       (fun v -> v.Harness.Invariants.check ^ ": " ^ v.Harness.Invariants.detail)
+       (Harness.Invariants.check tr).Harness.Invariants.violations)
+
 let test_session_monotonicity_violation () =
   let tr =
     mk
@@ -285,4 +326,5 @@ let suite =
       test_all_replays_pass;
     Alcotest.test_case "tracing does not perturb a run" `Slow
       test_tracing_does_not_perturb;
+    Alcotest.test_case "violation details" `Quick test_violation_details;
   ]

@@ -225,6 +225,142 @@ let prop_jsonl_round_trip =
       | Error msg -> QCheck.Test.fail_report msg
       | Ok tr' -> Sim.Trace.entries tr = Sim.Trace.entries tr')
 
+(* [deliver_as_sent]/[drop_as_sent] copy a retained send's record with
+   the tag and time rewritten, and refuse anything else. *)
+let test_copy_of_send () =
+  let module T = Sim.Trace in
+  let payload = T.payload ~session:2 ~ballot:11 ~phase:1 ~detail:"v" "1b" in
+  let key = Sim.Sim_time.key_of_t in
+  let last tr = T.get tr (T.length tr - 1) in
+  let tr = T.create ~enabled:true () in
+  let sent = T.total_recorded tr in
+  T.record_send tr ~t:1.0 ~id:5 ~src:0 ~dst:3 payload;
+  T.record_timer_fire tr ~t:1.5 ~proc:3 ~tag:1;
+  Alcotest.(check bool) "delivery copied" true
+    (T.deliver_as_sent tr ~sent ~key:(key 2.0));
+  Alcotest.(check bool) "delivery entry" true
+    (last tr = T.Deliver { t = 2.0; id = 5; src = 0; dst = 3; payload });
+  Alcotest.(check bool) "drop copied" true
+    (T.drop_as_sent tr ~sent ~key:(key 2.5));
+  Alcotest.(check bool) "drop entry" true
+    (last tr = T.Drop { t = 2.5; id = 5; src = 0; dst = 3; payload });
+  let n = T.length tr in
+  Alcotest.(check bool) "a timer record is no send" false
+    (T.deliver_as_sent tr ~sent:(sent + 1) ~key:(key 3.0));
+  Alcotest.(check bool) "a delivery record is no send" false
+    (T.deliver_as_sent tr ~sent:(sent + 2) ~key:(key 3.0));
+  Alcotest.(check bool) "no such record yet" false
+    (T.deliver_as_sent tr ~sent:(T.total_recorded tr) ~key:(key 3.0));
+  Alcotest.(check bool) "no negative record" false
+    (T.deliver_as_sent tr ~sent:(-1) ~key:(key 3.0));
+  Alcotest.(check int) "refusals record nothing" n (T.length tr);
+  (* a full ring of one: the copy overwrites the send it copies *)
+  let one = T.create ~capacity:1 ~enabled:true () in
+  T.record_send one ~t:1.0 ~id:5 ~src:0 ~dst:3 payload;
+  Alcotest.(check bool) "copy over its own send" true
+    (T.deliver_as_sent one ~sent:0 ~key:(key 2.0));
+  Alcotest.(check bool) "the ring holds the delivery" true
+    (T.entries one = [ T.Deliver { t = 2.0; id = 5; src = 0; dst = 3; payload } ]);
+  (* a ring that has moved past the send *)
+  let two = T.create ~capacity:2 ~enabled:true () in
+  T.record_send two ~t:1.0 ~id:5 ~src:0 ~dst:3 payload;
+  T.record_timer_fire two ~t:1.5 ~proc:3 ~tag:1;
+  T.record_timer_fire two ~t:1.6 ~proc:3 ~tag:1;
+  Alcotest.(check bool) "overwritten send refused" false
+    (T.deliver_as_sent two ~sent:0 ~key:(key 2.0));
+  Alcotest.(check int) "nothing recorded" 3 (T.total_recorded two);
+  let off = T.create ~enabled:false () in
+  T.record_send off ~t:1.0 ~id:5 ~src:0 ~dst:3 payload;
+  Alcotest.(check bool) "disabled trace refuses" false
+    (T.deliver_as_sent off ~sent:0 ~key:(key 2.0))
+
+(* Field readers read the same values [get] decodes. *)
+let prop_field_readers_agree =
+  QCheck.Test.make ~count:300 ~name:"field readers agree with get"
+    (QCheck.list_of_size (QCheck.Gen.int_range 0 40) arbitrary_entry)
+    (fun entries ->
+      let tr = Sim.Trace.create ~enabled:true () in
+      List.iter (Sim.Trace.record tr) entries;
+      List.for_all
+        (fun i ->
+          let module T = Sim.Trace in
+          let e = T.get tr i in
+          Float.equal (T.entry_time tr i) (T.time_of e)
+          && T.compare_times tr i 0 = Float.compare (T.time_of e)
+                                        (T.time_of (T.get tr 0))
+          &&
+          match (T.tag_at tr i, e) with
+          | T.Tag_send, T.Send { id; src; dst; _ }
+          | T.Tag_deliver, T.Deliver { id; src; dst; _ }
+          | T.Tag_drop, T.Drop { id; src; dst; _ } ->
+              T.id_at tr i = id && T.src_at tr i = src && T.dst_at tr i = dst
+          | T.Tag_timer_set, T.Timer_set { proc; tag; fire_at; _ } ->
+              T.proc_at tr i = proc && T.timer_tag_at tr i = tag
+              && Float.equal (T.fire_time tr i) fire_at
+          | T.Tag_timer_fire, T.Timer_fire { proc; tag; _ } ->
+              T.proc_at tr i = proc && T.timer_tag_at tr i = tag
+          | T.Tag_crash, T.Crash { proc; _ }
+          | T.Tag_restart, T.Restart { proc; _ } ->
+              T.proc_at tr i = proc
+          | T.Tag_decide, T.Decide { proc; value; _ } ->
+              T.proc_at tr i = proc && T.decided_at tr i = value
+          | T.Tag_note, T.Note { proc; text; _ } ->
+              T.proc_at tr i = proc && T.text_at tr i = text
+          | _ -> false)
+        (List.init (Sim.Trace.length tr) Fun.id))
+
+let test_field_reader_errors () =
+  let tr = Sim.Trace.create ~enabled:true () in
+  Sim.Trace.record tr (send 1.0);
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "out of bounds" true
+    (raises (fun () -> Sim.Trace.id_at tr 1));
+  Alcotest.(check bool) "no proc on a send" true
+    (raises (fun () -> Sim.Trace.proc_at tr 0));
+  Alcotest.(check bool) "no fire time on a send" true
+    (raises (fun () -> Sim.Trace.fire_time tr 0))
+
+(* The JSONL of every experiment's traced replay, pinned by MD5.  The
+   values were taken before the record path learned to copy a send's
+   record into its delivery and before export wrote records straight
+   into the buffer; both must leave every byte as it was. *)
+let replay_jsonl_md5 =
+  [
+    ("e1", "d8a4a7998db3fa76d8491c55a4169405");
+    ("e2", "9552813e9b674b325fc9ef9e070c27e3");
+    ("e3", "04dd3329372d973a08eb8ab5d4c7dd44");
+    ("e4", "ec288ddbcda7324f1014d24b00fb354f");
+    ("e5", "3870b66e07023e84ca757a9eeb227fcc");
+    ("e6", "d053616af3bc6691e52e97fcf460d84e");
+    ("e7", "546afa37827426eaad9ba74da0b514be");
+    ("e8", "3ed61925d5d812968848cd62e16b5131");
+    ("e9", "21c1fd30d5e6fabf0c7cd83280a62269");
+    ("e10", "6e1e1a9e2ad43e052ad39acd3b036ef4");
+    ("e11", "09dbfa46cf0d638e6c5f4c4bc041d59f");
+    ("a1", "4d9f73f193ed84c0da8a27cb9bdb3c0c");
+    ("a2", "bd91c24cf54a0c33ae56da62ddd2f068");
+    ("a3", "3e41d79aeb247974dcc1208928a697a0");
+    ("a4", "5bcbf806067ee6b32615ac84c1cac44f");
+  ]
+
+let test_replay_jsonl_pinned () =
+  Alcotest.(check (list string))
+    "pinned ids are the experiment ids" Harness.Experiments.ids
+    (List.map fst replay_jsonl_md5);
+  List.iter
+    (fun (id, md5) ->
+      match Harness.Experiments.replay id with
+      | None -> Alcotest.fail (id ^ ": no replay")
+      | Some rp ->
+          Alcotest.(check string)
+            (id ^ ": MD5 of the exported JSONL")
+            md5
+            (Digest.to_hex
+               (Digest.string (Sim.Trace.to_jsonl rp.Harness.Experiments.trace))))
+    replay_jsonl_md5
+
 let suite =
   [
     Alcotest.test_case "disabled trace is a no-op" `Quick test_disabled_noop;
@@ -241,4 +377,10 @@ let suite =
       test_jsonl_round_trip_all_constructors;
     Alcotest.test_case "JSONL rejects garbage" `Quick test_jsonl_rejects_garbage;
     QCheck_alcotest.to_alcotest prop_jsonl_round_trip;
+    Alcotest.test_case "copy of a recorded send" `Quick test_copy_of_send;
+    QCheck_alcotest.to_alcotest prop_field_readers_agree;
+    Alcotest.test_case "field readers reject other entries" `Quick
+      test_field_reader_errors;
+    Alcotest.test_case "replay JSONL bytes pinned" `Slow
+      test_replay_jsonl_pinned;
   ]
