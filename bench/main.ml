@@ -264,39 +264,64 @@ let engine_metric_names =
 (* What recording a trace adds to a run: the fuzz generator's
    Modified-Paxos scenarios (seed 42, as perfbench's engine layer uses
    them) run under the engine untraced and traced, engine time only, so
-   [trace_overhead_frac] is (traced - untraced) / untraced.  Each side
-   keeps its best of [reps] alternating passes, which damps a host whose
-   speed wanders.  [trace_export_ms] is [Trace.to_jsonl] over the A4
-   replay's trace (the largest replay), best of [reps]. *)
+   [trace_overhead_frac] is (traced - untraced) / untraced.  The traced
+   pass checks each trace with [Invariants.check_run], as a fuzz run
+   does, and then releases it, so it records into the recycled buffer a
+   fuzz campaign uses; [invariants_check_us_per_run] is the check's time
+   per run.  Each figure keeps its best of [reps] alternating passes,
+   which damps a host whose speed wanders.  [trace_export_ms] is
+   [Trace.to_jsonl] over the A4 replay's trace (the largest replay),
+   best of [reps]. *)
 let trace_stats ~runs ~reps =
+  let now = Unix.gettimeofday in
   let scenarios =
     List.init runs (fun index ->
-        Harness.Fuzz.generate ~protocol:Harness.Fuzz_scenario.Modified_paxos
-          ~seed:42L ~index ())
-  in
-  let pass ~record_trace =
-    let t0 = Unix.gettimeofday () in
-    List.iter
-      (fun fs ->
-        let sc = Harness.Fuzz_scenario.to_scenario ~record_trace fs in
+        let fs =
+          Harness.Fuzz.generate ~protocol:Harness.Fuzz_scenario.Modified_paxos
+            ~seed:42L ~index ()
+        in
         let cfg =
           Dgl.Config.make ~n:fs.Harness.Fuzz_scenario.n
             ~delta:fs.Harness.Fuzz_scenario.delta
             ~rho:fs.Harness.Fuzz_scenario.rho ()
         in
-        ignore
-          (Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg)
-            : _ Sim.Engine.run_result))
-      scenarios;
-    Unix.gettimeofday () -. t0
+        (fs, cfg))
   in
-  ignore (pass ~record_trace:false : float);
-  let off = ref infinity and on = ref infinity in
+  (* engine seconds and check seconds of one pass *)
+  let pass ~record_trace =
+    let engine = ref 0. and check = ref 0. in
+    List.iter
+      (fun (fs, cfg) ->
+        let sc = Harness.Fuzz_scenario.to_scenario ~record_trace fs in
+        let t0 = now () in
+        let r = Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg) in
+        let t1 = now () in
+        engine := !engine +. (t1 -. t0);
+        if record_trace then begin
+          let report =
+            Harness.Invariants.check_run
+              ~timer_bounds:
+                (fs.Harness.Fuzz_scenario.delta, cfg.Dgl.Config.sigma)
+              r
+          in
+          check := !check +. (now () -. t1);
+          if not (Harness.Invariants.ok report) then
+            failwith "bench: invariant violation in a traced fuzz run";
+          Sim.Trace.release r.Sim.Engine.trace
+        end)
+      scenarios;
+    (!engine, !check)
+  in
+  ignore (pass ~record_trace:false : float * float);
+  let off = ref infinity and on = ref infinity and check = ref infinity in
   for _ = 1 to reps do
-    off := Float.min !off (pass ~record_trace:false);
-    on := Float.min !on (pass ~record_trace:true)
+    off := Float.min !off (fst (pass ~record_trace:false));
+    let e, c = pass ~record_trace:true in
+    on := Float.min !on e;
+    check := Float.min !check c
   done;
   let overhead = (!on -. !off) /. !off in
+  let check_us = 1e6 *. !check /. float_of_int runs in
   let trace =
     match Harness.Experiments.replay "a4" with
     | Some rp -> rp.Harness.Experiments.trace
@@ -304,18 +329,20 @@ let trace_stats ~runs ~reps =
   in
   let export_s = ref infinity in
   for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
+    let t0 = now () in
     ignore (Sim.Trace.to_jsonl trace : string);
-    export_s := Float.min !export_s (Unix.gettimeofday () -. t0)
+    export_s := Float.min !export_s (now () -. t0)
   done;
   Printf.printf
     "trace: recording costs %.2f of the untraced engine time over %d \
-     modified-paxos fuzz runs; a4 export (%d entries) %.1f ms\n\n\
+     modified-paxos fuzz runs, checking %.0f us a run; a4 export (%d \
+     entries) %.1f ms\n\n\
      %!"
-    overhead runs (Sim.Trace.length trace) (1e3 *. !export_s);
-  (overhead, 1e3 *. !export_s)
+    overhead runs check_us (Sim.Trace.length trace) (1e3 *. !export_s);
+  (overhead, check_us, 1e3 *. !export_s)
 
-let trace_metric_names = [ "trace_overhead_frac"; "trace_export_ms" ]
+let trace_metric_names =
+  [ "trace_overhead_frac"; "invariants_check_us_per_run"; "trace_export_ms" ]
 
 (* --- chaos campaign throughput ---------------------------------------- *)
 
@@ -402,7 +429,7 @@ let loc_metric_names = [ "loc_lib"; "loc_bin" ]
 let smoke () =
   let micro = run_micro cheap_cases in
   ignore (engine_stats () : float * float * float);
-  ignore (trace_stats ~runs:50 ~reps:1 : float * float);
+  ignore (trace_stats ~runs:50 ~reps:1 : float * float * float);
   ignore (chaos_stats ~commands:2_000 ~pipeline:64 () : float * int);
   let loc = loc_stats () in
   let produced =
@@ -466,7 +493,7 @@ let write_results ~path ~speed ~domains ~wall ~serial_wall ~micro ~metrics
   in
   let fuzz_runs, fuzz_wall, fuzz_runs_per_s, fuzz_failures = fuzz in
   let events_per_s, words_per_event, words_per_run = engine in
-  let trace_overhead, export_ms = trace in
+  let trace_overhead, check_us, export_ms = trace in
   let chaos_tp, chaos_faults = chaos in
   let lint_ok, findings, rules_run, callgraph_nodes =
     match lint with
@@ -490,6 +517,7 @@ let write_results ~path ~speed ~domains ~wall ~serial_wall ~micro ~metrics
         ("alloc_words_per_event", json_float words_per_event);
         ("alloc_words_per_run", json_float words_per_run);
         ("trace_overhead_frac", json_float trace_overhead);
+        ("invariants_check_us_per_run", json_float check_us);
         ("trace_export_ms", json_float export_ms);
         ( "experiments",
           Obj

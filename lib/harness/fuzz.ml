@@ -103,7 +103,11 @@ let run_one (fs : Fuzz_scenario.t) =
               fs.injections
       in
       let r = Sim.Engine.run ~injections sc protocol in
-      outcome_of_run fs (Invariants.check_run ?timer_bounds r) r
+      let report = Invariants.check_run ?timer_bounds r in
+      (* Nothing below reads the trace: its storage goes back to this
+         domain's spare for the next run. *)
+      Sim.Trace.release r.Sim.Engine.trace;
+      outcome_of_run fs report r
 
 (* ------------------------------------------------------------------ *)
 (* Generation                                                          *)

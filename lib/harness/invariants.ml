@@ -50,6 +50,65 @@ module Itbl = Hashtbl.Make (struct
   let hash x = x land max_int
 end)
 
+(* The pending timers of one (process, tag): a binary min-heap of
+   [fire_at] instants in a flat float array, ordered by
+   [Float.compare] (the order [Sim_time.compare] uses), so pushing and
+   popping box nothing and cost O(log size). *)
+type timer_heap = { mutable due : float array; mutable size : int }
+
+let heap_push h fire_at =
+  if h.size = Array.length h.due then begin
+    let a = Array.make (2 * h.size) 0. in
+    Array.blit h.due 0 a 0 h.size;
+    h.due <- a
+  end;
+  let i = ref h.size in
+  h.size <- h.size + 1;
+  while !i > 0 && Float.compare h.due.((!i - 1) / 2) fire_at > 0 do
+    h.due.(!i) <- h.due.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  h.due.(!i) <- fire_at
+
+(* Removes the earliest entry of a non-empty heap. *)
+let heap_pop h =
+  let n = h.size - 1 in
+  h.size <- n;
+  let last = h.due.(n) in
+  let i = ref 0 and sifting = ref (n > 0) in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    if l >= n then sifting := false
+    else begin
+      let c =
+        if l + 1 < n && Float.compare h.due.(l + 1) h.due.(l) < 0 then l + 1
+        else l
+      in
+      if Float.compare h.due.(c) last < 0 then begin
+        h.due.(!i) <- h.due.(c);
+        i := c
+      end
+      else sifting := false
+    end
+  done;
+  if n > 0 then h.due.(!i) <- last
+
+(* The id -> origin array of the last check in this domain, reused by
+   the next: a fuzz campaign checks one trace per run, and an array the
+   size of each trace would be allocated straight into the major heap.
+   A check takes it with an atomic exchange, so two threads of one
+   domain never share it, and puts it back when done. *)
+let origin_scratch = Domain.DLS.new_key (fun () -> Atomic.make [||])
+
+let take_origins n =
+  let a = Atomic.exchange (Domain.DLS.get origin_scratch) [||] in
+  let a =
+    if Array.length a >= n then a
+    else Array.make (Stdlib.max n (2 * Array.length a)) (-1)
+  in
+  Array.fill a 0 n (-1);
+  a
+
 (* The checker reads each record's fields in place ([Trace.tag_at],
    [Trace.id_at], ...) and never decodes a payload; a message's origin
    is kept as a record index, not as a tuple of its fields. *)
@@ -67,7 +126,7 @@ let check ?proposals ?timer_bounds trace =
      those index an array; larger ids (a wrapped ring, an imported
      trace) go to a table. *)
   let n = T.length trace in
-  let dense = Array.make n (-1) and sparse : int Itbl.t = Itbl.create 16 in
+  let dense = take_origins n and sparse : int Itbl.t = Itbl.create 16 in
   let origin id =
     if id < n then dense.(id)
     else try Itbl.find sparse id with Not_found -> -1
@@ -75,17 +134,24 @@ let check ?proposals ?timer_bounds trace =
   let set_origin id i =
     if id < n then dense.(id) <- i else Itbl.replace sparse id i
   in
-  (* timer causality: proc -> tag -> pending fire_at list, newest first *)
-  let timers : Sim.Sim_time.t list Itbl.t Itbl.t = Itbl.create 8 in
-  let timers_of proc =
-    match Itbl.find timers proc with
-    | tbl -> tbl
+  (* timer causality: proc -> tag -> pending fire_at instants *)
+  let timers : timer_heap Itbl.t Itbl.t = Itbl.create 8 in
+  let pending proc tag =
+    let tbl =
+      match Itbl.find timers proc with
+      | tbl -> tbl
+      | exception Not_found ->
+          let tbl = Itbl.create 8 in
+          Itbl.add timers proc tbl;
+          tbl
+    in
+    match Itbl.find tbl tag with
+    | h -> h
     | exception Not_found ->
-        let tbl = Itbl.create 8 in
-        Itbl.add timers proc tbl;
-        tbl
+        let h = { due = Array.make 8 0.; size = 0 } in
+        Itbl.add tbl tag h;
+        h
   in
-  let pending tbl tag = try Itbl.find tbl tag with Not_found -> [] in
   (* session monotonicity: proc -> last session entered *)
   let sessions : int Itbl.t = Itbl.create 8 in
   let check_msg_causality ~what i ~origin =
@@ -146,24 +212,25 @@ let check ?proposals ?timer_bounds trace =
                     sigma=%.6f]"
                    proc tag d (4. *. delta) sigma)
         | _ -> ());
-        let tbl = timers_of proc in
-        Itbl.replace tbl tag (fire_at :: pending tbl tag)
+        heap_push (pending proc tag) fire_at
     | T.Tag_timer_fire ->
+        (* A fire consumes the earliest pending [fire_at] if that one is
+           due.  Which due entry it consumes cannot change a verdict
+           when entry times do not decrease (as [Trace] assumes): an
+           entry due at this fire's time [t] is due at every later fire
+           too, so after any choice the later fires see the same number
+           of due entries, and a fire is flagged exactly when that
+           number is 0. *)
         if not wrapped then begin
           let proc = T.proc_at trace i and tag = T.timer_tag_at trace i in
-          let tbl = timers_of proc in
+          let h = pending proc tag in
           let due_by = T.entry_time trace i +. tol in
-          match
-            List.partition
-              (fun fire_at -> Sim.Sim_time.compare fire_at due_by <= 0)
-              (pending tbl tag)
-          with
-          | [], _ ->
-              add "timer"
-                (Printf.sprintf
-                   "p%d timer tag=%d fired at %s with no due Timer_set" proc
-                   tag (time_str i))
-          | _ :: due_rest, not_due -> Itbl.replace tbl tag (due_rest @ not_due)
+          if h.size > 0 && Float.compare h.due.(0) due_by <= 0 then heap_pop h
+          else
+            add "timer"
+              (Printf.sprintf
+                 "p%d timer tag=%d fired at %s with no due Timer_set" proc tag
+                 (time_str i))
         end
     | T.Tag_note -> (
         match session_of_note (T.text_at trace i) with
@@ -200,6 +267,7 @@ let check ?proposals ?timer_bounds trace =
         | _ -> ())
     | T.Tag_crash | T.Tag_restart -> ()
   done;
+  Atomic.set (Domain.DLS.get origin_scratch) dense;
   {
     entries_checked = T.length trace;
     wrapped;

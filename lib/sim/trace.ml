@@ -9,7 +9,14 @@
 
    Unbounded traces double the buffer when full; bounded traces
    overwrite the oldest record once [capacity] is reached, so long
-   realtime runs record in constant memory.  Entries are appended in
+   realtime runs record in constant memory.  [release] hands a dead
+   trace's buffer to a spare kept per domain, which the next unbounded
+   trace of that domain starts from: a run loop that releases each
+   trace after checking it stops allocating record storage once the
+   spare is as large as its largest run.  A reused buffer holds the
+   bytes of older runs; that is safe because only the [len] records
+   the trace wrote are ever read, and each tag's reader reads only the
+   slots its recorder wrote.  Entries are appended in
    non-decreasing time order (engine time is monotone), which is what
    makes windowed queries O(log n + window) via binary search.
 
@@ -120,6 +127,7 @@ let mask_value = 16
 type t = {
   enabled : bool;
   capacity : int;  (* 0 = unbounded *)
+  mutable released : bool;
   mutable buf : Bytes.t;
   mutable cap : int;  (* records [buf] holds *)
   mutable first : int;  (* ring index (in records) of the oldest entry *)
@@ -140,13 +148,29 @@ type t = {
 
 let lit_cache = 16
 
+(* The largest buffer released in this domain and not yet taken, or
+   [Bytes.empty].  Per domain, so [Domain_pool] workers never share
+   one; taken with an atomic exchange, so two threads of one domain
+   cannot both take it. *)
+let spare = Domain.DLS.new_key (fun () -> Atomic.make Bytes.empty)
+
+(* Only an enabled, unbounded trace takes the spare: a bounded ring's
+   slot arithmetic needs exactly [capacity] slots, which a spare of
+   another size does not have. *)
+let take_spare ~enabled ~capacity =
+  if enabled && capacity = 0 then
+    Atomic.exchange (Domain.DLS.get spare) Bytes.empty
+  else Bytes.empty
+
 let create ?(capacity = 0) ~enabled () =
   if capacity < 0 then invalid_arg "Trace.create: negative capacity";
+  let buf = take_spare ~enabled ~capacity in
   {
     enabled;
     capacity;
-    buf = Bytes.create 0;
-    cap = 0;
+    released = false;
+    buf;
+    cap = Bytes.length buf / rec_size;
     first = 0;
     len = 0;
     total = 0;
@@ -161,13 +185,40 @@ let create ?(capacity = 0) ~enabled () =
 
 let enabled t = t.enabled
 
-let length t = t.len
+(* Raises on a released trace.  Whole-trace readers call it first; the
+   index readers and the recorders reach it only on their slow paths: a
+   released trace has [len = cap = 0], so every index is out of bounds
+   and every write must [grow]. *)
+let live t what =
+  if t.released then invalid_arg ("Trace." ^ what ^ ": released trace")
 
-let total_recorded t = t.total
+let release t =
+  if t.enabled && not t.released then begin
+    t.released <- true;
+    let spare = Domain.DLS.get spare in
+    if Bytes.length t.buf > Bytes.length (Atomic.get spare) then
+      Atomic.set spare t.buf;
+    t.buf <- Bytes.empty;
+    t.cap <- 0;
+    t.first <- 0;
+    t.len <- 0
+  end
 
-let dropped_oldest t = t.total - t.len
+let length t =
+  live t "length";
+  t.len
 
-let capacity t = if t.capacity = 0 then None else Some t.capacity
+let total_recorded t =
+  live t "total_recorded";
+  t.total
+
+let dropped_oldest t =
+  live t "dropped_oldest";
+  t.total - t.len
+
+let capacity t =
+  live t "capacity";
+  if t.capacity = 0 then None else Some t.capacity
 
 let intern t s =
   match Hashtbl.find t.str_ids s with
@@ -211,7 +262,9 @@ let ring_index t j = if j >= t.cap then j - t.cap else j
 
 let grow t =
   (* Grow (respecting the bound, if any): unwind the ring so the oldest
-     record sits at index 0 of the new buffer. *)
+     record sits at index 0 of the new buffer.  A released trace has
+     [len = cap = 0], so every write to it lands here. *)
+  live t "record";
   let cap = t.cap in
   let want = Stdlib.max 64 (2 * cap) in
   let want = if t.capacity > 0 then Stdlib.min want t.capacity else want in
@@ -270,9 +323,9 @@ let opt_slot tr off k m = function
 
 let record_message tr tag ~t ~id ~src ~dst p =
   if tr.enabled then begin
+    let off = write_slot tr in
     let kind_idx = intern_kind tr p.kind in
     let detail_idx = intern_detail tr p.detail in
-    let off = write_slot tr in
     set_time tr off t;
     set_slot tr off 0 id;
     set_slot tr off 1 src;
@@ -338,8 +391,8 @@ let record_decide tr ~t ~proc ~value =
 
 let record_note tr ~t ~proc text =
   if tr.enabled then begin
-    let text_idx = intern tr text in
     let off = write_slot tr in
+    let text_idx = intern tr text in
     set_time tr off t;
     set_slot tr off 0 proc;
     set_slot tr off 1 text_idx;
@@ -406,7 +459,10 @@ let decode tr off =
 
 (* [get t i]: the [i]th oldest retained entry, 0-based. *)
 let get tr i =
-  if i < 0 || i >= tr.len then invalid_arg "Trace.get: index out of bounds";
+  if i < 0 || i >= tr.len then begin
+    live tr "get";
+    invalid_arg "Trace.get: index out of bounds"
+  end;
   decode tr (offset_of tr i)
 
 (* --- copies of a recorded send -------------------------------------- *)
@@ -417,6 +473,7 @@ let get tr i =
    call boxes nothing).  [false] when the send is no longer retained or
    [sent] names no send; the caller then records the entry afresh. *)
 let copy_send tr tag ~sent ~key =
+  if tr.enabled then live tr "deliver_as_sent";
   tr.enabled
   && sent >= tr.total - tr.len
   && sent < tr.total
@@ -467,7 +524,10 @@ let tags =
   |]
 
 let checked_offset tr i =
-  if i < 0 || i >= tr.len then invalid_arg "Trace: index out of bounds";
+  if i < 0 || i >= tr.len then begin
+    live tr "field reader";
+    invalid_arg "Trace: index out of bounds"
+  end;
   offset_of tr i
 
 let tag_code tr off = Char.code (Bytes.unsafe_get tr.buf off)
@@ -511,6 +571,7 @@ let compare_times tr i j =
     (get_time tr (checked_offset tr j))
 
 let iter f t =
+  live t "iter";
   for i = 0 to t.len - 1 do
     f (get t i)
   done
@@ -520,7 +581,9 @@ let fold f acc t =
   iter (fun e -> acc := f !acc e) t;
   !acc
 
-let entries t = List.init t.len (get t)
+let entries t =
+  live t "entries";
+  List.init t.len (get t)
 
 (* Entries are recorded in non-decreasing time order, so the earliest
    index at or after a time bound is a binary search. *)
@@ -535,6 +598,7 @@ let first_at_or_after t time =
   !lo
 
 let fold_window f acc t ~lo ~hi =
+  live t "fold_window";
   let acc = ref acc in
   let i = ref (first_at_or_after t lo) in
   let continue_ = ref true in
@@ -549,6 +613,7 @@ let fold_window f acc t ~lo ~hi =
   !acc
 
 let sends_in_window t ~lo ~hi =
+  live t "sends_in_window";
   let n = ref 0 and i = ref (first_at_or_after t lo) in
   while
     !i < t.len && Sim_time.compare (get_time t (offset_of t !i)) hi <= 0
@@ -691,6 +756,7 @@ let add_jsonl_entry buf tr cache off =
   Buffer.add_string buf "}\n"
 
 let to_jsonl t =
+  live t "to_jsonl";
   let buf = Buffer.create (128 * t.len) in
   let cache = { last_off = -1; last = "" } in
   for i = 0 to t.len - 1 do

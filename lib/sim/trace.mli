@@ -39,6 +39,20 @@
     origin.  Entries with [id = no_origin] were injected without a
     recorded send (e.g. adversarial injections).
 
+    {b Recycled storage.}  A run that is done with its trace hands the
+    storage back with {!release}.  Each domain keeps one spare buffer,
+    the largest released there and not yet taken; the next enabled,
+    unbounded trace {!create}d in that domain starts from it instead of
+    growing a fresh buffer.  A bounded trace never takes the spare (its
+    ring needs exactly [capacity] slots), but its buffer may become the
+    spare when it is released.  Lifetime rule: after [release t], every
+    reader and recorder of [t] raises [Invalid_argument] (only
+    {!enabled} and {!release} itself still answer), so a released trace
+    can neither read nor overwrite the records of the run that reuses
+    its buffer.  Only the retained records a trace wrote itself are
+    ever read, so the bytes a reused buffer keeps from older runs are
+    never visible.
+
     Traces export to JSONL ({!to_jsonl}) — one flat JSON object per line
     — and re-import losslessly with {!of_jsonl}. *)
 
@@ -92,11 +106,19 @@ type t
 
 (** [create ?capacity ~enabled] makes a trace.  [capacity = 0] (default)
     retains every entry; [capacity > 0] bounds retained entries,
-    overwriting the oldest once full.  Raises [Invalid_argument] on a
-    negative capacity. *)
+    overwriting the oldest once full.  An enabled, unbounded trace takes
+    this domain's spare buffer, if there is one.  Raises
+    [Invalid_argument] on a negative capacity. *)
 val create : ?capacity:int -> enabled:bool -> unit -> t
 
 val enabled : t -> bool
+
+(** [release t] ends [t]'s life and offers its buffer to this domain's
+    spare, which keeps the larger of the two.  Afterwards every reader
+    and recorder on [t] raises [Invalid_argument] (see the lifetime
+    rule above).  Releasing a disabled trace, or releasing twice, does
+    nothing. *)
+val release : t -> unit
 
 val record : t -> entry -> unit
 

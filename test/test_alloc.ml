@@ -277,6 +277,71 @@ let test_untraced_run_budget () =
     true
     (w <= untraced_run_budget)
 
+(* The invariant checker.  Its per-entry state is flat: message origins
+   in an array kept per domain between calls, pending timers in one
+   float heap per (process, tag), so an entry adds no block of the
+   checker's own.  What is left are the floats [Trace.entry_time] and
+   [Trace.fire_time] return boxed across the module boundary (timer
+   entries only) and one table entry per new process or tag.  Measured
+   over the traces of the first 40 scenarios of fuzz seed 42 (the
+   default protocol mix; dev profile, OCaml 5.1): 1.08 words per entry,
+   against 16.0 when each fire partitioned and re-appended its (process,
+   tag)'s list of pending timers.  Pinned ~2x above the measurement. *)
+let check_budget = 2.
+
+(* Scenario [index] of fuzz seed 42 run traced, as [Fuzz.run_one] runs
+   it but keeping the run. *)
+let fuzz_run index =
+  let fs = Harness.Fuzz.generate ~seed:42L ~index () in
+  match
+    (Harness.Protocols.entry fs.protocol).build ~n:fs.n ~delta:fs.delta
+      ~ts:fs.ts ~rho:fs.rho ~faults:fs.faults ()
+  with
+  | Harness.Protocols.Packed { protocol; inject; timer_bounds } ->
+      let injections =
+        match inject with
+        | None -> []
+        | Some inject ->
+            List.map
+              (fun { Harness.Fuzz_scenario.at; src; dst; session } ->
+                (at, src, dst, inject ~src ~session))
+              fs.injections
+      in
+      let r =
+        Sim.Engine.run ~injections (Harness.Fuzz_scenario.to_scenario fs)
+          protocol
+      in
+      (r.Sim.Engine.trace, r.Sim.Engine.scenario.Sim.Scenario.proposals,
+       timer_bounds)
+
+let test_invariants_check_budget () =
+  let checks = List.init 40 fuzz_run in
+  let pass () =
+    List.iter
+      (fun (trace, proposals, timer_bounds) ->
+        let report =
+          Harness.Invariants.check ~proposals ?timer_bounds trace
+        in
+        if not (Harness.Invariants.ok report) then
+          Alcotest.fail "a fuzz scenario's trace fails its invariants")
+      checks
+  in
+  pass () (* warm up: the first check sizes the origin array *);
+  let w0 = Gc.minor_words () in
+  pass ();
+  let words = Gc.minor_words () -. w0 in
+  let entries =
+    List.fold_left
+      (fun acc (trace, _, _) -> acc + Sim.Trace.length trace)
+      0 checks
+  in
+  let wpe = words /. float_of_int entries in
+  Alcotest.(check bool)
+    (Printf.sprintf "check: %.2f words/entry over %d entries within [0, %.0f]"
+       wpe entries check_budget)
+    true
+    (wpe >= 0. && wpe <= check_budget)
+
 let suite =
   [
     Alcotest.test_case "engine loop allocates nothing" `Quick
@@ -299,4 +364,6 @@ let suite =
     Alcotest.test_case "traced delivery copies its send" `Quick
       test_traced_engine_delivery;
     Alcotest.test_case "untraced run budget" `Quick test_untraced_run_budget;
+    Alcotest.test_case "invariant check budget" `Quick
+      test_invariants_check_budget;
   ]

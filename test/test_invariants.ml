@@ -306,6 +306,98 @@ let test_tracing_does_not_perturb () =
             traced.Sim.Engine.events_processed)
     Harness.Experiments.ids
 
+(* --- the timer check against a list-based reference ----------------- *)
+
+(* The timer check as it was before the checker kept a heap per
+   (process, tag): a list of pending [fire_at] values, newest first; a
+   fire takes the newest due one.  Kept here only as the reference the
+   heap is held to. *)
+let reference_timer_violations entries =
+  let tol = 1e-9 in
+  let pending = Hashtbl.create 8 in
+  let get key = Option.value (Hashtbl.find_opt pending key) ~default:[] in
+  let time_str = Sim.Sim_time.to_string in
+  List.rev
+    (List.fold_left
+       (fun acc e ->
+         match e with
+         | Sim.Trace.Timer_set { t; proc; tag; fire_at } ->
+             let acc =
+               if Sim.Sim_time.compare fire_at t < 0 then
+                 {
+                   Harness.Invariants.check = "timer";
+                   detail =
+                     Printf.sprintf
+                       "p%d timer tag=%d set at %s to fire in the past" proc
+                       tag (time_str t);
+                 }
+                 :: acc
+               else acc
+             in
+             Hashtbl.replace pending (proc, tag) (fire_at :: get (proc, tag));
+             acc
+         | Sim.Trace.Timer_fire { t; proc; tag } -> (
+             let due_by = t +. tol in
+             match
+               List.partition
+                 (fun fire_at -> Sim.Sim_time.compare fire_at due_by <= 0)
+                 (get (proc, tag))
+             with
+             | [], _ ->
+                 {
+                   Harness.Invariants.check = "timer";
+                   detail =
+                     Printf.sprintf
+                       "p%d timer tag=%d fired at %s with no due Timer_set"
+                       proc tag (time_str t);
+                 }
+                 :: acc
+             | _ :: due_rest, not_due ->
+                 Hashtbl.replace pending (proc, tag) (due_rest @ not_due);
+                 acc)
+         | _ -> acc)
+       [] entries)
+
+(* Timer sets and fires at non-decreasing times on a grid of 10 ms
+   steps, often several at one instant.  A set's [fire_at] lands on a
+   later (or the same, or an earlier) grid point, or half a [tol] or two
+   [tol]s either side of one, so fires find entries due exactly, within
+   [tol], just out of reach, or none at all. *)
+let arbitrary_timer_trace =
+  let open QCheck.Gen in
+  let tol = 1e-9 in
+  let step =
+    map2
+      (fun (dk, proc, tag) (set, dj, eps) -> (dk, proc, tag, set, dj, eps))
+      (triple (oneofl [ 0; 0; 0; 1; 2 ]) (int_range 0 1) (int_range (-1) 1))
+      (triple bool (int_range (-1) 5)
+         (oneofl [ 0.; tol /. 2.; -.tol /. 2.; 2. *. tol; -2. *. tol ]))
+  in
+  let build steps =
+    let k = ref 0 in
+    List.map
+      (fun (dk, proc, tag, set, dj, eps) ->
+        k := !k + dk;
+        let t = 0.01 *. float_of_int !k in
+        if set then
+          Sim.Trace.Timer_set
+            { t; proc; tag; fire_at = (0.01 *. float_of_int (!k + dj)) +. eps }
+        else Sim.Trace.Timer_fire { t; proc; tag })
+      steps
+  in
+  QCheck.make
+    ~print:(fun es ->
+      String.concat "\n"
+        (List.map (Format.asprintf "%a" Sim.Trace.pp_entry) es))
+    (map build (list_size (int_range 0 60) step))
+
+let prop_timer_check_matches_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"timer check gives the list-based reference's violations"
+    arbitrary_timer_trace (fun entries ->
+      let report = Harness.Invariants.check (mk entries) in
+      report.Harness.Invariants.violations = reference_timer_violations entries)
+
 let suite =
   [
     Alcotest.test_case "clean trace passes" `Quick test_clean_trace_passes;
@@ -327,4 +419,5 @@ let suite =
     Alcotest.test_case "tracing does not perturb a run" `Slow
       test_tracing_does_not_perturb;
     Alcotest.test_case "violation details" `Quick test_violation_details;
+    QCheck_alcotest.to_alcotest prop_timer_check_matches_reference;
   ]

@@ -309,12 +309,12 @@ let prop_field_readers_agree =
           | _ -> false)
         (List.init (Sim.Trace.length tr) Fun.id))
 
+let raises f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
 let test_field_reader_errors () =
   let tr = Sim.Trace.create ~enabled:true () in
   Sim.Trace.record tr (send 1.0);
-  let raises f =
-    match f () with _ -> false | exception Invalid_argument _ -> true
-  in
   Alcotest.(check bool) "out of bounds" true
     (raises (fun () -> Sim.Trace.id_at tr 1));
   Alcotest.(check bool) "no proc on a send" true
@@ -361,6 +361,173 @@ let test_replay_jsonl_pinned () =
                (Digest.string (Sim.Trace.to_jsonl rp.Harness.Experiments.trace))))
     replay_jsonl_md5
 
+(* --- released traces and the per-domain spare ----------------------- *)
+
+(* Takes whatever spare this domain holds, so the next trace starts from
+   an empty buffer. *)
+let drain_spare () = ignore (Sim.Trace.create ~enabled:true () : Sim.Trace.t)
+
+(* Leaves a spare of at least [records] records, filled with entries of
+   every kind, so that a reader that strays past [length] would see
+   them. *)
+let prime_spare records =
+  drain_spare ();
+  let tr = Sim.Trace.create ~enabled:true () in
+  let k = ref 0 in
+  while Sim.Trace.length tr < records do
+    List.iter (Sim.Trace.record tr)
+      (List.map
+         (fun e ->
+           incr k;
+           match e with
+           | Sim.Trace.Decide d -> Sim.Trace.Decide { d with value = !k }
+           | e -> e)
+         all_constructors)
+  done;
+  Sim.Trace.release tr
+
+(* A Modified-Paxos fuzz scenario run traced under the engine: its JSONL
+   export, retained length and first entry past the end. *)
+let fuzz_run_jsonl index =
+  let fs =
+    Harness.Fuzz.generate ~protocol:Harness.Fuzz_scenario.Modified_paxos
+      ~seed:42L ~index ()
+  in
+  let cfg =
+    Dgl.Config.make ~n:fs.Harness.Fuzz_scenario.n
+      ~delta:fs.Harness.Fuzz_scenario.delta ~rho:fs.Harness.Fuzz_scenario.rho
+      ()
+  in
+  let r =
+    Sim.Engine.run
+      (Harness.Fuzz_scenario.to_scenario fs)
+      (Dgl.Modified_paxos.protocol cfg)
+  in
+  let tr = r.Sim.Engine.trace in
+  let n = Sim.Trace.length tr in
+  let past_end = raises (fun () -> Sim.Trace.tag_at tr n) in
+  let jsonl = Sim.Trace.to_jsonl tr in
+  Sim.Trace.release tr;
+  (jsonl, n, past_end)
+
+let test_released_trace_raises () =
+  let module T = Sim.Trace in
+  let tr = T.create ~enabled:true () in
+  List.iter (T.record tr) all_constructors;
+  T.release tr;
+  let payload = T.info "1a" in
+  List.iter
+    (fun (what, f) ->
+      Alcotest.(check bool) (what ^ " raises") true (raises f))
+    [
+      ("length", fun () -> ignore (T.length tr));
+      ("total_recorded", fun () -> ignore (T.total_recorded tr));
+      ("dropped_oldest", fun () -> ignore (T.dropped_oldest tr));
+      ("capacity", fun () -> ignore (T.capacity tr));
+      ("get", fun () -> ignore (T.get tr 0));
+      ("tag_at", fun () -> ignore (T.tag_at tr 0));
+      ("entry_time", fun () -> ignore (T.entry_time tr 0));
+      ("id_at", fun () -> ignore (T.id_at tr 0));
+      ("iter", fun () -> T.iter ignore tr);
+      ("entries", fun () -> ignore (T.entries tr));
+      ("decisions", fun () -> ignore (T.decisions tr));
+      ( "fold_window",
+        fun () -> T.fold_window (fun () _ -> ()) () tr ~lo:0. ~hi:9. );
+      ( "sends_in_window",
+        fun () -> ignore (T.sends_in_window tr ~lo:0. ~hi:9.) );
+      ("to_jsonl", fun () -> ignore (T.to_jsonl tr));
+      ("record", fun () -> T.record tr (send 2.0));
+      ( "record_send",
+        fun () -> T.record_send tr ~t:2. ~id:0 ~src:0 ~dst:1 payload );
+      ( "record_timer_fire",
+        fun () -> T.record_timer_fire tr ~t:2. ~proc:0 ~tag:1 );
+      ("record_decide", fun () -> T.record_decide tr ~t:2. ~proc:0 ~value:1);
+      ("record_note", fun () -> T.record_note tr ~t:2. ~proc:0 "n");
+      ( "deliver_as_sent",
+        fun () ->
+          ignore (T.deliver_as_sent tr ~sent:0 ~key:(Sim.Sim_time.key_of_t 2.))
+      );
+    ];
+  (* a bounded trace too: its full ring must not take the overwrite path *)
+  let ring = T.create ~capacity:2 ~enabled:true () in
+  List.iter (T.record ring) all_constructors;
+  T.release ring;
+  Alcotest.(check bool) "record on a released ring raises" true
+    (raises (fun () -> T.record ring (send 2.0)));
+  drain_spare ()
+
+(* The same run recorded into a fresh buffer, into a recycled spare much
+   larger than it needs (full of another trace's records), and into one
+   much smaller (so it grows from the spare): the same bytes out. *)
+let test_recycled_buffer_same_export () =
+  drain_spare ();
+  let fresh, n, fresh_past_end = fuzz_run_jsonl 0 in
+  Alcotest.(check bool) "a run with a real trace" true (n > 100);
+  Alcotest.(check bool) "fresh: no entry past the end" true fresh_past_end;
+  List.iter
+    (fun (what, records) ->
+      prime_spare records;
+      let jsonl, n', past_end = fuzz_run_jsonl 0 in
+      Alcotest.(check int) (what ^ ": length") n n';
+      Alcotest.(check bool) (what ^ ": no entry past the end") true past_end;
+      Alcotest.(check string) (what ^ ": JSONL") fresh jsonl)
+    [ ("larger spare", 4 * n); ("smaller spare", n / 4) ];
+  drain_spare ()
+
+(* A bounded ring ignores the spare: it wraps the same way with a spare
+   larger or smaller than its capacity as with none. *)
+let test_bounded_ignores_spare () =
+  let run () =
+    let tr = Sim.Trace.create ~capacity:8 ~enabled:true () in
+    for i = 0 to 29 do
+      Sim.Trace.record tr (send ~id:i (0.1 *. float_of_int i));
+      if i mod 3 = 0 then
+        Sim.Trace.record tr
+          (Sim.Trace.Decide { t = 0.1 *. float_of_int i; proc = 1; value = i })
+    done;
+    let out =
+      (Sim.Trace.entries tr, Sim.Trace.to_jsonl tr, Sim.Trace.dropped_oldest tr)
+    in
+    Sim.Trace.release tr;
+    out
+  in
+  drain_spare ();
+  let without = run () in
+  List.iter
+    (fun (what, records) ->
+      prime_spare records;
+      Alcotest.(check bool) what true (run () = without))
+    [ ("spare larger than the ring", 200); ("spare smaller than the ring", 4) ];
+  drain_spare ()
+
+let test_release_harmless () =
+  let off = Sim.Trace.create ~enabled:false () in
+  Sim.Trace.release off;
+  Sim.Trace.release off;
+  Sim.Trace.record off (send 1.0);
+  Alcotest.(check int) "a released disabled trace still records nothing" 0
+    (Sim.Trace.length off);
+  let tr = Sim.Trace.create ~enabled:true () in
+  Sim.Trace.record tr (send 1.0);
+  Sim.Trace.release tr;
+  Sim.Trace.release tr;
+  (* one buffer must not reach two live traces *)
+  let a = Sim.Trace.create ~enabled:true ()
+  and b = Sim.Trace.create ~enabled:true () in
+  for i = 0 to 99 do
+    Sim.Trace.record a (send ~id:i ~kind:"a" (float_of_int i));
+    Sim.Trace.record b (send ~id:(1000 + i) ~kind:"b" (float_of_int i))
+  done;
+  let expect ~base kind =
+    List.init 100 (fun i -> send ~id:(base + i) ~kind (float_of_int i))
+  in
+  Alcotest.(check bool) "two traces after a double release are apart" true
+    (Sim.Trace.entries a = expect ~base:0 "a"
+    && Sim.Trace.entries b = expect ~base:1000 "b");
+  Sim.Trace.release a;
+  Sim.Trace.release b;
+  drain_spare ()
+
 let suite =
   [
     Alcotest.test_case "disabled trace is a no-op" `Quick test_disabled_noop;
@@ -383,4 +550,12 @@ let suite =
       test_field_reader_errors;
     Alcotest.test_case "replay JSONL bytes pinned" `Slow
       test_replay_jsonl_pinned;
+    Alcotest.test_case "released trace raises" `Quick
+      test_released_trace_raises;
+    Alcotest.test_case "recycled buffer exports the same bytes" `Quick
+      test_recycled_buffer_same_export;
+    Alcotest.test_case "bounded trace ignores the spare" `Quick
+      test_bounded_ignores_spare;
+    Alcotest.test_case "release of a disabled trace or twice" `Quick
+      test_release_harmless;
   ]
