@@ -188,11 +188,6 @@ let initial_state ctx cfg =
     decided = None;
   }
 
-let with_persist f ctx st =
-  let st' = f ctx st in
-  Engine.persist ctx st';
-  st'
-
 let protocol ?tuning ~n ~delta () =
   let tuning =
     match tuning with Some t -> t | None -> default_tuning ~delta
@@ -205,27 +200,13 @@ let protocol ?tuning ~n ~delta () =
     Engine.set_timer ctx ~local_delay:tuning.round_timeout ~tag:0;
     Engine.set_timer ctx ~local_delay:tuning.epsilon ~tag:resend_tag;
     broadcast_estimate ctx st;
-    Engine.persist ctx st;
     st
   in
-  {
-    Engine.name = "rotating-coordinator";
-    on_boot = boot;
-    on_message =
-      (fun ctx st ~src msg ->
-        with_persist (fun ctx st -> on_message_impl ctx st ~src msg) ctx st);
-    on_timer =
-      (fun ctx st ~tag ->
-        with_persist (fun ctx st -> on_timer_impl ctx st ~tag) ctx st);
-    on_restart =
-      (fun ctx ~persisted ->
-        match persisted with
-        | None -> boot ctx
-        | Some st ->
-            Engine.set_timer ctx ~local_delay:tuning.round_timeout
-              ~tag:st.round;
-            Engine.set_timer ctx ~local_delay:tuning.epsilon ~tag:resend_tag;
-            Engine.persist ctx st;
-            st);
-    msg_payload = Rotating_messages.payload;
-  }
+  let resume ctx st =
+    Engine.set_timer ctx ~local_delay:tuning.round_timeout ~tag:st.round;
+    Engine.set_timer ctx ~local_delay:tuning.epsilon ~tag:resend_tag;
+    st
+  in
+  Engine.persistent ~name:"rotating-coordinator" ~boot
+    ~on_message:on_message_impl ~on_timer:on_timer_impl ~resume
+    ~msg_payload:Rotating_messages.payload

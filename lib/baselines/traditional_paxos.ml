@@ -207,11 +207,6 @@ let initial_state ctx cfg =
     last_progress_local = Engine.local_time ctx;
   }
 
-let with_persist f ctx st =
-  let st' = f ctx st in
-  Engine.persist ctx st';
-  st'
-
 let protocol ?tuning ~n ~delta ~oracle () =
   let tuning =
     match tuning with Some t -> t | None -> default_tuning ~delta
@@ -222,38 +217,22 @@ let protocol ?tuning ~n ~delta ~oracle () =
   let boot ctx =
     let st = initial_state ctx cfg in
     Engine.set_timer ctx ~local_delay:tuning.theta ~tag:tick_tag;
-    Engine.persist ctx st;
     st
   in
-  {
-    Engine.name = "traditional-paxos";
-    on_boot = boot;
-    on_message =
-      (fun ctx st ~src msg ->
-        with_persist
-          (fun ctx st ->
-            match msg with
-            | Paxos_messages.P1a { mbal } -> handle_1a ctx st mbal
-            | Paxos_messages.P1b { mbal; vote } ->
-                handle_1b ctx st ~src mbal vote
-            | Paxos_messages.P2a { mbal; value } -> handle_2a ctx st mbal value
-            | Paxos_messages.P2b { mbal; value } ->
-                handle_2b ctx st ~src mbal value
-            | Paxos_messages.Rejected { mbal } -> handle_rejected ctx st mbal
-            | Paxos_messages.Decision { value } -> record_decision ctx st value)
-          ctx st);
-    on_timer =
-      (fun ctx st ~tag:_ -> with_persist (fun ctx st -> on_tick ctx st) ctx st);
-    on_restart =
-      (fun ctx ~persisted ->
-        match persisted with
-        | None -> boot ctx
-        | Some st ->
-            let st =
-              { st with last_progress_local = Engine.local_time ctx }
-            in
-            Engine.set_timer ctx ~local_delay:tuning.theta ~tag:tick_tag;
-            Engine.persist ctx st;
-            st);
-    msg_payload = Paxos_messages.payload;
-  }
+  let on_message ctx st ~src msg =
+    match msg with
+    | Paxos_messages.P1a { mbal } -> handle_1a ctx st mbal
+    | Paxos_messages.P1b { mbal; vote } -> handle_1b ctx st ~src mbal vote
+    | Paxos_messages.P2a { mbal; value } -> handle_2a ctx st mbal value
+    | Paxos_messages.P2b { mbal; value } -> handle_2b ctx st ~src mbal value
+    | Paxos_messages.Rejected { mbal } -> handle_rejected ctx st mbal
+    | Paxos_messages.Decision { value } -> record_decision ctx st value
+  in
+  let resume ctx st =
+    let st = { st with last_progress_local = Engine.local_time ctx } in
+    Engine.set_timer ctx ~local_delay:tuning.theta ~tag:tick_tag;
+    st
+  in
+  Engine.persistent ~name:"traditional-paxos" ~boot ~on_message
+    ~on_timer:(fun ctx st ~tag:_ -> on_tick ctx st)
+    ~resume ~msg_payload:Paxos_messages.payload

@@ -329,11 +329,6 @@ let initial_state ctx cfg =
     decided = None;
   }
 
-let with_persist f ctx st =
-  let st' = f ctx st in
-  Engine.persist ctx st';
-  st'
-
 let protocol ?tuning ~n ~delta ~rho () =
   let tuning =
     match tuning with Some t -> t | None -> default_tuning ~delta
@@ -350,31 +345,18 @@ let protocol ?tuning ~n ~delta ~rho () =
   let boot ctx =
     let st = initial_state ctx cfg in
     Engine.set_timer ctx ~local_delay:tuning.epsilon ~tag:resend_tag;
-    let st = wabcast ctx st ~round:0 ~value:st.est in
-    Engine.persist ctx st;
+    wabcast ctx st ~round:0 ~value:st.est
+  in
+  let resume ctx st =
+    Engine.set_timer ctx ~local_delay:tuning.epsilon ~tag:resend_tag;
+    (* Whatever the oracle already held is re-examined shortly after the
+       restart. *)
+    Engine.set_timer ctx ~local_delay:cfg.hold_local ~tag:oracle_tag;
     st
   in
-  {
-    Engine.name =
+  Engine.persistent
+    ~name:
       (if tuning.jump then "modified-b-consensus"
-       else "modified-b-consensus-nojump");
-    on_boot = boot;
-    on_message =
-      (fun ctx st ~src msg ->
-        with_persist (fun ctx st -> on_message_impl ctx st ~src msg) ctx st);
-    on_timer =
-      (fun ctx st ~tag ->
-        with_persist (fun ctx st -> on_timer_impl ctx st ~tag) ctx st);
-    on_restart =
-      (fun ctx ~persisted ->
-        match persisted with
-        | None -> boot ctx
-        | Some st ->
-            Engine.set_timer ctx ~local_delay:tuning.epsilon ~tag:resend_tag;
-            (* Whatever the oracle already held is re-examined shortly
-               after the restart. *)
-            Engine.set_timer ctx ~local_delay:cfg.hold_local ~tag:oracle_tag;
-            Engine.persist ctx st;
-            st);
-    msg_payload = Bc_messages.payload;
-  }
+       else "modified-b-consensus-nojump")
+    ~boot ~on_message:on_message_impl ~on_timer:on_timer_impl ~resume
+    ~msg_payload:Bc_messages.payload

@@ -23,5 +23,3 @@ let stamp_to_string (s : stamp) =
   Buffer.add_char b '.';
   Sim.Numfmt.add_int b s.origin;
   Buffer.contents b
-
-let pp_stamp fmt s = Format.pp_print_string fmt (stamp_to_string s)

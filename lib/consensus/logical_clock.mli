@@ -28,6 +28,3 @@ val compare_stamp : stamp -> stamp -> int
 
 (** ["<counter>.<origin>"], without [Format]. *)
 val stamp_to_string : stamp -> string
-
-(** Prints {!stamp_to_string}. *)
-val pp_stamp : Format.formatter -> stamp -> unit

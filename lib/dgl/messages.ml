@@ -12,10 +12,6 @@ let mbal = function
       Some mbal
   | Decision _ -> None
 
-let session_sender ~n:_ ~src = function
-  | P1a _ | P1b _ | P2a _ | P2b _ -> Some src
-  | Decision _ -> None
-
 let info = function
   | P1a { mbal } -> Printf.sprintf "1a(b%d)" mbal
   | P1b { mbal; vote } ->

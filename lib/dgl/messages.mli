@@ -22,17 +22,6 @@ type t =
 (** Ballot carried by the message ([None] for [Decision]). *)
 val mbal : t -> Ballot.t option
 
-(** The process this message counts as "heard from" for the
-    majority-in-session rule: the actual transport-level sender ([None]
-    for [Decision], which carries no ballot).  Note the distinction from
-    the paper's parenthetical "any phase 1a message m is treated as if it
-    were sent by process [m.mbal mod N]": that rule governs the {e Paxos
-    role} of a relayed 1a (in particular, where the 1b answer goes — see
-    the proof of step 2, where a process must receive "phase 1a messages
-    from every process in W" even though they all relay the same
-    ballot), not whom the message counts as contact with. *)
-val session_sender : n:int -> src:Types.proc_id -> t -> Types.proc_id option
-
 (** One-line human-readable description, e.g. ["1a(b7)"]. *)
 val info : t -> string
 

@@ -53,6 +53,3 @@ val mbal : state -> Ballot.t
 val session_number : state -> int
 
 val decided : state -> Types.value option
-
-(** Timer tag used for the [epsilon]-resend tick. *)
-val resend_tag : int

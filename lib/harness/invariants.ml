@@ -31,8 +31,9 @@ let pp fmt r =
       r.violations
   end
 
-(* Notes of the form "session:<k>:<how>" are the modified algorithms'
-   session-entry markers (see lib/dgl/modified_paxos.ml).  The prefix
+(* Notes of the form "session:<k>:<how>" ([how] is "adopt" or "start")
+   are modified Paxos's session-entry markers (see
+   lib/dgl/modified_paxos.ml); no other protocol writes them.  The prefix
    test keeps every other note from being split. *)
 let session_of_note text =
   if not (String.starts_with ~prefix:"session:" text) then None

@@ -200,6 +200,25 @@ let count (c : _ ctx) name = c.Runtime.count name
 
 let oracle_time (c : _ ctx) = c.Runtime.oracle_time ()
 
+let persistent ~name ~boot ~on_message ~on_timer ~resume ~msg_payload =
+  let stored ctx st =
+    persist ctx st;
+    st
+  in
+  {
+    name;
+    on_boot = (fun ctx -> stored ctx (boot ctx));
+    on_message =
+      (fun ctx st ~src msg -> stored ctx (on_message ctx st ~src msg));
+    on_timer = (fun ctx st ~tag -> stored ctx (on_timer ctx st ~tag));
+    on_restart =
+      (fun ctx ~persisted ->
+        match persisted with
+        | None -> stored ctx (boot ctx)
+        | Some st -> stored ctx (resume ctx st));
+    msg_payload;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Simulator implementations of the context capabilities               *)
 (* ------------------------------------------------------------------ *)

@@ -95,6 +95,23 @@ val note : ('msg, 'state) ctx -> string -> unit
     run's metrics {!Registry}. *)
 val count : ('msg, 'state) ctx -> string -> unit
 
+(** {2 Building a protocol} *)
+
+(** [persistent ~name ~boot ~on_message ~on_timer ~resume ~msg_payload]
+    is a protocol whose whole state lives in stable storage: it persists
+    the state once after [boot], after every message and timer handler,
+    and after a restart.  A restart runs [resume] on the persisted state
+    (volatile timers are gone, so [resume] re-arms them), or [boot] when
+    nothing was persisted. *)
+val persistent :
+  name:string ->
+  boot:(('msg, 'state) ctx -> 'state) ->
+  on_message:(('msg, 'state) ctx -> 'state -> src:int -> 'msg -> 'state) ->
+  on_timer:(('msg, 'state) ctx -> 'state -> tag:int -> 'state) ->
+  resume:(('msg, 'state) ctx -> 'state -> 'state) ->
+  msg_payload:('msg -> Trace.payload) ->
+  ('msg, 'state) protocol
+
 (** {2 Running} *)
 
 type 'state run_result = {

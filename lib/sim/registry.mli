@@ -65,9 +65,6 @@ val merge_into : dst:t -> t -> unit
 (** Drop all counters and histograms. *)
 val reset : t -> unit
 
-(** All histograms as [(name, sample_count, sum)], sorted by name. *)
-val histograms : t -> (string * int * float) list
-
 (** The registry as one {!Json} object
     [{"counters":{...},"histograms":{...}}] with keys sorted, as
     embedded in [BENCH_RESULTS.json].  A histogram's sum is the lexeme

@@ -39,15 +39,6 @@ let reply_equal a b =
   | Cas_fail x, Cas_fail y -> Option.equal String.equal x y
   | (Stored | Found _ | Absent | Cas_ok | Cas_fail _ | Noreply), _ -> false
 
-let pp_reply fmt = function
-  | Stored -> Format.pp_print_string fmt "stored"
-  | Found v -> Format.fprintf fmt "found(%s)" v
-  | Absent -> Format.pp_print_string fmt "absent"
-  | Cas_ok -> Format.pp_print_string fmt "cas-ok"
-  | Cas_fail None -> Format.pp_print_string fmt "cas-fail(<absent>)"
-  | Cas_fail (Some v) -> Format.fprintf fmt "cas-fail(%s)" v
-  | Noreply -> Format.pp_print_string fmt "noreply"
-
 let execute t (op : Command.op) =
   match op with
   | Command.Noop -> Noreply

@@ -41,5 +41,3 @@ val checksum : t -> int
     applied the same log prefix agree on it. *)
 
 val reply_equal : reply -> reply -> bool
-
-val pp_reply : Format.formatter -> reply -> unit

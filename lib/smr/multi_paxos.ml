@@ -11,8 +11,6 @@ module IBmap = Map.Make (struct
     if c <> 0 then c else Int.compare b1 b2
 end)
 
-let resend_tag = -1
-
 let submit_tag = -2
 
 (* Chosen entries are folded into 1b votes with an infinite ballot: a
@@ -91,12 +89,6 @@ let chosen_at st instance = Imap.find_opt instance st.chosen
 
 let n_of st = st.cfg.Dgl.Config.n
 
-let mark_active ctx st = { st with last_active_local = Engine.local_time ctx }
-
-let gossip_1a ctx st =
-  Engine.broadcast ctx (Smr_messages.M1a { mbal = st.mbal });
-  mark_active ctx st
-
 (* O(log n): every client submission consults this, so it must not scan
    the chosen log (that turns the server quadratic in decrees) *)
 let chosen_id_known st id = Iset.mem id st.chosen_ids
@@ -113,48 +105,72 @@ let add_pending st cmd =
        keeps FIFO proposal order without a deque *)
     { st with pending = st.pending @ [ cmd ] }
 
-(* Raise mbal to [b]; resets leader bookkeeping and, when the session
-   advances, re-arms the session timer and gossips a 1a — the same rules
-   as the single-shot algorithm.  Commands we proposed but that are not
-   chosen yet go back to pending so they are re-forwarded to whoever
-   leads next. *)
-let adopt_ballot ctx st b =
-  assert (b > st.mbal);
-  let n = n_of st in
-  let orphans =
-    Imap.fold
-      (fun _ cmd acc ->
-        if chosen_id_known st cmd.Command.id || Command.is_noop cmd then acc
-        else cmd :: acc)
-      st.proposed []
-  in
-  let st =
-    {
-      st with
-      mbal = b;
-      p1b_from = Quorum.create ~n;
-      p1b_merged = Imap.empty;
-      p1b_watermark = st.chosen_upto;
-      leading = false;
-      proposed = Imap.empty;
-      proposed_ids = Iset.empty;
-    }
-  in
-  let st = List.fold_left add_pending st orphans in
-  let new_session = Ballot.session ~n b in
-  if new_session > st.session.Dgl.Session.number then begin
+let schedule_next_submission ctx st =
+  if st.next_submit < Array.length st.workload then begin
+    let at, _ = st.workload.(st.next_submit) in
+    let delay = Float.max 0. (at -. Engine.local_time ctx) in
+    Engine.set_timer ctx ~local_delay:delay ~tag:submit_tag
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Session rules (Dgl.Session, shared with the single-shot algorithm)  *)
+(* ------------------------------------------------------------------ *)
+
+module Core = Dgl.Session.Make (struct
+  type msg = Smr_messages.t
+
+  type nonrec state = state
+
+  let p1a mbal = Smr_messages.M1a { mbal }
+
+  let msg_ballot = Smr_messages.mbal
+
+  let config st = st.cfg
+
+  let ballot st = st.mbal
+
+  let session st = st.session
+
+  let with_session st session = { st with session }
+
+  let last_active_local st = st.last_active_local
+
+  let with_last_active_local st last_active_local =
+    { st with last_active_local }
+
+  let session_gate _ = true
+
+  (* Resets leader bookkeeping.  Commands we proposed but that are not
+     chosen yet go back to pending so they are re-forwarded to whoever
+     leads next. *)
+  let adopt st b =
+    let orphans =
+      Imap.fold
+        (fun _ cmd acc ->
+          if chosen_id_known st cmd.Command.id || Command.is_noop cmd then acc
+          else cmd :: acc)
+        st.proposed []
+    in
     let st =
       {
         st with
-        session = Dgl.Session.enter st.session ~number:new_session;
-        progress_mark = st.chosen_upto;
+        mbal = b;
+        p1b_from = Quorum.create ~n:(n_of st);
+        p1b_merged = Imap.empty;
+        p1b_watermark = st.chosen_upto;
+        leading = false;
+        proposed = Imap.empty;
+        proposed_ids = Iset.empty;
       }
     in
-    Engine.set_timer ctx ~local_delay:st.cfg.Dgl.Config.timer_local
-      ~tag:new_session;
-    gossip_1a ctx st
-  end
-  else st
+    List.fold_left add_pending st orphans
+
+  let enter _ st session _ = { st with session; progress_mark = st.chosen_upto }
+
+  let rearm_at_remainder = false
+
+  let arm_own_timers = schedule_next_submission
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Choosing and applying                                               *)
@@ -230,7 +246,7 @@ let learn_chosen ctx st instance cmd =
 let propose ctx st cmd =
   let instance = st.next_instance in
   Engine.broadcast ctx (Smr_messages.M2a { mbal = st.mbal; instance; cmd });
-  mark_active ctx
+  Core.mark_active ctx
     {
       st with
       next_instance = instance + 1;
@@ -242,7 +258,7 @@ let propose ctx st cmd =
 
 let propose_at ctx st instance cmd =
   Engine.broadcast ctx (Smr_messages.M2a { mbal = st.mbal; instance; cmd });
-  mark_active ctx
+  Core.mark_active ctx
     {
       st with
       proposed = Imap.add instance cmd st.proposed;
@@ -354,7 +370,7 @@ let my_1b st =
 
 let handle_1a ctx st b =
   if b >= st.mbal then begin
-    let st = if b > st.mbal then adopt_ballot ctx st b else st in
+    let st = if b > st.mbal then Core.adopt_ballot ctx st b else st in
     Engine.send ctx ~dst:(Ballot.owner ~n:(n_of st) b) (my_1b st);
     st
   end
@@ -362,7 +378,7 @@ let handle_1a ctx st b =
 
 let handle_2a ctx st b instance cmd =
   if b >= st.mbal then begin
-    let st = if b > st.mbal then adopt_ballot ctx st b else st in
+    let st = if b > st.mbal then Core.adopt_ballot ctx st b else st in
     let accept =
       match Imap.find_opt instance st.ivotes with
       | Some (v : Smr_messages.ivote) -> b >= v.Smr_messages.vbal
@@ -418,35 +434,8 @@ let handle_digest ctx st ~src upto =
   else st
 
 (* ------------------------------------------------------------------ *)
-(* Session machinery (identical to the single-shot algorithm)          *)
-(* ------------------------------------------------------------------ *)
-
-let start_phase1 ctx st =
-  let b = Ballot.next_session ~n:(n_of st) ~proc:(Engine.self ctx) st.mbal in
-  adopt_ballot ctx st b
-
-let maybe_start_phase1 ctx st =
-  if Dgl.Session.can_start_phase1 st.session then start_phase1 ctx st else st
-
-let hear ctx st ~src msg =
-  match Smr_messages.mbal msg with
-  | None -> st
-  | Some b ->
-      if Ballot.session ~n:(n_of st) b = st.session.Dgl.Session.number then
-        maybe_start_phase1 ctx
-          { st with session = Dgl.Session.hear st.session src }
-      else st
-
-(* ------------------------------------------------------------------ *)
 (* Client submissions                                                  *)
 (* ------------------------------------------------------------------ *)
-
-let schedule_next_submission ctx st =
-  if st.next_submit < Array.length st.workload then begin
-    let at, _ = st.workload.(st.next_submit) in
-    let delay = Float.max 0. (at -. Engine.local_time ctx) in
-    Engine.set_timer ctx ~local_delay:delay ~tag:submit_tag
-  end
 
 let handle_submit ctx st =
   if st.next_submit >= Array.length st.workload then st
@@ -474,10 +463,9 @@ let handle_submit ctx st =
 (* Timers                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let on_timer_impl ctx st ~tag =
+let on_timer ctx st ~tag =
   if tag = submit_tag then handle_submit ctx st
-  else if tag = resend_tag then begin
-    let eps = st.cfg.Dgl.Config.epsilon in
+  else if tag = Dgl.Session.resend_tag then begin
     (* catch-up gossip + pending re-forward ride the epsilon tick *)
     Engine.broadcast ctx (Smr_messages.Chosen_digest { upto = st.chosen_upto });
     let leader = Ballot.owner ~n:(n_of st) st.mbal in
@@ -486,18 +474,9 @@ let on_timer_impl ctx st ~tag =
         if not (Iset.mem cmd.Command.id st.proposed_ids) then
           Engine.send ctx ~dst:leader (Smr_messages.Forward { cmd }))
       st.pending;
-    let lnow = Engine.local_time ctx in
-    let quiet = lnow -. st.last_active_local in
-    let st =
-      if quiet >= eps -. (eps *. 1e-9) then gossip_1a ctx st else st
-    in
-    Engine.set_timer ctx ~local_delay:eps ~tag:resend_tag;
-    st
+    Core.resend ctx st
   end
-  else if
-    tag = st.session.Dgl.Session.number
-    && not st.session.Dgl.Session.timer_expired
-  then begin
+  else if Core.session_timer_due st ~tag then begin
     (* Progress gate (the paper's stable-case optimization): a session
        timeout only opens Start Phase 1 if there is outstanding work and
        nothing was chosen since the timer was armed.  Otherwise the
@@ -510,11 +489,9 @@ let on_timer_impl ctx st ~tag =
     in
     let progressed = st.chosen_upto > st.progress_mark in
     if (not st.progress_gate) || (work_outstanding && not progressed) then
-      maybe_start_phase1 ctx
-        { st with session = Dgl.Session.expire st.session }
+      Core.expire_session ctx st
     else begin
-      Engine.set_timer ctx ~local_delay:st.cfg.Dgl.Config.timer_local
-        ~tag:st.session.Dgl.Session.number;
+      Core.arm_session_timer ctx st;
       { st with progress_mark = st.chosen_upto }
     end
   end
@@ -524,7 +501,7 @@ let on_timer_impl ctx st ~tag =
 (* Protocol record                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let on_message_impl ctx st ~src msg =
+let on_message ctx st ~src msg =
   let st =
     match msg with
     | Smr_messages.M1a { mbal } -> handle_1a ctx st mbal
@@ -538,7 +515,7 @@ let on_message_impl ctx st ~src msg =
     | Smr_messages.Chosen_digest { upto } -> handle_digest ctx st ~src upto
     | Smr_messages.Chosen { instance; cmd } -> learn_chosen ctx st instance cmd
   in
-  hear ctx st ~src msg
+  Core.hear ctx st ~src msg
 
 let initial_state ctx cfg ~progress_gate workload total_commands =
   let n = cfg.Dgl.Config.n in
@@ -567,17 +544,6 @@ let initial_state ctx cfg ~progress_gate workload total_commands =
     last_active_local = Engine.local_time ctx;
     progress_mark = 0;
   }
-
-let arm_timers ctx st =
-  Engine.set_timer ctx ~local_delay:st.cfg.Dgl.Config.timer_local
-    ~tag:st.session.Dgl.Session.number;
-  Engine.set_timer ctx ~local_delay:st.cfg.Dgl.Config.epsilon ~tag:resend_tag;
-  schedule_next_submission ctx st
-
-let with_persist f ctx st =
-  let st' = f ctx st in
-  Engine.persist ctx st';
-  st'
 
 (* ------------------------------------------------------------------ *)
 (* Durable essence (socket replica restart)                            *)
@@ -648,7 +614,7 @@ let restore ?(progress_gate = true) cfg ctx e =
       progress_mark = chosen_upto;
     }
   in
-  arm_timers ctx st;
+  Core.arm_timers ctx st;
   (* tell peers where we stand so their digests backfill the tail we
      lost between the last snapshot and the crash *)
   Engine.broadcast ctx (Smr_messages.Chosen_digest { upto = st.chosen_upto });
@@ -673,28 +639,9 @@ let protocol ?(progress_gate = true) cfg ~workloads =
         (Array.of_list workloads.(Engine.self ctx))
         total_commands
     in
-    arm_timers ctx st;
-    Engine.persist ctx st;
+    Core.arm_timers ctx st;
     st
   in
-  {
-    Engine.name = "smr-multi-paxos";
-    on_boot = boot;
-    on_message =
-      (fun ctx st ~src msg ->
-        with_persist (fun ctx st -> on_message_impl ctx st ~src msg) ctx st);
-    on_timer =
-      (fun ctx st ~tag ->
-        with_persist (fun ctx st -> on_timer_impl ctx st ~tag) ctx st);
-    on_restart =
-      (fun ctx ~persisted ->
-        match persisted with
-        | None -> boot ctx
-        | Some st ->
-            let st = { st with last_active_local = Engine.local_time ctx } in
-            arm_timers ctx st;
-            let st = maybe_start_phase1 ctx st in
-            Engine.persist ctx st;
-            st);
-    msg_payload = Smr_messages.payload ~n:cfg.Dgl.Config.n;
-  }
+  Engine.persistent ~name:"smr-multi-paxos" ~boot ~on_message ~on_timer
+    ~resume:Core.resume
+    ~msg_payload:(Smr_messages.payload ~n:cfg.Dgl.Config.n)

@@ -9,8 +9,13 @@
     session-gated ballot machinery of {!Dgl}:
 
     - ballots and sessions are global (one Start Phase 1 action, one
-      session timer, one majority-heard gate — identical to
-      {!Dgl.Modified_paxos});
+      session timer, one majority-heard gate), and the rules that drive
+      them are {!Dgl.Session.Make}, the code {!Dgl.Modified_paxos} runs
+      too; this module adds what differs: adopting a ballot re-queues
+      orphaned proposals and resets leader bookkeeping, a session entry
+      records the progress mark (no trace note, no counter), the progress
+      gate may stand a session timeout down, and the [epsilon] tick
+      carries catch-up digests and re-forwards;
     - phase 1b messages report the sender's accepted votes for {e all}
       unchosen instances (chosen instances are reported as votes with an
       infinite ballot so a new leader can never contradict them);

@@ -86,12 +86,6 @@ let test_message_metadata () =
   Alcotest.(check (option int)) "1a ballot" (Some 7) (mbal (P1a { mbal = 7 }));
   Alcotest.(check (option int)) "decision no ballot" None
     (mbal (Decision { value = 1 }));
-  Alcotest.(check (option int)) "1a heard as transport sender" (Some 3)
-    (session_sender ~n:5 ~src:3 (P1a { mbal = 7 }));
-  Alcotest.(check (option int)) "2b heard as sender" (Some 2)
-    (session_sender ~n:5 ~src:2 (P2b { mbal = 7; value = 1 }));
-  Alcotest.(check (option int)) "decision not heard" None
-    (session_sender ~n:5 ~src:2 (Decision { value = 1 }));
   List.iter
     (fun m -> Alcotest.(check bool) "info non-empty" true (info m <> ""))
     [
@@ -178,9 +172,11 @@ let test_obsolete_session1_ballots_absorbed () =
   Alcotest.(check bool) "decided within bound despite obsolete ballots" true
     (worst <= Dgl.Config.decision_bound cfg /. delta)
 
-let test_gate_pins_partitioned_minority () =
-  (* The proof's step-1 invariant observed behaviourally: a minority that
-     never hears a majority cannot advance past session 1. *)
+(* The proof's step-1 invariant observed behaviourally: a minority that
+   never hears a majority cannot advance past session 1.  Both Paxos
+   variants run the same session rules ([Dgl.Session.Make]); each is
+   checked through its own protocol record. *)
+let gate_pins_partitioned_minority protocol session_number () =
   let n = 7 in
   let sc =
     (* Horizon a hair past TS: validate requires horizon > ts, and no
@@ -191,12 +187,12 @@ let test_gate_pins_partitioned_minority () =
       ~horizon:(10.0 +. 1e-9) ~stop_on_all_decided:false ()
   in
   let cfg = Dgl.Config.make ~n ~delta () in
-  let r = Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg) in
+  let r = Sim.Engine.run sc (protocol cfg) in
   List.iter
     (fun p ->
       match r.Sim.Engine.final_states.(p) with
       | Some st ->
-          let s = Dgl.Modified_paxos.session_number st in
+          let s = session_number st in
           if p >= 4 then
             Alcotest.(check bool)
               (Printf.sprintf "minority p%d pinned (session %d <= 1)" p s)
@@ -207,6 +203,21 @@ let test_gate_pins_partitioned_minority () =
               true (s > 10)
       | None -> Alcotest.fail "process down unexpectedly")
     (List.init n (fun i -> i))
+
+let test_gate_pins_partitioned_minority =
+  gate_pins_partitioned_minority
+    (fun cfg -> Dgl.Modified_paxos.protocol cfg)
+    Dgl.Modified_paxos.session_number
+
+(* Multi-Paxos without its progress gate: every session timeout opens
+   Start Phase 1, so only the majority-in-session rule holds the
+   minority back. *)
+let test_multi_paxos_gate_pins_partitioned_minority =
+  gate_pins_partitioned_minority
+    (fun cfg ->
+      Smr.Multi_paxos.protocol ~progress_gate:false cfg
+        ~workloads:(Array.make cfg.Dgl.Config.n []))
+    Smr.Multi_paxos.session_number
 
 let test_ungated_minority_races () =
   (* Without the gate the same minority keeps advancing on every
@@ -386,6 +397,8 @@ let suite =
       test_obsolete_session1_ballots_absorbed;
     Alcotest.test_case "gate pins partitioned minority" `Quick
       test_gate_pins_partitioned_minority;
+    Alcotest.test_case "multi-paxos gate pins partitioned minority" `Quick
+      test_multi_paxos_gate_pins_partitioned_minority;
     Alcotest.test_case "ungated minority races" `Quick
       test_ungated_minority_races;
     Alcotest.test_case "restart decides quickly" `Quick
