@@ -20,13 +20,53 @@
    throughput, visited-table footprint, serial-vs-parallel speedup);
    its numbers land in BENCH_RESULTS.json as mcheck_*.  A fourth runs a
    seeded fault-injection fuzz campaign over the default protocol mix;
-   its throughput and counters land as fuzz_*. *)
+   its throughput and counters land as fuzz_*.
+
+   The speed figures [engine_events_per_s], [mcheck_states_per_s] and
+   [fuzz_runs_per_s] are each the median of [passes] timed passes, with
+   the quartiles beside them as [<name>_q1] / [<name>_q3]: one pass
+   swings by about 2x between back-to-back runs on a 2-vCPU host. *)
 
 open Bechamel
 
 let delta = 0.01
 
 let ts = 0.5
+
+let now = Unix.gettimeofday
+
+let time f =
+  let t0 = now () in
+  let r = f () in
+  (r, now () -. t0)
+
+(* --- spread over repeated passes -------------------------------------- *)
+
+let passes = 5
+
+(* [(q1, median, q3)] of a nonempty sample, interpolating linearly
+   between ranks. *)
+let quartiles xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let last = Array.length a - 1 in
+  let at q =
+    let x = q *. float_of_int last in
+    let i = int_of_float x in
+    let j = Int.min (i + 1) last in
+    a.(i) +. ((x -. float_of_int i) *. (a.(j) -. a.(i)))
+  in
+  (at 0.25, at 0.5, at 0.75)
+
+let median xs =
+  let _, m, _ = quartiles xs in
+  m
+
+(* Quartiles of [work /. wall] over the walls of several passes. *)
+let rates work walls = quartiles (List.map (fun w -> work /. w) walls)
+
+(* A speed metric's three names: median, first and third quartile. *)
+let spread_names name = [ name; name ^ "_q1"; name ^ "_q3" ]
 
 (* --- representative single runs, one per experiment table ----------- *)
 
@@ -220,10 +260,10 @@ let engine_stats () =
     (Sim.Engine.run sc Harness.Hotpath.pinger).Sim.Engine.events_processed
   in
   ignore (events () : int);
-  let t0 = Unix.gettimeofday () in
-  let e = events () in
-  let wall = Unix.gettimeofday () -. t0 in
-  let events_per_s = if wall > 0. then float_of_int e /. wall else 0. in
+  let runs = List.init passes (fun _ -> time events) in
+  let events_per_s =
+    rates (float_of_int (fst (List.hd runs))) (List.map snd runs)
+  in
   let words_per_event =
     Harness.Hotpath.alloc_words_per_event Harness.Hotpath.pinger ~n:3
       ~horizon_lo:1.0 ~horizon_hi:11.0
@@ -249,15 +289,94 @@ let engine_stats () =
     once ();
     Gc.minor_words () -. w0
   in
+  let q1, med, q3 = events_per_s in
   Printf.printf
-    "engine: %.2fM events/s; %.2f words/event steady-state, %.0f words per \
-     modified-paxos run\n\n\
+    "engine: %.2fM events/s (q1 %.2fM, q3 %.2fM, %d passes); %.2f \
+     words/event steady-state, %.0f words per modified-paxos run\n\n\
      %!"
-    (events_per_s /. 1e6) words_per_event words_per_run;
+    (med /. 1e6) (q1 /. 1e6) (q3 /. 1e6) passes words_per_event words_per_run;
   (events_per_s, words_per_event, words_per_run)
 
 let engine_metric_names =
-  [ "engine_events_per_s"; "alloc_words_per_event"; "alloc_words_per_run" ]
+  spread_names "engine_events_per_s"
+  @ [ "alloc_words_per_event"; "alloc_words_per_run" ]
+
+(* --- model checker and fuzzer throughput ------------------------------ *)
+
+(* Model-checker throughput: [passes] bounded searches of the paxos core
+   to [depth] (~2*10^5 states at depth 10) on the pool, re-run serially
+   when the pool is real so the JSON records the speedup on this machine
+   (the ratio of the median walls).  [registry] sees the first pass
+   only. *)
+let mcheck_stats ?registry ~domains ~depth () =
+  let cfg =
+    { Mcheck.Model.n = 3; proposals = [| 10; 20; 30 |]; max_session = 1;
+      gate = true }
+  in
+  let properties = Mcheck.Explorer.all_properties cfg in
+  let search ?registry ~domains () =
+    Mcheck.Explorer.run ~max_depth:depth ~domains ?registry cfg
+      ~max_states:1_000_000 ~properties
+  in
+  let timed ~domains =
+    List.init passes (fun i ->
+        let registry = if i = 0 then registry else None in
+        time (fun () -> search ?registry ~domains ()))
+  in
+  let runs = timed ~domains in
+  let o = fst (List.hd runs) and walls = List.map snd runs in
+  let wall = median walls in
+  let states_per_s = rates (float_of_int o.Mcheck.Explorer.states) walls in
+  let visited_mb = float_of_int o.Mcheck.Explorer.table_words *. 8. /. 1e6 in
+  let speedup =
+    if domains > 1 then Some (median (List.map snd (timed ~domains:1)) /. wall)
+    else None
+  in
+  let q1, med, q3 = states_per_s in
+  Format.printf
+    "mcheck: %d states, %d transitions, median %.2fs (%.0f states/s, q1 \
+     %.0f, q3 %.0f, %d passes; visited table %.1f MB, %d domain%s%s)@."
+    o.Mcheck.Explorer.states o.Mcheck.Explorer.transitions wall med q1 q3
+    passes visited_mb domains
+    (if domains = 1 then "" else "s")
+    (match speedup with
+    | Some sp -> Printf.sprintf ", speedup %.2fx" sp
+    | None -> "");
+  (o.Mcheck.Explorer.states, wall, states_per_s, visited_mb, speedup)
+
+let mcheck_metric_names =
+  spread_names "mcheck_states_per_s"
+  @ [ "mcheck_states"; "mcheck_wall_clock_s"; "mcheck_visited_mb";
+      "mcheck_speedup" ]
+
+(* Fuzzer throughput: [passes] seeded campaigns of [budget] runs over the
+   default protocol mix (the workload `consensus_sim fuzz` runs).  The
+   campaign is deterministic, so every pass returns the same summary;
+   its counters land once in [registry] as fuzz_*.  A healthy tree
+   reports zero failures here. *)
+let fuzz_stats ?registry ~domains ~budget () =
+  let runs =
+    List.init passes (fun _ ->
+        time (fun () -> Harness.Fuzz.campaign ~budget ~seed:42L ()))
+  in
+  let summary = fst (List.hd runs) and walls = List.map snd runs in
+  Option.iter (fun r -> Harness.Fuzz.register_metrics r summary) registry;
+  let n = summary.Harness.Fuzz.runs
+  and failures = summary.Harness.Fuzz.failures in
+  let runs_per_s = rates (float_of_int n) walls in
+  let q1, med, q3 = runs_per_s in
+  Format.printf
+    "fuzz: %d runs, median %.2fs (%.0f runs/s, q1 %.0f, q3 %.0f, %d passes; \
+     %d failure%s, %d domain%s)@."
+    n (median walls) med q1 q3 passes failures
+    (if failures = 1 then "" else "s")
+    domains
+    (if domains = 1 then "" else "s");
+  (n, median walls, runs_per_s, failures)
+
+let fuzz_metric_names =
+  spread_names "fuzz_runs_per_s"
+  @ [ "fuzz_runs"; "fuzz_wall_clock_s"; "fuzz_failures" ]
 
 (* --- trace recording and export ------------------------------------- *)
 
@@ -273,7 +392,6 @@ let engine_metric_names =
    [Trace.to_jsonl] over the A4 replay's trace (the largest replay),
    best of [reps]. *)
 let trace_stats ~runs ~reps =
-  let now = Unix.gettimeofday in
   let scenarios =
     List.init runs (fun index ->
         let fs =
@@ -428,14 +546,17 @@ let loc_metric_names = [ "loc_lib"; "loc_bin" ]
    BENCH_RESULTS.json. *)
 let smoke () =
   let micro = run_micro cheap_cases in
-  ignore (engine_stats () : float * float * float);
+  ignore (engine_stats () : (float * float * float) * float * float);
+  ignore (mcheck_stats ~domains:1 ~depth:6 ());
+  ignore (fuzz_stats ~domains:1 ~budget:20 ());
   ignore (trace_stats ~runs:50 ~reps:1 : float * float * float);
   ignore (chaos_stats ~commands:2_000 ~pipeline:64 () : float * int);
   let loc = loc_stats () in
   let produced =
     List.sort_uniq String.compare
       (List.map (fun (name, _, _) -> name) micro
-      @ engine_metric_names @ trace_metric_names @ chaos_metric_names
+      @ engine_metric_names @ mcheck_metric_names @ fuzz_metric_names
+      @ trace_metric_names @ chaos_metric_names
       @ if loc = None then [] else loc_metric_names)
   in
   let schema_path =
@@ -485,6 +606,10 @@ let json_float f =
 
 let json_opt f = function Some v -> f v | None -> Sim.Json.Null
 
+(* A speed metric's median and quartiles as three fields. *)
+let json_spread name (q1, med, q3) =
+  List.combine (spread_names name) (List.map json_float [ med; q1; q3 ])
+
 let write_results ~path ~speed ~domains ~wall ~serial_wall ~micro ~metrics
     ~mcheck ~fuzz ~engine ~trace ~chaos ~invariants_ok ~lint ~loc =
   let open Sim.Json in
@@ -510,10 +635,10 @@ let write_results ~path ~speed ~domains ~wall ~serial_wall ~micro ~metrics
   in
   let doc =
     Obj
-      [
-        ("speed", Str speed);
-        ("domains", int domains);
-        ("engine_events_per_s", json_float events_per_s);
+      ([ ("speed", Str speed); ("domains", int domains);
+         ("passes", int passes) ]
+      @ json_spread "engine_events_per_s" events_per_s
+      @ [
         ("alloc_words_per_event", json_float words_per_event);
         ("alloc_words_per_run", json_float words_per_run);
         ("trace_overhead_frac", json_float trace_overhead);
@@ -531,12 +656,16 @@ let write_results ~path ~speed ~domains ~wall ~serial_wall ~micro ~metrics
             ] );
         ("mcheck_states", int mc_states);
         ("mcheck_wall_clock_s", json_float mc_wall);
-        ("mcheck_states_per_s", json_float mc_states_per_s);
+      ]
+      @ json_spread "mcheck_states_per_s" mc_states_per_s
+      @ [
         ("mcheck_visited_mb", json_float mc_visited_mb);
         ("mcheck_speedup", json_opt json_float mc_speedup);
         ("fuzz_runs", int fuzz_runs);
         ("fuzz_wall_clock_s", json_float fuzz_wall);
-        ("fuzz_runs_per_s", json_float fuzz_runs_per_s);
+      ]
+      @ json_spread "fuzz_runs_per_s" fuzz_runs_per_s
+      @ [
         ("fuzz_failures", int fuzz_failures);
         ("chaos_commands_per_s", json_float chaos_tp);
         ("chaos_faults_injected", int chaos_faults);
@@ -549,7 +678,7 @@ let write_results ~path ~speed ~domains ~wall ~serial_wall ~micro ~metrics
         ("loc_bin", json_opt (fun (_, bin) -> int bin) loc);
         ("metrics", Sim.Registry.to_json metrics);
         ("micro_ns_per_run", Arr (List.map micro_entry micro));
-      ]
+      ])
   in
   Out_channel.with_open_text path (fun oc ->
       output_string oc (print_pretty doc);
@@ -570,11 +699,6 @@ let () =
       (if Sys.getenv_opt "BENCH_SKIP_MICRO" = None then
          cheap_cases @ expensive_cases
        else cheap_cases)
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
   in
   let domains = Harness.Measure.domain_count () in
   Harness.Experiments.reset_metrics ();
@@ -631,72 +755,11 @@ let () =
   Format.printf "trace invariants: %s on %d replayed scenarios@."
     (if invariants_ok then "OK" else "FAILED")
     (List.length Harness.Experiments.ids);
-  (* Model-checker throughput: one deep bounded search of the paxos core
-     (~2*10^5 states at depth 10) on the pool, re-run serially when the
-     pool is real so the JSON records the speedup on this machine. *)
-  let mcheck =
-    let cfg =
-      { Mcheck.Model.n = 3; proposals = [| 10; 20; 30 |]; max_session = 1;
-        gate = true }
-    in
-    let properties = Mcheck.Explorer.all_properties cfg in
-    let search ?registry ~domains () =
-      Mcheck.Explorer.run ~max_depth:10 ~domains ?registry cfg
-        ~max_states:1_000_000 ~properties
-    in
-    let o, mc_wall = time (fun () -> search ~registry:metrics ~domains ()) in
-    let serial_wall =
-      if domains > 1 then Some (snd (time (fun () -> search ~domains:1 ())))
-      else None
-    in
-    let states_per_s =
-      if mc_wall > 0. then float_of_int o.Mcheck.Explorer.states /. mc_wall
-      else 0.
-    in
-    let visited_mb =
-      float_of_int o.Mcheck.Explorer.table_words *. 8. /. 1e6
-    in
-    let speedup =
-      match serial_wall with
-      | Some s when mc_wall > 0. -> Some (s /. mc_wall)
-      | _ -> None
-    in
-    Format.printf
-      "mcheck: %d states, %d transitions in %.1fs (%.0f states/s, visited \
-       table %.1f MB, %d domain%s%s)@."
-      o.Mcheck.Explorer.states o.Mcheck.Explorer.transitions mc_wall
-      states_per_s visited_mb domains
-      (if domains = 1 then "" else "s")
-      (match speedup with
-      | Some sp -> Printf.sprintf ", speedup %.2fx" sp
-      | None -> "");
-    (o.Mcheck.Explorer.states, mc_wall, states_per_s, visited_mb, speedup)
-  in
-  (* Fuzzer throughput: a seeded campaign over the default protocol mix
-     (the same workload `consensus_sim fuzz` runs).  Its counters land
-     in the shared registry as fuzz_*; a healthy tree reports zero
-     failures here. *)
+  let mcheck = mcheck_stats ~registry:metrics ~domains ~depth:10 () in
   let fuzz =
-    let budget =
-      match speed with Harness.Experiments.Full -> 1000 | Quick -> 200
-    in
-    let summary, fz_wall =
-      time (fun () -> Harness.Fuzz.campaign ~budget ~seed:42L ())
-    in
-    Harness.Fuzz.register_metrics metrics summary;
-    let runs_per_s =
-      if fz_wall > 0. then float_of_int summary.Harness.Fuzz.runs /. fz_wall
-      else 0.
-    in
-    Format.printf
-      "fuzz: %d runs in %.1fs (%.0f runs/s, %d failure%s, %d domain%s)@."
-      summary.Harness.Fuzz.runs fz_wall runs_per_s
-      summary.Harness.Fuzz.failures
-      (if summary.Harness.Fuzz.failures = 1 then "" else "s")
-      domains
-      (if domains = 1 then "" else "s");
-    (summary.Harness.Fuzz.runs, fz_wall, runs_per_s,
-     summary.Harness.Fuzz.failures)
+    fuzz_stats ~registry:metrics ~domains
+      ~budget:(match speed with Harness.Experiments.Full -> 1000 | Quick -> 200)
+      ()
   in
   (* Static-analysis verdict alongside the dynamic one: the same pass
      `consensus_sim lint` runs, against the checked-in baseline.  [None]

@@ -55,15 +55,16 @@ val initial : config -> state
 
 val successors : config -> state -> state list
 
-(** {2 State identity} (see {!Model}: set values are not canonical) *)
+(** {2 State identity}
+
+    [Set.t] values are not canonical (equal sets can differ in AVL
+    shape), so states must never be compared or hashed structurally. *)
 
 (** Canonical structural key — the exact-mode visited key. *)
 val key : state -> proc list * msg list
 
-(** Canonical, prefix-decodable word encoding of a state. *)
-val fold_canonical : ('a -> int -> 'a) -> 'a -> state -> 'a
-
-(** 128-bit fingerprint of the canonical encoding. *)
+(** 128-bit fingerprint of a canonical, prefix-decodable word encoding
+    of the state. *)
 val fingerprint : state -> Fingerprint.t
 
 (** {2 Properties} *)

@@ -1,7 +1,8 @@
 (* A fingerprint is 16 immutable bytes: [hi] little-endian at offset 0,
    [lo] at offset 8.  Lanes are only ever read and written through
-   [get_int64_le]/[set_int64_le] inside one function, so the int64
-   arithmetic stays unboxed even where cross-module inlining is off. *)
+   [get_int64_le]/[set_int64_le] or local refs inside one function, so
+   the int64 arithmetic stays unboxed even where cross-module inlining
+   is off. *)
 type t = string
 
 let equal = String.equal
@@ -39,35 +40,53 @@ let[@inline] mix64 z =
   in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+let lane1_init = 0x9E3779B97F4A7C15L
+
+let lane2_init = 0xC2B2AE3D27D4EB4FL
+
 (* The two running lanes, [h1] at offset 0 and [h2] at offset 8. *)
 type hasher = Bytes.t
 
 let hasher () =
   let h = Bytes.create 16 in
-  Bytes.set_int64_le h 0 0x9E3779B97F4A7C15L;
-  Bytes.set_int64_le h 8 0xC2B2AE3D27D4EB4FL;
+  Bytes.set_int64_le h 0 lane1_init;
+  Bytes.set_int64_le h 8 lane2_init;
   h
+
+(* One input word's step on each lane. *)
+let[@inline] step1 h w =
+  mix64 (Int64.mul (Int64.logxor h w) 0xFF51AFD7ED558CCDL)
+
+let[@inline] step2 h w =
+  mix64
+    (Int64.mul
+       (Int64.logxor h (Int64.logxor w 0xA5A5A5A5A5A5A5A5L))
+       0xC4CEB9FE1A85EC53L)
 
 let add h i =
   let w = Int64.of_int i in
-  Bytes.set_int64_le h 0
-    (mix64
-       (Int64.mul
-          (Int64.logxor (Bytes.get_int64_le h 0) w)
-          0xFF51AFD7ED558CCDL));
-  Bytes.set_int64_le h 8
-    (mix64
-       (Int64.mul
-          (Int64.logxor (Bytes.get_int64_le h 8)
-             (Int64.logxor w 0xA5A5A5A5A5A5A5A5L))
-          0xC4CEB9FE1A85EC53L));
+  Bytes.set_int64_le h 0 (step1 (Bytes.get_int64_le h 0) w);
+  Bytes.set_int64_le h 8 (step2 (Bytes.get_int64_le h 8) w);
   h
 
-let finish h =
+let[@inline] finish_lanes h1 h2 =
   let t = Bytes.create 16 in
-  Bytes.set_int64_le t 0 (mix64 (Bytes.get_int64_le h 0));
-  Bytes.set_int64_le t 8 (mix64 (Bytes.get_int64_le h 8));
+  Bytes.set_int64_le t 0 (mix64 h1);
+  Bytes.set_int64_le t 8 (mix64 h2);
   Bytes.unsafe_to_string t
+
+let finish h = finish_lanes (Bytes.get_int64_le h 0) (Bytes.get_int64_le h 8)
+
+(* The lanes are local mutable variables that never escape, so the
+   compiler keeps them unboxed for the whole loop. *)
+let of_words ws =
+  let h1 = ref lane1_init and h2 = ref lane2_init in
+  for i = 0 to Array.length ws - 1 do
+    let w = Int64.of_int ws.(i) in
+    h1 := step1 !h1 w;
+    h2 := step2 !h2 w
+  done;
+  finish_lanes !h1 !h2
 
 module Set = struct
   (* Open addressing with linear probing over one [Bytes] of 16-byte

@@ -26,8 +26,9 @@
     Producers must feed a canonical, prefix-decodable word stream:
     equal states must produce equal streams (sort sets first) and
     distinct states distinct streams (emit lengths before variable-
-    length sections and tags before variant payloads).  See
-    {!Model.fold_canonical} / {!Bc_model.fold_canonical}. *)
+    length sections and tags before variant payloads).  A {!Model}
+    state is such a stream itself and is hashed with {!of_words};
+    {!Bc_model} folds {!add} over the stream it builds. *)
 
 type t
 
@@ -42,10 +43,11 @@ val of_hex : string -> t
 
 (** {2 Construction}
 
-    [finish (fold_canonical add (hasher ()) st)].  A hasher is mutable
-    and belongs to one fingerprint computation: make a fresh one per
-    call (never share one between {!Sim.Domain_pool} workers), and do
-    not use it after [finish]. *)
+    [of_words ws], or [finish (fold add (hasher ()) ws)] when the words
+    are produced one at a time; the two agree on every word sequence.
+    A hasher is mutable and belongs to one fingerprint computation:
+    make a fresh one per call (never share one between
+    {!Sim.Domain_pool} workers), and do not use it after [finish]. *)
 
 type hasher
 
@@ -58,6 +60,11 @@ val add : hasher -> int -> hasher
 
 (** Finalize the two lanes into a fingerprint. *)
 val finish : hasher -> t
+
+(** [of_words ws] is [finish (Array.fold_left add (hasher ()) ws)],
+    computed in one loop with both lanes held unboxed: it allocates
+    only the result. *)
+val of_words : int array -> t
 
 (** Sets of fingerprints: open addressing with linear probing over one
     byte table of 16-byte slots.  The layout is a deterministic

@@ -1,47 +1,14 @@
-type msg =
-  | M1a of { src : int; bal : int }
-  | M1b of { src : int; bal : int; vbal : int; vval : int }
-  | M2a of { bal : int; value : int }
-  | M2b of { src : int; bal : int; value : int }
+(* A state is one int array that is its own canonical word stream:
 
-type proc = { mbal : int; vbal : int; vval : int; decided : int }
+     [n; mbal vbal vval decided (x n); #msgs; records...]
 
-(* Same order as the polymorphic compare, made monomorphic (lint R6). *)
-let compare_msg a b =
-  let tag = function M1a _ -> 0 | M1b _ -> 1 | M2a _ -> 2 | M2b _ -> 3 in
-  match (a, b) with
-  | M1a { src = s1; bal = b1 }, M1a { src = s2; bal = b2 } ->
-      let c = Int.compare s1 s2 in
-      if c <> 0 then c else Int.compare b1 b2
-  | ( M1b { src = s1; bal = b1; vbal = vb1; vval = vv1 },
-      M1b { src = s2; bal = b2; vbal = vb2; vval = vv2 } ) ->
-      let c = Int.compare s1 s2 in
-      if c <> 0 then c
-      else
-        let c = Int.compare b1 b2 in
-        if c <> 0 then c
-        else
-          let c = Int.compare vb1 vb2 in
-          if c <> 0 then c else Int.compare vv1 vv2
-  | M2a { bal = b1; value = v1 }, M2a { bal = b2; value = v2 } ->
-      let c = Int.compare b1 b2 in
-      if c <> 0 then c else Int.compare v1 v2
-  | ( M2b { src = s1; bal = b1; value = v1 },
-      M2b { src = s2; bal = b2; value = v2 } ) ->
-      let c = Int.compare s1 s2 in
-      if c <> 0 then c
-      else
-        let c = Int.compare b1 b2 in
-        if c <> 0 then c else Int.compare v1 v2
-  | _ -> Int.compare (tag a) (tag b)
-
-module Msgset = Set.Make (struct
-  type t = msg
-
-  let compare = compare_msg
-end)
-
-type state = { procs : proc array; msgs : Msgset.t }
+   Each record starts with its tag: 1a = [0 src bal], 1b = [1 src bal
+   vbal vval], 2a = [2 bal value], 2b = [3 src bal value].  Records are
+   distinct and sorted lexicographically, so equal states are equal
+   arrays.  A successor is built by one copy of its parent, edited
+   before it is returned and never written afterwards, so states are
+   safe to share between domains. *)
+type state = int array
 
 type config = {
   n : int;
@@ -50,13 +17,10 @@ type config = {
   gate : bool;
 }
 
-let initial cfg =
-  {
-    procs =
-      Array.init cfg.n (fun p ->
-          { mbal = p; vbal = -1; vval = -1; decided = -1 });
-    msgs = Msgset.empty;
-  }
+let t1a = 0 and t1b = 1 and t2a = 2 and t2b = 3
+
+(* Words in a record, tag included. *)
+let arity tag = match tag with 0 | 2 -> 3 | 1 -> 5 | _ -> 4
 
 let session ~n b = b / n
 
@@ -64,155 +28,193 @@ let owner ~n b = b mod n
 
 let majority n = (n / 2) + 1
 
-let sender_of ~n = function
-  | M1a { src; _ } | M1b { src; _ } | M2b { src; _ } -> src
-  | M2a { bal; _ } -> owner ~n bal
+(* --- reading a state -------------------------------------------------- *)
 
-let bal_of = function
-  | M1a { bal; _ } | M1b { bal; _ } | M2a { bal; _ } | M2b { bal; _ } -> bal
+let mbal st p = st.((4 * p) + 1)
+
+let vbal st p = st.((4 * p) + 2)
+
+let vval st p = st.((4 * p) + 3)
+
+let decided st p = st.((4 * p) + 4)
+
+let count_at st = (4 * st.(0)) + 1
+
+let msg_count st = st.(count_at st)
+
+(* [fold_from lo hi f acc st o] folds [f acc o] over the records from
+   offset [o] on whose tags lie in [lo, hi], in order; [o] is the offset
+   of a record's tag.  Records are sorted by tag, so the walk stops at
+   the first tag above [hi]. *)
+let rec fold_from lo hi f acc st o =
+  if o >= Array.length st || st.(o) > hi then acc
+  else
+    let acc = if st.(o) >= lo then f acc o else acc in
+    fold_from lo hi f acc st (o + arity st.(o))
+
+let fold_tag tag f acc st = fold_from tag tag f acc st (count_at st + 1)
+
+let fold_msgs f acc st = fold_from t1a t2b f acc st (count_at st + 1)
+
+let msg_bal st o = if st.(o) = t2a then st.(o + 1) else st.(o + 2)
+
+let msg_sender ~n st o =
+  if st.(o) = t2a then owner ~n st.(o + 1) else st.(o + 1)
+
+(* --- building a successor --------------------------------------------- *)
+
+(* Successors are fresh arrays, so these edits never touch a shared
+   state. *)
+let set_mbal st p bal = st.((4 * p) + 1) <- bal
+
+let with_mbal st p bal =
+  let st = Array.copy st in
+  set_mbal st p bal;
+  st
+
+let with_decided st p value =
+  let st = Array.copy st in
+  st.((4 * p) + 4) <- value;
+  st
+
+let word i tag w1 w2 w3 w4 =
+  match i with 0 -> tag | 1 -> w1 | 2 -> w2 | 3 -> w3 | _ -> w4
+
+(* Lexicographic order of words [i ..] of the record [tag w1 w2 w3 w4]
+   (its first [len] words) against those of the record at [o]. *)
+let rec compare_at st o i len tag w1 w2 w3 w4 =
+  if i = len then 0
+  else
+    let x = word i tag w1 w2 w3 w4 and y = st.(o + i) in
+    if x <> y then Int.compare x y
+    else compare_at st o (i + 1) len tag w1 w2 w3 w4
+
+(* Where the record belongs in the sorted records from offset [o] on;
+   [-1] when it is already there. *)
+let rec slot st o len tag w1 w2 w3 w4 =
+  if o >= Array.length st || st.(o) > tag then o
+  else if st.(o) < tag then slot st (o + arity st.(o)) len tag w1 w2 w3 w4
+  else
+    let c = compare_at st o 1 len tag w1 w2 w3 w4 in
+    if c = 0 then -1
+    else if c < 0 then o
+    else slot st (o + len) len tag w1 w2 w3 w4
+
+(* [st] plus the record [tag w1 w2 w3 w4] (words past its arity are
+   ignored) as a fresh array, or [None] when [st] already holds it: one
+   scan finds its place, one copy makes room. *)
+let with_msg st tag w1 w2 w3 w4 =
+  let len = arity tag and total = Array.length st in
+  let o = slot st (count_at st + 1) len tag w1 w2 w3 w4 in
+  if o < 0 then None
+  else begin
+    let st' = Array.make (total + len) 0 in
+    Array.blit st 0 st' 0 o;
+    for i = 0 to len - 1 do
+      st'.(o + i) <- word i tag w1 w2 w3 w4
+    done;
+    Array.blit st o st' (o + len) (total - o);
+    st'.(count_at st) <- msg_count st + 1;
+    Some st'
+  end
+
+let initial cfg =
+  let st = Array.make ((4 * cfg.n) + 2) (-1) in
+  st.(0) <- cfg.n;
+  for p = 0 to cfg.n - 1 do
+    set_mbal st p p
+  done;
+  st.(count_at st) <- 0;
+  st
+
+let key st = st
+
+let fingerprint st = Fingerprint.of_words st
 
 (* Distinct processes that provably reached session [s]: they sent a
    message carrying a session-[s] ballot. *)
-let senders_in_session cfg msgs s =
-  Msgset.fold
-    (fun m acc ->
-      if session ~n:cfg.n (bal_of m) = s then
-        let src = sender_of ~n:cfg.n m in
-        if List.mem src acc then acc else src :: acc
-      else acc)
-    msgs []
+let senders_in_session cfg st s =
+  let seen = Bytes.make cfg.n '\000' in
+  fold_msgs
+    (fun k o ->
+      let src = msg_sender ~n:cfg.n st o in
+      if session ~n:cfg.n (msg_bal st o) <> s || Bytes.get seen src <> '\000'
+      then k
+      else begin
+        Bytes.set seen src '\001';
+        k + 1
+      end)
+    0 st
 
-(* Set.t values are not canonical (equal sets can have different AVL
-   shapes), so hashing/comparing states directly would break visited
-   checks; [Msgset.elements] gives a canonical sorted-list key.  This is
-   the exact-mode key; the fingerprint below hashes the same canonical
-   stream. *)
-let key (st : state) = (Array.to_list st.procs, Msgset.elements st.msgs)
-
-(* Canonical, prefix-decodable word stream: section lengths first, then
-   fixed-arity records, then messages in Msgset (sorted) order with a
-   tag before each payload.  Equal states produce equal streams and
-   distinct states distinct streams, which is all {!Fingerprint}
-   needs. *)
-let fold_canonical f acc st =
-  let acc = f acc (Array.length st.procs) in
-  let acc =
-    Array.fold_left
-      (fun acc p ->
-        let acc = f acc p.mbal in
-        let acc = f acc p.vbal in
-        let acc = f acc p.vval in
-        f acc p.decided)
-      acc st.procs
-  in
-  let acc = f acc (Msgset.cardinal st.msgs) in
-  Msgset.fold
-    (fun m acc ->
-      match m with
-      | M1a { src; bal } -> f (f (f acc 0) src) bal
-      | M1b { src; bal; vbal; vval } ->
-          f (f (f (f (f acc 1) src) bal) vbal) vval
-      | M2a { bal; value } -> f (f (f acc 2) bal) value
-      | M2b { src; bal; value } -> f (f (f (f acc 3) src) bal) value)
-    st.msgs acc
-
-let fingerprint st =
-  Fingerprint.(finish (fold_canonical add (hasher ()) st))
-
-let with_proc st p proc =
-  let procs = Array.copy st.procs in
-  procs.(p) <- proc;
-  { st with procs }
-
-let add_msg st m =
-  if Msgset.mem m st.msgs then None
-  else Some { st with msgs = Msgset.add m st.msgs }
-
-(* --- transitions ----------------------------------------------------- *)
+(* --- transitions: each takes [ps] = [0 .. n-1], built once per state -- *)
 
 (* Boot / epsilon-gossip: announce the current ballot. *)
-let announces cfg st =
-  List.filter_map
-    (fun p -> add_msg st (M1a { src = p; bal = st.procs.(p).mbal }))
-    (List.init cfg.n Fun.id)
+let announces ps st =
+  List.filter_map (fun p -> with_msg st t1a p (mbal st p) 0 0) ps
 
 (* Start Phase 1: jump to the next self-owned session, if the gate lets
    us and the session cap is not exceeded. *)
-let start_phase1s cfg st =
+let start_phase1s cfg ps st =
   List.filter_map
     (fun p ->
-      let proc = st.procs.(p) in
-      let s = session ~n:cfg.n proc.mbal in
-      let enabled =
-        (not cfg.gate)
-        || s = 0
-        || List.length (senders_in_session cfg st.msgs s) >= majority cfg.n
-      in
-      if (not enabled) || s + 1 > cfg.max_session then None
-      else begin
+      let s = session ~n:cfg.n (mbal st p) in
+      if
+        s + 1 > cfg.max_session
+        || (cfg.gate && s > 0 && senders_in_session cfg st s < majority cfg.n)
+      then None
+      else
         let bal = ((s + 1) * cfg.n) + p in
-        let st = with_proc st p { proc with mbal = bal } in
-        match add_msg st (M1a { src = p; bal }) with
-        | Some st' -> Some st'
-        | None -> Some st
-      end)
-    (List.init cfg.n Fun.id)
+        match with_msg st t1a p bal 0 0 with
+        | Some st' ->
+            set_mbal st' p bal;
+            Some st'
+        | None -> Some (with_mbal st p bal))
+    ps
 
 (* Receive a 1a: adopt the ballot and answer 1b.  Successors are consed
-   straight onto the accumulator (no per-message intermediate list), and
-   the process list is built once per call, not once per message. *)
-let deliver_1as cfg st =
-  let ps = List.init cfg.n Fun.id in
-  Msgset.fold
-    (fun m acc ->
-      match m with
-      | M1a { bal; _ } ->
-          List.fold_left
-            (fun acc p ->
-              let proc = st.procs.(p) in
-              if bal < proc.mbal then acc
-              else begin
-                let st' = with_proc st p { proc with mbal = bal } in
-                match
-                  add_msg st'
-                    (M1b
-                       { src = p; bal; vbal = proc.vbal; vval = proc.vval })
-                with
-                | Some st'' -> st'' :: acc
-                | None ->
-                    (* the 1b already exists; still a transition if the
-                       adoption raised p's ballot *)
-                    if proc.mbal < bal then st' :: acc else acc
-              end)
-            acc ps
-      | _ -> acc)
-    st.msgs []
+   straight onto the accumulator (no per-message intermediate list). *)
+let deliver_1as ps st =
+  fold_tag t1a
+    (fun acc o ->
+      let bal = msg_bal st o in
+      List.fold_left
+        (fun acc p ->
+          if bal < mbal st p then acc
+          else
+            match with_msg st t1b p bal (vbal st p) (vval st p) with
+            | Some st' ->
+                set_mbal st' p bal;
+                st' :: acc
+            | None ->
+                (* the 1b already exists; still a transition if the
+                   adoption raised p's ballot *)
+                if mbal st p < bal then with_mbal st p bal :: acc else acc)
+        acc ps)
+    [] st
 
 (* Phase 2a: the owner of its current ballot picks a majority of 1b
    answers (every choice of majority is explored — the adversary picks)
    and proposes the max-vbal value, or its own proposal. *)
-let phase2as cfg st =
-  (* one scratch table per call, reset per process: the 1b grouping is
-     the hot allocation in successor generation *)
-  let by_sender = Hashtbl.create 8 in
+let phase2as cfg ps st =
   List.concat_map
     (fun p ->
-      let proc = st.procs.(p) in
-      let bal = proc.mbal in
-      if owner ~n:cfg.n bal <> p then []
-      else if Msgset.exists (function M2a { bal = b; _ } -> b = bal | _ -> false) st.msgs
+      let bal = mbal st p in
+      if
+        owner ~n:cfg.n bal <> p
+        || fold_tag t2a (fun e o -> e || st.(o + 1) = bal) false st
       then []
       else begin
-        (* group this ballot's 1b messages by sender *)
-        Hashtbl.reset by_sender;
-        Msgset.iter
-          (function
-            | M1b { src; bal = b; vbal; vval } when b = bal ->
-                Hashtbl.replace by_sender src
-                  ((vbal, vval) :: (try Hashtbl.find by_sender src with Not_found -> []))
-            | _ -> ())
-          st.msgs;
-        let senders = Sim.Sorted_tbl.keys ~compare:Int.compare by_sender in
+        (* this ballot's 1b votes (vbal, vval), grouped by sender *)
+        let votes = Array.make cfg.n [] in
+        fold_tag t1b
+          (fun () o ->
+            let src = st.(o + 1) in
+            if st.(o + 2) = bal then
+              votes.(src) <- (st.(o + 3), st.(o + 4)) :: votes.(src))
+          () st;
+        let senders =
+          List.filter (fun s -> match votes.(s) with [] -> false | _ -> true) ps
+        in
         let m = majority cfg.n in
         if List.length senders < m then []
         else begin
@@ -228,52 +230,47 @@ let phase2as cfg st =
           let vote_choices sub =
             List.fold_left
               (fun acc s ->
-                let votes = Hashtbl.find by_sender s in
                 List.concat_map
-                  (fun chosen -> List.map (fun v -> v :: chosen) votes)
+                  (fun chosen -> List.map (fun v -> v :: chosen) votes.(s))
                   acc)
               [ [] ] sub
           in
           List.concat_map
             (fun sub ->
               List.filter_map
-                (fun votes ->
+                (fun picked ->
                   let vb, vv =
                     List.fold_left
                       (fun (b0, v0) (b1, v1) ->
                         if b1 > b0 then (b1, v1) else (b0, v0))
-                      (-1, -1) votes
+                      (-1, -1) picked
                   in
                   let value = if vb >= 0 then vv else cfg.proposals.(p) in
-                  add_msg st (M2a { bal; value }))
+                  with_msg st t2a bal value 0 0)
                 (vote_choices sub))
             (subsets m senders)
         end
       end)
-    (List.init cfg.n Fun.id)
+    ps
 
 (* Receive a 2a: adopt and accept. *)
-let deliver_2as cfg st =
-  let ps = List.init cfg.n Fun.id in
-  Msgset.fold
-    (fun m acc ->
-      match m with
-      | M2a { bal; value } ->
-          List.fold_left
-            (fun acc p ->
-              let proc = st.procs.(p) in
-              if bal < proc.mbal then acc
-              else begin
-                let st =
-                  with_proc st p { proc with mbal = bal; vbal = bal; vval = value }
-                in
-                match add_msg st (M2b { src = p; bal; value }) with
-                | Some st' -> st' :: acc
-                | None -> acc
-              end)
-            acc ps
-      | _ -> acc)
-    st.msgs []
+let deliver_2as ps st =
+  fold_tag t2a
+    (fun acc o ->
+      let bal = st.(o + 1) and value = st.(o + 2) in
+      List.fold_left
+        (fun acc p ->
+          if bal < mbal st p then acc
+          else
+            match with_msg st t2b p bal value 0 with
+            | Some st' ->
+                st'.((4 * p) + 1) <- bal;
+                st'.((4 * p) + 2) <- bal;
+                st'.((4 * p) + 3) <- value;
+                st' :: acc
+            | None -> acc)
+        acc ps)
+    [] st
 
 (* Same key order as the polymorphic compare on int pairs, made
    monomorphic (lint R6). *)
@@ -281,74 +278,74 @@ let compare_int_pair (b1, v1) (b2, v2) =
   let c = Int.compare b1 b2 in
   if c <> 0 then c else Int.compare v1 v2
 
-(* Decide on a majority of matching 2b messages.  Senders are grouped by
-   (ballot, value) in a single pass over the message set — the old code
-   re-scanned all messages once per candidate pair.  Set membership makes
-   (src, bal, value) unique, so each group's sender list is distinct
-   without a membership test. *)
-let decides cfg st =
-  let groups : (int * int, int list) Hashtbl.t = Hashtbl.create 16 in
-  Msgset.iter
-    (fun m ->
-      match m with
-      | M2b { src; bal; value } ->
-          let prev =
-            match Hashtbl.find_opt groups (bal, value) with
-            | Some l -> l
-            | None -> []
-          in
-          Hashtbl.replace groups (bal, value) (src :: prev)
-      | _ -> ())
-    st.msgs;
-  let ps = List.init cfg.n Fun.id in
+(* Decide on a majority of matching 2b messages.  Sorting the 2b
+   (ballot, value) pairs makes each group one run; records are unique,
+   so a run's length counts distinct senders. *)
+let decides cfg ps st =
+  let pairs =
+    fold_tag t2b (fun acc o -> (st.(o + 2), st.(o + 3)) :: acc) [] st
+    |> List.sort compare_int_pair
+  in
+  let rec chosen acc = function
+    | [] -> List.rev acc
+    | pair :: rest ->
+        let rec run k = function
+          | p :: rest when compare_int_pair pair p = 0 -> run (k + 1) rest
+          | rest -> (k, rest)
+        in
+        let k, rest = run 1 rest in
+        chosen (if k >= majority cfg.n then snd pair :: acc else acc) rest
+  in
   List.concat_map
-    (fun ((_bal, value), senders) ->
-      if List.length senders < majority cfg.n then []
-      else
-        List.filter_map
-          (fun p ->
-            let proc = st.procs.(p) in
-            if proc.decided >= 0 then None
-            else Some (with_proc st p { proc with decided = value }))
-          ps)
-    (Sim.Sorted_tbl.bindings ~compare:compare_int_pair groups)
+    (fun value ->
+      List.filter_map
+        (fun p ->
+          if decided st p >= 0 then None else Some (with_decided st p value))
+        ps)
+    (chosen [] pairs)
 
 let successors cfg st =
-  announces cfg st @ start_phase1s cfg st @ deliver_1as cfg st
-  @ phase2as cfg st @ deliver_2as cfg st @ decides cfg st
+  let ps = List.init cfg.n Fun.id in
+  announces ps st @ start_phase1s cfg ps st @ deliver_1as ps st
+  @ phase2as cfg ps st @ deliver_2as ps st @ decides cfg ps st
 
 (* --- properties ------------------------------------------------------- *)
 
 let agreement st =
-  let decided =
-    Array.to_list st.procs
-    |> List.filter_map (fun p -> if p.decided >= 0 then Some p.decided else None)
+  (* [v]: the first decision seen, [-1] before one *)
+  let rec go v p =
+    p >= st.(0)
+    ||
+    let d = decided st p in
+    (d < 0 || v < 0 || d = v) && go (if d < 0 then v else d) (p + 1)
   in
-  match decided with
-  | [] -> true
-  | v :: rest -> List.for_all (( = ) v) rest
+  go (-1) 0
 
 let validity cfg st =
-  Array.for_all
-    (fun p -> p.decided < 0 || Array.exists (( = ) p.decided) cfg.proposals)
-    st.procs
+  let valid d = d < 0 || Array.exists (Int.equal d) cfg.proposals in
+  let rec go p = p >= cfg.n || (valid (decided st p) && go (p + 1)) in
+  go 0
 
 let obsolete_bound cfg st =
-  (* highest session reached by a majority *)
-  let sessions =
-    Array.to_list st.procs
-    |> List.map (fun p -> session ~n:cfg.n p.mbal)
-    |> List.sort (fun a b -> Int.compare b a)
-  in
-  let majority_session = List.nth sessions (majority cfg.n - 1) in
-  let ok_bal b = session ~n:cfg.n b <= majority_session + 1 in
-  Array.for_all (fun p -> ok_bal p.mbal) st.procs
-  && Msgset.for_all (fun m -> ok_bal (bal_of m)) st.msgs
+  let n = cfg.n in
+  (* one above the highest session reached by a majority: the largest
+     session at least a majority of processes have reached *)
+  let best = ref min_int in
+  for p = 0 to n - 1 do
+    let s = session ~n (mbal st p) and reached = ref 0 in
+    for q = 0 to n - 1 do
+      if session ~n (mbal st q) >= s then incr reached
+    done;
+    if !reached >= majority n then best := Int.max !best s
+  done;
+  let bound = !best + 1 in
+  let ok_bal b = session ~n b <= bound in
+  let rec ok_procs p = p >= n || (ok_bal (mbal st p) && ok_procs (p + 1)) in
+  ok_procs 0 && fold_msgs (fun ok o -> ok && ok_bal (msg_bal st o)) true st
 
 let pp_state fmt st =
-  Array.iteri
-    (fun i p ->
-      Format.fprintf fmt "p%d{mbal=%d vbal=%d vval=%d dec=%d} " i p.mbal
-        p.vbal p.vval p.decided)
-    st.procs;
-  Format.fprintf fmt "| %d msgs" (Msgset.cardinal st.msgs)
+  for p = 0 to st.(0) - 1 do
+    Format.fprintf fmt "p%d{mbal=%d vbal=%d vval=%d dec=%d} " p (mbal st p)
+      (vbal st p) (vval st p) (decided st p)
+  done;
+  Format.fprintf fmt "| %d msgs" (msg_count st)

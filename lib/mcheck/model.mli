@@ -22,22 +22,14 @@
     The state space is bounded by capping session numbers; the explorer
     reports how many states a cap covers. *)
 
-type msg =
-  | M1a of { src : int; bal : int }
-  | M1b of { src : int; bal : int; vbal : int; vval : int }
-  | M2a of { bal : int; value : int }
-  | M2b of { src : int; bal : int; value : int }
-
-type proc = {
-  mbal : int;
-  vbal : int;  (** -1 = never accepted *)
-  vval : int;  (** meaningful when [vbal >= 0] *)
-  decided : int;  (** -1 = undecided *)
-}
-
-module Msgset : Set.S with type elt = msg
-
-type state = { procs : proc array; msgs : Msgset.t }
+(** One immutable [int array] that is its own canonical word stream:
+    [[n; mbal vbal vval decided (x n); #msgs; records...]].  Each record
+    is tag-first — 1a = [0 src bal], 1b = [1 src bal vbal vval], 2a =
+    [2 bal value], 2b = [3 src bal value] — and the records are
+    distinct and sorted lexicographically, so equal states are equal
+    arrays.  A [-1] [vbal] means never accepted ([vval] is then
+    meaningless) and a [-1] [decided] means undecided. *)
+type state
 
 type config = {
   n : int;
@@ -51,23 +43,25 @@ val initial : config -> state
 (** All states reachable in one step. *)
 val successors : config -> state -> state list
 
-(** {2 State identity}
+(** {2 Reading a state} *)
 
-    [Set.t] values are not canonical (equal sets can differ in AVL
-    shape), so states must never be compared or hashed structurally. *)
+(** [decided st p]: process [p]'s decision, [-1] while undecided. *)
+val decided : state -> int -> int
 
-(** Canonical structural key: equal states map to equal, structurally
-    comparable values.  This is the exact-mode visited key (and the one
-    witness states are compared with in tests). *)
-val key : state -> proc list * msg list
+(** Messages in the grow-only network. *)
+val msg_count : state -> int
 
-(** [fold_canonical f acc st] folds [f] over a canonical,
-    prefix-decodable word encoding of [st]: equal states yield equal
-    word streams, distinct states distinct streams. *)
-val fold_canonical : ('a -> int -> 'a) -> 'a -> state -> 'a
+(** {2 State identity} *)
 
-(** 128-bit fingerprint of the canonical encoding — the compact visited
-    key ({!Fingerprint} documents the collision-risk argument). *)
+(** The state's own word stream, shared rather than copied (do not
+    write to it): equal states are structurally equal arrays.  This is
+    the exact-mode visited key (and the one witness states are compared
+    with in tests). *)
+val key : state -> int array
+
+(** 128-bit fingerprint of the word stream, {!Fingerprint.of_words} of
+    {!key} — the compact visited key ({!Fingerprint} documents the
+    collision-risk argument). *)
 val fingerprint : state -> Fingerprint.t
 
 (** {2 Properties} *)

@@ -124,22 +124,22 @@ let test_b_consensus () =
          (Bconsensus.Modified_b_consensus.protocol ~n ~delta ~rho:0. ()))
         .Sim.Engine.events_processed)
 
-(* Model-checker fingerprints.  The hasher keeps its two int64 lanes in
-   one 16-byte [Bytes] and reads and writes them inside one function, so
-   nothing is boxed per input word even under [-opaque].  Measured (dev
-   profile, OCaml 5.1): 18.0 words per [Model.fingerprint] call — the
-   hasher, the result and the fold closures — whatever the message
-   count.  The constant is pinned ~2x above that and the slope at
-   <= 1 word per message; boxed lanes cost several words per input word,
-   about five input words per message. *)
+(* Model-checker fingerprints.  A [Model] state is its own word stream,
+   and [Fingerprint.of_words] hashes it in one loop with both int64
+   lanes in local unboxed variables, so nothing is boxed per input word
+   even under [-opaque].  Measured (dev profile, OCaml 5.1): 4.0 words
+   per [Model.fingerprint] call — the 16-byte result — whatever the
+   message count.  The constant is pinned ~2x above that and the slope
+   at <= 1 word per message; boxed lanes cost several words per input
+   word, about four input words per message. *)
 
-let fingerprint_budget = 36.
+let fingerprint_budget = 8.
 
 let mcheck_cfg =
   { Mcheck.Model.n = 3; proposals = [| 10; 20; 30 |]; max_session = 2;
     gate = true }
 
-let msg_count st = Mcheck.Model.Msgset.cardinal st.Mcheck.Model.msgs
+let msg_count = Mcheck.Model.msg_count
 
 (* Walk the search space greedily, taking the first successor that adds a
    message, for up to [steps] steps. *)

@@ -102,6 +102,33 @@ let test_fingerprint_no_collisions_smoke () =
   done;
   Alcotest.(check int) "distinct" 100_000 (Mcheck.Fingerprint.Set.length set)
 
+(* [of_words] (one loop, unboxed lanes) and folding [add] are one hash
+   definition: both models' fingerprints rest on that.  Word lists mix
+   uniform ints with the edges of the int range, and the empty list and
+   the extreme words are checked outright. *)
+let words_arb =
+  QCheck.make ~print:QCheck.Print.(list int)
+    QCheck.Gen.(
+      list_size (int_range 0 64)
+        (frequency [ (1, oneofl [ 0; 1; -1; min_int; max_int ]); (3, int) ]))
+
+let of_words_agrees ws =
+  Mcheck.Fingerprint.equal
+    (Mcheck.Fingerprint.of_words (Array.of_list ws))
+    (fp_of ws)
+
+let prop_of_words_matches_add =
+  QCheck.Test.make ~name:"of_words agrees with folding add" ~count:500
+    words_arb of_words_agrees
+
+let test_of_words_edge_words () =
+  List.iter
+    (fun ws ->
+      Alcotest.(check bool)
+        (Printf.sprintf "[%s]" (String.concat "; " (List.map string_of_int ws)))
+        true (of_words_agrees ws))
+    [ []; [ 0 ]; [ -1 ]; [ min_int ]; [ max_int ]; [ min_int; max_int; -1; 0 ] ]
+
 (* Pinned fingerprint values: a change to the hasher or to a canonical
    stream that alters any fingerprint fails here, not silently in the
    visited-set layout. *)
@@ -115,11 +142,22 @@ let bc_cfg =
     mutation = None }
 
 (* MD5 over the hex fingerprint of every successor generated by a BFS to
-   [depth], deduplicated on the structural key. *)
-let bfs_digest ~initial ~successors ~key ~fingerprint ~depth =
+   [depth], deduplicated on the structural key.  Keys are bucketed on a
+   hash of the whole key, as in {!Mcheck.Explore}'s exact mode: the
+   default [Hashtbl.hash] reads only 10 meaningful words, too few to
+   tell deep states apart. *)
+let bfs_digest (type k) ~initial ~successors ~(key : _ -> k) ~fingerprint
+    ~depth =
+  let module Seen = Hashtbl.Make (struct
+    type t = k
+
+    let equal = ( = )
+
+    let hash = Hashtbl.hash_param 256 256
+  end) in
   let buf = Buffer.create 4096 in
-  let seen = Hashtbl.create 1024 in
-  Hashtbl.replace seen (key initial) ();
+  let seen = Seen.create 1024 in
+  Seen.replace seen (key initial) ();
   let rec level d frontier =
     if d < depth then
       level (d + 1)
@@ -130,8 +168,8 @@ let bfs_digest ~initial ~successors ~key ~fingerprint ~depth =
                  Buffer.add_string buf
                    (Mcheck.Fingerprint.to_hex (fingerprint s));
                  let k = key s in
-                 (not (Hashtbl.mem seen k))
-                 && (Hashtbl.replace seen k (); true))
+                 (not (Seen.mem seen k))
+                 && (Seen.replace seen k (); true))
                (successors st))
            frontier)
   in
@@ -150,6 +188,14 @@ let test_fingerprint_values_pinned () =
     (bfs_digest ~initial:(Mcheck.Model.initial paxos_cfg)
        ~successors:(Mcheck.Model.successors paxos_cfg) ~key:Mcheck.Model.key
        ~fingerprint:Mcheck.Model.fingerprint ~depth:4);
+  (* depth 4 reaches only announces, Start Phase 1, 1a delivery and
+     phase 2a; 2a delivery first fires at depth 5 and decisions at
+     depth 7, so this pin covers all six transition kinds *)
+  Alcotest.(check string) "paxos depth-7 successors (26632 edges)"
+    "0c226c5bcb7b7f506d3c5071abb6618b"
+    (bfs_digest ~initial:(Mcheck.Model.initial paxos_cfg)
+       ~successors:(Mcheck.Model.successors paxos_cfg) ~key:Mcheck.Model.key
+       ~fingerprint:Mcheck.Model.fingerprint ~depth:7);
   Alcotest.(check string) "b-consensus depth-4 successors (228 edges)"
     "f385ce6636bb9da1d7d1872502fdc1d9"
     (bfs_digest ~initial:(Mcheck.Bc_model.initial bc_cfg)
@@ -387,6 +433,9 @@ let suite =
       test_fingerprint_no_collisions_smoke;
     Alcotest.test_case "fingerprint values pinned" `Quick
       test_fingerprint_values_pinned;
+    Alcotest.test_case "of_words: empty and extreme words" `Quick
+      test_of_words_edge_words;
+    QCheck_alcotest.to_alcotest prop_of_words_matches_add;
     QCheck_alcotest.to_alcotest prop_set_matches_hashtbl;
     Alcotest.test_case "exact-keys: zero collisions, both models" `Quick
       test_model_fingerprint_matches_key;

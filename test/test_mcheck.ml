@@ -31,15 +31,17 @@ let test_decision_reachable () =
       [
         ( "nobody-decides",
           fun st ->
-            Array.for_all (fun p -> p.Mcheck.Model.decided < 0)
-              st.Mcheck.Model.procs );
+            List.for_all
+              (fun p -> Mcheck.Model.decided st p < 0)
+              (List.init c.n Fun.id) );
       ]
   in
   match o.Mcheck.Explorer.violation with
   | Some ("nobody-decides", witness) ->
       Alcotest.(check bool) "witness has a decision" true
-        (Array.exists (fun p -> p.Mcheck.Model.decided >= 0)
-           witness.Mcheck.Model.procs)
+        (List.exists
+           (fun p -> Mcheck.Model.decided witness p >= 0)
+           (List.init c.n Fun.id))
   | _ -> Alcotest.fail "a decision should be reachable"
 
 (* --- safety ------------------------------------------------------------- *)
