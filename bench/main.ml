@@ -16,11 +16,12 @@
    the cheap substrate micro-benches (event queues, PRNG, oracle, wire
    codec) always run, so micro_ns_per_run is never empty.
 
-   A third section benchmarks the model checker itself (layered-BFS
-   throughput, visited-table footprint, serial-vs-parallel speedup);
-   its numbers land in BENCH_RESULTS.json as mcheck_*.  A fourth runs a
-   seeded fault-injection fuzz campaign over the default protocol mix;
-   its throughput and counters land as fuzz_*.
+   A third section benchmarks the model checker itself (serial
+   layered-BFS throughput, visited-table footprint, the pool's speedup
+   over the serial search); its numbers land in BENCH_RESULTS.json as
+   mcheck_*.  A fourth runs a seeded fault-injection fuzz campaign over
+   the default protocol mix; its throughput and counters land as fuzz_*,
+   and each protocol's cost per run as fuzz_us_per_run_<protocol>.
 
    The speed figures [engine_events_per_s], [mcheck_states_per_s] and
    [fuzz_runs_per_s] are each the median of [passes] timed passes, with
@@ -304,11 +305,12 @@ let engine_metric_names =
 (* --- model checker and fuzzer throughput ------------------------------ *)
 
 (* Model-checker throughput: [passes] bounded searches of the paxos core
-   to [depth] (~2*10^5 states at depth 10) on the pool, re-run serially
-   when the pool is real so the JSON records the speedup on this machine
-   (the ratio of the median walls).  [registry] sees the first pass
-   only. *)
-let mcheck_stats ?registry ~domains ~depth () =
+   to [depth] (~2*10^5 states at depth 10) on one domain, the serial
+   search perfbench and ROADMAP quote.  When [pool] offers more than one
+   domain the search is re-run on the pool, which shows only in
+   [mcheck_speedup] (the ratio of the median walls).  [registry] sees
+   the first pass only. *)
+let mcheck_stats ?registry ~pool ~depth () =
   let cfg =
     { Mcheck.Model.n = 3; proposals = [| 10; 20; 30 |]; max_session = 1;
       gate = true }
@@ -323,24 +325,23 @@ let mcheck_stats ?registry ~domains ~depth () =
         let registry = if i = 0 then registry else None in
         time (fun () -> search ?registry ~domains ()))
   in
-  let runs = timed ~domains in
+  let runs = timed ~domains:1 in
   let o = fst (List.hd runs) and walls = List.map snd runs in
   let wall = median walls in
   let states_per_s = rates (float_of_int o.Mcheck.Explorer.states) walls in
   let visited_mb = float_of_int o.Mcheck.Explorer.table_words *. 8. /. 1e6 in
   let speedup =
-    if domains > 1 then Some (median (List.map snd (timed ~domains:1)) /. wall)
+    if pool > 1 then Some (wall /. median (List.map snd (timed ~domains:pool)))
     else None
   in
   let q1, med, q3 = states_per_s in
   Format.printf
     "mcheck: %d states, %d transitions, median %.2fs (%.0f states/s, q1 \
-     %.0f, q3 %.0f, %d passes; visited table %.1f MB, %d domain%s%s)@."
+     %.0f, q3 %.0f, %d passes on 1 domain; visited table %.1f MB%s)@."
     o.Mcheck.Explorer.states o.Mcheck.Explorer.transitions wall med q1 q3
-    passes visited_mb domains
-    (if domains = 1 then "" else "s")
+    passes visited_mb
     (match speedup with
-    | Some sp -> Printf.sprintf ", speedup %.2fx" sp
+    | Some sp -> Printf.sprintf ", speedup %.2fx on %d domains" sp pool
     | None -> "");
   (o.Mcheck.Explorer.states, wall, states_per_s, visited_mb, speedup)
 
@@ -377,6 +378,53 @@ let fuzz_stats ?registry ~domains ~budget () =
 let fuzz_metric_names =
   spread_names "fuzz_runs_per_s"
   @ [ "fuzz_runs"; "fuzz_wall_clock_s"; "fuzz_failures" ]
+
+(* What a fuzz run of each protocol of the default mix costs: the
+   protocol's share of the campaign's first [budget] scenarios run
+   through [Fuzz.run_one] (traced and checked, as the campaign runs
+   them) on this domain, in microseconds per run, the median over
+   [passes].  A protocol the scenarios never draw reports nan. *)
+let fuzz_protocol_metric p =
+  "fuzz_us_per_run_"
+  ^ String.map (function '-' -> '_' | c -> c) (Harness.Protocols.name p)
+
+let fuzz_protocol_metric_names =
+  List.map fuzz_protocol_metric Harness.Fuzz.default_protocols
+
+let fuzz_protocol_costs ~budget =
+  let scenarios =
+    List.init budget (fun index -> Harness.Fuzz.generate ~seed:42L ~index ())
+  in
+  let costs =
+    List.map
+      (fun p ->
+        let name = Harness.Protocols.name p in
+        let runs =
+          List.filter
+            (fun fs ->
+              String.equal name
+                (Harness.Protocols.name fs.Harness.Fuzz_scenario.protocol))
+            scenarios
+        in
+        let pass () =
+          snd
+            (time (fun () ->
+                 List.iter
+                   (fun fs ->
+                     ignore (Harness.Fuzz.run_one fs : Harness.Fuzz.outcome))
+                   runs))
+        in
+        let wall = median (List.init passes (fun _ -> pass ())) in
+        (name, 1e6 *. wall /. float_of_int (List.length runs)))
+      Harness.Fuzz.default_protocols
+  in
+  Format.printf "fuzz cost per run (us, median of %d passes over %d runs): %s@."
+    passes budget
+    (String.concat ", "
+       (List.map (fun (name, us) -> Printf.sprintf "%s %.0f" name us) costs));
+  List.map2
+    (fun p (_, us) -> (fuzz_protocol_metric p, us))
+    Harness.Fuzz.default_protocols costs
 
 (* --- trace recording and export ------------------------------------- *)
 
@@ -547,8 +595,9 @@ let loc_metric_names = [ "loc_lib"; "loc_bin" ]
 let smoke () =
   let micro = run_micro cheap_cases in
   ignore (engine_stats () : (float * float * float) * float * float);
-  ignore (mcheck_stats ~domains:1 ~depth:6 ());
+  ignore (mcheck_stats ~pool:1 ~depth:6 ());
   ignore (fuzz_stats ~domains:1 ~budget:20 ());
+  ignore (fuzz_protocol_costs ~budget:20 : (string * float) list);
   ignore (trace_stats ~runs:50 ~reps:1 : float * float * float);
   ignore (chaos_stats ~commands:2_000 ~pipeline:64 () : float * int);
   let loc = loc_stats () in
@@ -556,6 +605,7 @@ let smoke () =
     List.sort_uniq String.compare
       (List.map (fun (name, _, _) -> name) micro
       @ engine_metric_names @ mcheck_metric_names @ fuzz_metric_names
+      @ fuzz_protocol_metric_names
       @ trace_metric_names @ chaos_metric_names
       @ if loc = None then [] else loc_metric_names)
   in
@@ -611,7 +661,7 @@ let json_spread name (q1, med, q3) =
   List.combine (spread_names name) (List.map json_float [ med; q1; q3 ])
 
 let write_results ~path ~speed ~domains ~wall ~serial_wall ~micro ~metrics
-    ~mcheck ~fuzz ~engine ~trace ~chaos ~invariants_ok ~lint ~loc =
+    ~mcheck ~fuzz ~fuzz_costs ~engine ~trace ~chaos ~invariants_ok ~lint ~loc =
   let open Sim.Json in
   let mc_states, mc_wall, mc_states_per_s, mc_visited_mb, mc_speedup =
     mcheck
@@ -665,6 +715,7 @@ let write_results ~path ~speed ~domains ~wall ~serial_wall ~micro ~metrics
         ("fuzz_wall_clock_s", json_float fuzz_wall);
       ]
       @ json_spread "fuzz_runs_per_s" fuzz_runs_per_s
+      @ List.map (fun (name, us) -> (name, json_float us)) fuzz_costs
       @ [
         ("fuzz_failures", int fuzz_failures);
         ("chaos_commands_per_s", json_float chaos_tp);
@@ -755,12 +806,13 @@ let () =
   Format.printf "trace invariants: %s on %d replayed scenarios@."
     (if invariants_ok then "OK" else "FAILED")
     (List.length Harness.Experiments.ids);
-  let mcheck = mcheck_stats ~registry:metrics ~domains ~depth:10 () in
+  let mcheck = mcheck_stats ~registry:metrics ~pool:domains ~depth:10 () in
   let fuzz =
     fuzz_stats ~registry:metrics ~domains
       ~budget:(match speed with Harness.Experiments.Full -> 1000 | Quick -> 200)
       ()
   in
+  let fuzz_costs = fuzz_protocol_costs ~budget:200 in
   (* Static-analysis verdict alongside the dynamic one: the same pass
      `consensus_sim lint` runs, against the checked-in baseline.  [None]
      when the sources are not on disk (e.g. an installed binary). *)
@@ -797,5 +849,6 @@ let () =
   let loc = loc_stats () in
   let path = "BENCH_RESULTS.json" in
   write_results ~path ~speed:speed_name ~domains ~wall ~serial_wall ~micro
-    ~metrics ~mcheck ~fuzz ~engine ~trace ~chaos ~invariants_ok ~lint ~loc;
+    ~metrics ~mcheck ~fuzz ~fuzz_costs ~engine ~trace ~chaos ~invariants_ok
+    ~lint ~loc;
   Format.printf "(wrote %s)@." path

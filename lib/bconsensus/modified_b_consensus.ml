@@ -63,6 +63,16 @@ type state = {
   decided : Types.value option;
 }
 
+(* [List.mem_assoc] / [List.assoc_opt] on the int keys (rounds, process
+   ids) of the association lists above, without polymorphic compare. *)
+let rec has_key (k : int) = function
+  | [] -> false
+  | (k', _) :: rest -> k' = k || has_key k rest
+
+let rec find_key (k : int) = function
+  | [] -> None
+  | (k', v) :: rest -> if k' = k then Some v else find_key k rest
+
 let round st = st.round
 
 let estimate st = st.est
@@ -156,7 +166,7 @@ let rec enter_round ctx st r =
 and maybe_report ctx st =
   if st.reported then st
   else
-    match List.assoc_opt st.round st.delivered_firsts with
+    match find_key st.round st.delivered_firsts with
     | None -> st
     | Some v ->
         let st = { st with reported = true; stage2_value = Some v } in
@@ -196,7 +206,7 @@ let on_oracle_delivery ctx st (r, v) =
   if r < st.round then st
   else begin
     let st =
-      if List.mem_assoc r st.delivered_firsts then st
+      if has_key r st.delivered_firsts then st
       else { st with delivered_firsts = (r, v) :: st.delivered_firsts }
     in
     (* Jump only when more than one round behind: a process exactly one
@@ -208,21 +218,20 @@ let on_oracle_delivery ctx st (r, v) =
   end
 
 let drain_oracle ctx st =
-  let oracle, ready =
-    Ordering_oracle.due st.oracle ~now_local:(Engine.local_time ctx)
-  in
-  let st = { st with oracle } in
-  List.fold_left
-    (fun st (_stamp, payload) -> on_oracle_delivery ctx st payload)
-    st ready
+  match Ordering_oracle.due st.oracle ~now_local:(Engine.local_time ctx) with
+  | _, [] -> st (* nothing released: the oracle is unchanged *)
+  | oracle, ready ->
+      List.fold_left
+        (fun st (_stamp, payload) -> on_oracle_delivery ctx st payload)
+        { st with oracle } ready
 
 let handle_first ctx st stamp r v =
+  let now_local = Engine.local_time ctx in
   let oracle, release_local =
-    Ordering_oracle.receive st.oracle ~now_local:(Engine.local_time ctx)
-      ~stamp (r, v)
+    Ordering_oracle.receive st.oracle ~now_local ~stamp (r, v)
   in
   let st = { st with oracle } in
-  let delay = Float.max 0. (release_local -. Engine.local_time ctx) in
+  let delay = Float.max 0. (release_local -. now_local) in
   Engine.set_timer ctx ~local_delay:delay ~tag:oracle_tag;
   (* Round jumping happens on *receipt* of a far-future-round message
      (the paper's modification); the payload itself still waits in the
@@ -231,12 +240,12 @@ let handle_first ctx st stamp r v =
 
 let handle_report ctx st ~src r v =
   if r <> st.round then st
-  else if List.mem_assoc src st.reports then st
+  else if has_key src st.reports then st
   else maybe_lock ctx { st with reports = (src, v) :: st.reports }
 
 let handle_lock ctx st ~src r lv =
   if r <> st.round then st
-  else if List.mem_assoc src st.locks then st
+  else if has_key src st.locks then st
   else maybe_finish_round ctx { st with locks = (src, lv) :: st.locks }
 
 let on_message_impl ctx st ~src msg =

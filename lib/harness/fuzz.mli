@@ -40,6 +40,10 @@ val run_one : Fuzz_scenario.t -> outcome
 
 (** {2 Generation} *)
 
+(** The protocols a campaign without [?protocol] draws from: every
+    protocol of {!Protocols.table} marked correct, in table order. *)
+val default_protocols : Fuzz_scenario.protocol list
+
 (** [generate ~seed ~index ?protocol ()] draws scenario [index] of
     campaign [seed] — a pure function of its arguments.  The scenarios
     are admissible by construction (crashes only before [ts], at most

@@ -223,7 +223,17 @@ let persistent ~name ~boot ~on_message ~on_timer ~resume ~msg_payload =
 (* Simulator implementations of the context capabilities               *)
 (* ------------------------------------------------------------------ *)
 
-let eng_send eng p ~dst msg =
+(* Stands in for the payload of a message in a run that records no
+   trace, where it is never read. *)
+let untraced_payload = Trace.info ""
+
+(* The payload a trace records for [msg], built once per send or
+   broadcast and only when the run records a trace. *)
+let trace_payload eng msg =
+  if Trace.enabled eng.trace then eng.protocol.msg_payload msg
+  else untraced_payload
+
+let eng_send eng p ~dst msg payload =
   eng.sent <- eng.sent + 1;
   Registry.inc_handle eng.h_sent ~proc:p;
   let t = now eng in
@@ -240,8 +250,7 @@ let eng_send eng p ~dst msg =
     if Trace.enabled eng.trace then begin
       let id = eng.next_msg_id in
       eng.next_msg_id <- id + 1;
-      Trace.record_drop eng.trace ~t ~id ~src:p ~dst
-        (eng.protocol.msg_payload msg)
+      Trace.record_drop eng.trace ~t ~id ~src:p ~dst payload
     end
   end
   else begin
@@ -250,8 +259,7 @@ let eng_send eng p ~dst msg =
     let sent =
       if Trace.enabled eng.trace then begin
         let sent = Trace.total_recorded eng.trace in
-        Trace.record_send eng.trace ~t ~id ~src:p ~dst
-          (eng.protocol.msg_payload msg);
+        Trace.record_send eng.trace ~t ~id ~src:p ~dst payload;
         sent
       end
       else -1
@@ -317,11 +325,12 @@ let make_ctx eng p : _ ctx =
     n;
     proposal = eng.scenario.Scenario.proposals.(p);
     local_time = (fun () -> Clock.local_of_global eng.clocks.(p) (now eng));
-    send = (fun ~dst msg -> eng_send eng p ~dst msg);
+    send = (fun ~dst msg -> eng_send eng p ~dst msg (trace_payload eng msg));
     broadcast =
       (fun msg ->
+        let payload = trace_payload eng msg in
         for dst = 0 to n - 1 do
-          eng_send eng p ~dst msg
+          eng_send eng p ~dst msg payload
         done);
     set_timer =
       (fun ~local_delay ~tag -> eng_set_timer eng p ~local_delay ~tag);

@@ -55,9 +55,15 @@ let test_timer_path_budget () =
 (* Whole-run budgets for the real protocols, over the conformance-style
    scenario below.  Measured (dev profile, OCaml 5.1): modified-paxos
    54.3, ungated 54.3, traditional 60.1, rotating 42.2, b-consensus
-   104.3 words/event — handler-side allocation (message/state values,
+   90.5 words/event — handler-side allocation (message/state values,
    quorum sets) plus the boxed floats the RNG-drawing network policy
-   produces.  Budgets are ~2x measured. *)
+   produces.  Budgets are ~2x measured.
+
+   At n = 3 b-consensus decides within 223 events, before its ordering
+   oracle holds many messages; at n = 17 the oracle holds hundreds, and
+   a sorted-list oracle copied most of them on every receipt (236.6
+   words/event).  The hold-back queue measures 75.9 there, pinned
+   ~1.3x above. *)
 
 let delta = 0.01
 
@@ -117,12 +123,20 @@ let test_rotating_coordinator () =
       (Sim.Engine.run sc (Baselines.Rotating_coordinator.protocol ~n ~delta ()))
         .Sim.Engine.events_processed)
 
-let test_b_consensus () =
+let b_consensus_budget ~n ~budget () =
   let sc = scenario ~n in
-  check_budget "modified-b-consensus" ~budget:210. (fun () ->
+  check_budget
+    (Printf.sprintf "modified-b-consensus n=%d" n)
+    ~budget
+    (fun () ->
       (Sim.Engine.run sc
          (Bconsensus.Modified_b_consensus.protocol ~n ~delta ~rho:0. ()))
         .Sim.Engine.events_processed)
+
+let test_b_consensus = b_consensus_budget ~n ~budget:180.
+
+let test_b_consensus_n17 = b_consensus_budget ~n:17 ~budget:100.
+
 
 (* Model-checker fingerprints.  A [Model] state is its own word stream,
    and [Fingerprint.of_words] hashes it in one loop with both int64
@@ -219,6 +233,42 @@ let test_trace_copy_allocates_nothing () =
           Alcotest.fail "the send just recorded was not copied")
   in
   Alcotest.(check (float 0.)) "words per send + copied delivery" 0. w
+
+(* The ordering oracle's receipt: a message stamped near the maximum —
+   the common case, since every process stamps past what it has heard —
+   costs the same whether 16 or 512 messages are held.  The stream below
+   stamps message [i] with counter [i] from origin [i mod 5]; the probe
+   stamp falls a few places below the newest.  A sorted list copies
+   every held message ahead of the probe's slot, three words each. *)
+module Oracle = Bconsensus.Ordering_oracle
+
+let words_per_receive held =
+  let o =
+    List.fold_left
+      (fun o i ->
+        fst
+          (Oracle.receive o ~now_local:(float_of_int i) ~stamp:
+             { Consensus.Logical_clock.counter = i; origin = i mod 5 } i))
+      (Oracle.create ~owner:0 ~hold_local:1e6)
+      (List.init held (fun i -> i + 1))
+  in
+  let stamp = { Consensus.Logical_clock.counter = held - 2; origin = 4 } in
+  let now_local = float_of_int held in
+  words_per_call 1000 (fun i ->
+      ignore (Sys.opaque_identity (Oracle.receive o ~now_local ~stamp i)))
+
+(* Words one receipt may cost beyond the same receipt into a small
+   oracle; measured 0. *)
+let oracle_receive_slack = 4.
+
+let test_oracle_receive_flat () =
+  let small = words_per_receive 16 and large = words_per_receive 512 in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "receive: %.1f words holding 512 within %.1f + %.0f holding 16" large
+       small oracle_receive_slack)
+    true
+    (large <= small +. oracle_receive_slack)
 
 (* The same through the engine: the traced token ring boxes only the
    time of each send record (2 words per event; each event is one
@@ -355,6 +405,10 @@ let suite =
     Alcotest.test_case "rotating coordinator run budget" `Quick
       test_rotating_coordinator;
     Alcotest.test_case "b-consensus run budget" `Quick test_b_consensus;
+    Alcotest.test_case "b-consensus n=17 run budget" `Quick
+      test_b_consensus_n17;
+    Alcotest.test_case "oracle receive flat in held messages" `Quick
+      test_oracle_receive_flat;
     Alcotest.test_case "mcheck fingerprint budget" `Quick
       test_fingerprint_budget;
     Alcotest.test_case "trace record allocates nothing" `Quick

@@ -65,6 +65,134 @@ let test_oracle_ties_broken_by_origin () =
   Alcotest.(check (list string)) "origin breaks ties" [ "from1"; "from2" ]
     (List.map snd ready)
 
+(* The sorted-list oracle the queue replaced, kept as the reference
+   model: [pending] ascending by stamp, equal stamps in arrival order. *)
+module Ref_oracle = struct
+  type 'a held = {
+    stamp : Consensus.Logical_clock.stamp;
+    release_local : float;
+    payload : 'a;
+  }
+
+  type 'a t = {
+    owner : int;
+    hold_local : float;
+    counter : int;
+    pending : 'a held list;
+  }
+
+  let create ~owner ~hold_local = { owner; hold_local; counter = 0; pending = [] }
+
+  let next_stamp t =
+    let counter = t.counter + 1 in
+    ({ t with counter }, { Consensus.Logical_clock.counter; origin = t.owner })
+
+  let insert_sorted held pending =
+    let rec go = function
+      | [] -> [ held ]
+      | h :: rest ->
+          if Consensus.Logical_clock.compare_stamp held.stamp h.stamp < 0 then
+            held :: h :: rest
+          else h :: go rest
+    in
+    go pending
+
+  let receive t ~now_local ~stamp payload =
+    let counter = Stdlib.max t.counter stamp.Consensus.Logical_clock.counter in
+    let release_local = now_local +. t.hold_local in
+    let held = { stamp; release_local; payload } in
+    ({ t with counter; pending = insert_sorted held t.pending }, release_local)
+
+  let due t ~now_local =
+    let rec split acc = function
+      | h :: rest when h.release_local <= now_local ->
+          split ((h.stamp, h.payload) :: acc) rest
+      | rest -> (List.rev acc, rest)
+    in
+    let ready, pending = split [] t.pending in
+    ({ t with pending }, ready)
+
+  let pending_count t = List.length t.pending
+
+  let clock t = t.counter
+end
+
+(* One step of [prop_matches_reference]: [(kind, origin, offset, dt)]
+   advances local time by [dt] ticks (0 keeps it), then
+   - kind 0-1: receives a stamp from [origin] whose counter is
+     [offset - 3] away from the clock (below it, at it or above it),
+     or, for [offset = 0], an exact duplicate of the [origin]-th latest
+     stamp received;
+   - kind 2: calls [due];
+   - kind 3: draws a fresh stamp.
+   After every step both oracles must agree on what [due] returns, on
+   [clock] and on [pending_count]; a final [due] drains them both. *)
+let prop_matches_reference =
+  QCheck.Test.make ~name:"oracle queue matches the sorted-list reference"
+    ~count:300
+    QCheck.(
+      pair (int_range 0 4)
+        (list_of_size Gen.(0 -- 120)
+           (quad (int_range 0 3) (int_range 0 4) (int_range 0 6)
+              (int_range 0 3))))
+    (fun (hold_ticks, ops) ->
+      let tick = 0.005 in
+      let hold_local = float_of_int hold_ticks *. tick in
+      let same_stamp (a : Consensus.Logical_clock.stamp) b =
+        Consensus.Logical_clock.compare_stamp a b = 0
+      in
+      let same_ready a b =
+        List.length a = List.length b
+        && List.for_all2
+             (fun (sa, (pa : int)) (sb, pb) -> same_stamp sa sb && pa = pb)
+             a b
+      in
+      let agree o r =
+        O.clock o = Ref_oracle.clock r
+        && O.pending_count o = Ref_oracle.pending_count r
+      in
+      let rec go o r now seen i = function
+        | [] ->
+            let o, ready = O.due o ~now_local:(now +. 1e9) in
+            let r, ready' = Ref_oracle.due r ~now_local:(now +. 1e9) in
+            same_ready ready ready' && agree o r
+        | (kind, origin, offset, dt) :: rest ->
+            let now = now +. (float_of_int dt *. tick) in
+            if kind <= 1 then begin
+              let stamp =
+                match List.nth_opt seen origin with
+                | Some s when offset = 0 -> s
+                | _ ->
+                    {
+                      Consensus.Logical_clock.counter =
+                        Stdlib.max 0 (O.clock o + offset - 3);
+                      origin;
+                    }
+              in
+              let o, release = O.receive o ~now_local:now ~stamp i in
+              let r, release' = Ref_oracle.receive r ~now_local:now ~stamp i in
+              Float.equal release release'
+              && agree o r
+              && go o r now (stamp :: seen) (i + 1) rest
+            end
+            else if kind = 2 then begin
+              let o, ready = O.due o ~now_local:now in
+              let r, ready' = Ref_oracle.due r ~now_local:now in
+              same_ready ready ready' && agree o r
+              && go o r now seen (i + 1) rest
+            end
+            else begin
+              let o, s = O.next_stamp o in
+              let r, s' = Ref_oracle.next_stamp r in
+              same_stamp s s' && agree o r && go o r now seen (i + 1) rest
+            end
+      in
+      let owner = 2 in
+      go
+        (O.create ~owner ~hold_local)
+        (Ref_oracle.create ~owner ~hold_local)
+        0. [] 0 ops)
+
 (* The Section 5 property: two receivers of the same stable-period
    messages deliver them in the same order, whatever their (delta-bounded)
    receipt skew. *)
@@ -368,6 +496,7 @@ let suite =
       test_oracle_blocks_behind_unreleased_smaller_stamp;
     Alcotest.test_case "oracle ties by origin" `Quick
       test_oracle_ties_broken_by_origin;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
     QCheck_alcotest.to_alcotest prop_same_order_after_ts;
     QCheck_alcotest.to_alcotest prop_stable_subsequence_ordered;
     Alcotest.test_case "b-consensus decides and agrees" `Quick
