@@ -66,8 +66,3 @@ let linear_fit points =
   let b = ((n *. sxy) -. (sx *. sy)) /. denom in
   let a = (sy -. (b *. sx)) /. n in
   (a, b)
-
-let pp_summary fmt s =
-  Format.fprintf fmt
-    "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p95=%.3f max=%.3f" s.samples
-    s.mean s.stddev s.min s.p50 s.p95 s.max

@@ -34,6 +34,3 @@ val percentile_sorted : float -> float array -> float
 (** Ordinary least squares fit [y = a + b * x]; returns [(a, b)].
     Raises on fewer than two points or degenerate x. *)
 val linear_fit : (float * float) list -> float * float
-
-(** One-line rendering: mean, stddev, range and percentiles. *)
-val pp_summary : Format.formatter -> summary -> unit

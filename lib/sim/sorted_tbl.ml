@@ -15,9 +15,6 @@ let bindings ~compare:cmp tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> cmp a b)
 
-let keys ~compare:cmp tbl =
-  Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort cmp
-
 let iter ~compare:cmp f tbl =
   List.iter (fun (k, v) -> f k v) (bindings ~compare:cmp tbl)
 

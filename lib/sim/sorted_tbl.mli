@@ -14,9 +14,6 @@ val bindings :
   compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
 (** All bindings, sorted by key. *)
 
-val keys : compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
-(** All keys, sorted. *)
-
 val iter :
   compare:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 (** [iter ~compare f tbl]: [f] over the sorted bindings. *)

@@ -79,8 +79,6 @@ let applied st =
 
 let register st = List.fold_left Command.apply 0 (applied st)
 
-let pending_count st = List.length st.pending
-
 let chosen_at st instance = Imap.find_opt instance st.chosen
 
 (* ------------------------------------------------------------------ *)
@@ -205,39 +203,42 @@ let drop_proposed instance cmd proposed =
   | Some _ | None -> proposed
 
 let learn_chosen ctx st instance cmd =
-  if Imap.mem instance st.chosen then st
-  else begin
-    if not (Command.is_noop cmd) then begin
-      let buf = Sim.Scratch.buffer (Engine.scratch ctx) in
-      Buffer.add_string buf "chosen:";
-      Sim.Numfmt.add_int buf cmd.Command.id;
-      Engine.note ctx (Buffer.contents buf)
-    end;
-    let st =
-      {
-        st with
-        chosen = Imap.add instance cmd st.chosen;
-        p2b = drop_p2b instance st.p2b;
-        proposed = drop_proposed instance cmd st.proposed;
-        proposed_ids =
-          (if Command.is_noop cmd then st.proposed_ids
-           else Iset.remove cmd.Command.id st.proposed_ids);
-        chosen_ids =
-          (if Command.is_noop cmd then st.chosen_ids
-           else Iset.add cmd.Command.id st.chosen_ids);
-        ivotes = Imap.remove instance st.ivotes;
-        pending =
-          List.filter
-            (fun c -> c.Command.id <> cmd.Command.id)
-            st.pending;
-      }
-    in
-    let rec advance upto =
-      if Imap.mem upto st.chosen then advance (upto + 1) else upto
-    in
-    let st = { st with chosen_upto = advance st.chosen_upto } in
-    maybe_decide ctx st
-  end
+  match Imap.find_opt instance st.chosen with
+  | Some held ->
+      if not (Command.equal held cmd) then
+        Engine.count ctx "smr_chosen_conflicts";
+      st
+  | None ->
+      if not (Command.is_noop cmd) then begin
+        let buf = Sim.Scratch.buffer (Engine.scratch ctx) in
+        Buffer.add_string buf "chosen:";
+        Sim.Numfmt.add_int buf cmd.Command.id;
+        Engine.note ctx (Buffer.contents buf)
+      end;
+      let st =
+        {
+          st with
+          chosen = Imap.add instance cmd st.chosen;
+          p2b = drop_p2b instance st.p2b;
+          proposed = drop_proposed instance cmd st.proposed;
+          proposed_ids =
+            (if Command.is_noop cmd then st.proposed_ids
+             else Iset.remove cmd.Command.id st.proposed_ids);
+          chosen_ids =
+            (if Command.is_noop cmd then st.chosen_ids
+             else Iset.add cmd.Command.id st.chosen_ids);
+          ivotes = Imap.remove instance st.ivotes;
+          pending =
+            List.filter
+              (fun c -> c.Command.id <> cmd.Command.id)
+              st.pending;
+        }
+      in
+      let rec advance upto =
+        if Imap.mem upto st.chosen then advance (upto + 1) else upto
+      in
+      let st = { st with chosen_upto = advance st.chosen_upto } in
+      maybe_decide ctx st
 
 (* ------------------------------------------------------------------ *)
 (* Leader side                                                         *)
@@ -522,7 +523,7 @@ let initial_state ctx cfg ~progress_gate workload total_commands =
   {
     cfg;
     progress_gate;
-    workload;
+    workload = Array.of_list workload;
     next_submit = 0;
     total_commands;
     mbal = Ballot.initial ~proc:(Engine.self ctx);
@@ -540,19 +541,19 @@ let initial_state ctx cfg ~progress_gate workload total_commands =
     proposed = Imap.empty;
     proposed_ids = Iset.empty;
     p2b = IBmap.empty;
-    decided = false;
+    decided = Engine.has_decided ctx;
     last_active_local = Engine.local_time ctx;
     progress_mark = 0;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Durable essence (socket replica restart)                            *)
+(* Restart from the durable essence                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* What a real process must carry across a crash is exactly what its 1b
-   would report: highest ballot heard, accepted votes, and the chosen
-   log (folded in as infinite-ballot votes).  The socket replica
-   serializes this as a Wire M1b frame — one codec, CRC included. *)
+(* What a process carries across a crash is exactly what its 1b would
+   report: highest ballot heard, accepted votes, and the chosen log
+   (folded in as infinite-ballot votes).  The socket replica serializes
+   this as a Wire M1b frame — one codec, CRC included. *)
 type essence = {
   e_mbal : Ballot.t;
   e_votes : (int * Smr_messages.ivote) list;
@@ -571,8 +572,13 @@ let essence st =
   in
   { e_mbal = st.mbal; e_votes = votes; e_chosen_upto = st.chosen_upto }
 
-let restore ?(progress_gate = true) cfg ctx e =
-  let st = initial_state ctx cfg ~progress_gate [||] 0 in
+(* The one restart path, for the simulator's stable storage and for
+   [serve]'s snapshot alike.  The command count and the workload
+   describe the run, not the acceptor, so they come from the caller;
+   the workload acts as the client outside the replica (see the
+   .mli). *)
+let restore cfg ~progress_gate ~workload ~total_commands ctx e =
+  let st = initial_state ctx cfg ~progress_gate workload total_commands in
   let chosen, ivotes =
     List.fold_left
       (fun (ch, iv) (i, (v : Smr_messages.ivote)) ->
@@ -614,9 +620,17 @@ let restore ?(progress_gate = true) cfg ctx e =
       progress_mark = chosen_upto;
     }
   in
+  let now = Engine.local_time ctx in
+  let st =
+    Array.fold_left
+      (fun st (at, cmd) ->
+        if at > now then st
+        else add_pending { st with next_submit = st.next_submit + 1 } cmd)
+      st st.workload
+  in
   Core.arm_timers ctx st;
   (* tell peers where we stand so their digests backfill the tail we
-     lost between the last snapshot and the crash *)
+     lost between the last persist and the crash *)
   Engine.broadcast ctx (Smr_messages.Chosen_digest { upto = st.chosen_upto });
   Engine.persist ctx st;
   st
@@ -635,13 +649,16 @@ let protocol ?(progress_gate = true) cfg ~workloads =
   let total_commands = List.length all_ids in
   let boot ctx =
     let st =
-      initial_state ctx cfg ~progress_gate
-        (Array.of_list workloads.(Engine.self ctx))
+      initial_state ctx cfg ~progress_gate workloads.(Engine.self ctx)
         total_commands
     in
     Core.arm_timers ctx st;
     st
   in
+  let restart ctx st =
+    restore cfg ~progress_gate ~workload:workloads.(Engine.self ctx)
+      ~total_commands ctx (essence st)
+  in
   Engine.persistent ~name:"smr-multi-paxos" ~boot ~on_message ~on_timer
-    ~resume:Core.resume
+    ~resume:restart
     ~msg_payload:(Smr_messages.payload ~n:cfg.Dgl.Config.n)

@@ -72,23 +72,37 @@ val applied : state -> Command.t list
 (** Register value after applying {!applied} to 0. *)
 val register : state -> int
 
-val pending_count : state -> int
-
 (** [chosen_at st i] — the command chosen at instance [i], if any (not
     limited to the contiguous prefix).  The socket replica uses it to
     apply instances incrementally as [chosen_upto] advances. *)
 val chosen_at : state -> int -> Command.t option
 
-(** {2 Durable essence (socket replica restart)}
+(** {2 Restart: the durable essence}
 
-    What a real process must carry across a crash is exactly what its
-    phase-1b message reports: the highest ballot heard, its accepted
-    votes, and the chosen log (folded in as infinite-ballot votes, the
-    same convention the live protocol uses).  {!essence} extracts that
-    triple; {!restore} rebuilds a working state from it on a fresh
-    process, re-arms the session and resend timers, and broadcasts a
+    A crash keeps exactly what a phase-1b message reports: the highest
+    ballot heard, the accepted votes, and the chosen log (folded in as
+    infinite-ballot votes, the convention the live protocol uses), with
+    the chosen watermark.  {!essence} extracts it.  Everything else —
+    sessions heard, leader bookkeeping, 2b tallies, the pending queue —
+    is volatile.
+
+    {!restore} is the only restart path.  The simulator's
+    [on_restart] applies it to the essence of the persisted state, and
+    the socket replica applies it to the essence it reads from its
+    snapshot.  It builds a fresh state holding the essence, re-arms the
+    session, resend and submission timers, and broadcasts a
     [Chosen_digest] so peers backfill whatever was chosen after the
-    snapshot was taken. *)
+    essence was written.  What the essence leaves out comes from the
+    caller, never from the persisted state:
+    - [progress_gate] is {!protocol}'s;
+    - [total_commands] is the decide rule's command count: {!protocol}
+      passes its workloads' total, the socket replica 0, so it never
+      decides;
+    - [workload] is this process's submission schedule.  It acts as the
+      client outside the replica: the commands whose time has passed
+      and that the restored log lacks go back to the pending queue,
+      where the [epsilon] tick re-forwards them, and later ones are
+      scheduled as at boot.  Command ids make a resubmission safe. *)
 
 type essence = {
   e_mbal : Ballot.t;
@@ -99,8 +113,10 @@ type essence = {
 val essence : state -> essence
 
 val restore :
-  ?progress_gate:bool ->
   Dgl.Config.t ->
+  progress_gate:bool ->
+  workload:(float * Command.t) list ->
+  total_commands:int ->
   (Smr_messages.t, state) Sim.Runtime.ctx ->
   essence ->
   state

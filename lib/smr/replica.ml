@@ -575,7 +575,10 @@ let run t =
           log t "restoring from snapshot (chosen_upto %d)"
             e.Multi_paxos.e_chosen_upto;
           Sim.Registry.inc ~proc:t.cfg.id t.registry "serve_restores";
-          t.st <- Some (Multi_paxos.restore t.dcfg ctx e)
+          t.st <-
+            Some
+              (Multi_paxos.restore t.dcfg ~progress_gate:true ~workload:[]
+                 ~total_commands:0 ctx e)
       | None -> t.st <- Some (t.proto.Sim.Runtime.on_boot ctx)));
   service t;
   (* The essence serializes the whole chosen log, so a fixed cadence

@@ -315,9 +315,9 @@ let test_empty_workload_quiet () =
       | None -> Alcotest.fail "down")
     r.Sim.Engine.final_states
 
-(* Property: under random workloads, networks and pre-TS crash/restart
-   churn, every replica applies the same command sequence and reaches
-   the same register value. *)
+(* Property: under random workloads, networks and crash/restart churn
+   of up to two members, every replica applies the same command
+   sequence and reaches the same register value. *)
 let prop_logs_converge =
   let gen =
     QCheck.Gen.(
@@ -330,16 +330,25 @@ let prop_logs_converge =
                    map (fun d -> Smr.Command.Add d) (int_bound 20) ])
       in
       let* net = int_bound 1 in
-      let* churn = opt (pair (int_bound 4) (float_range 0.1 0.4)) in
+      (* up to two members crash between 0.05 and 0.4 s and restart 0.05
+         to 0.5 s later, so a restart may come before or after TS *)
+      let* churn =
+        list_size (int_bound 2)
+          (triple (int_bound 4) (float_range 0.05 0.4) (float_range 0.05 0.5))
+      in
+      let churn =
+        List.sort_uniq (fun (p, _, _) (q, _, _) -> Int.compare p q) churn
+      in
       return (seed, submitters, ops, net, churn))
   in
   let print (seed, submitters, _, net, churn) =
     Printf.sprintf "{seed=%Ld; submitters=%s; net=%d; churn=%s}" seed
       (String.concat "," (List.map string_of_int submitters))
       net
-      (match churn with
-      | Some (p, t) -> Printf.sprintf "p%d@%.2f" p t
-      | None -> "-")
+      (String.concat ","
+         (List.map
+            (fun (p, t, down) -> Printf.sprintf "p%d@%.2f+%.2f" p t down)
+            churn))
   in
   QCheck.Test.make ~name:"smr: replica logs converge" ~count:40
     (QCheck.make ~print gen)
@@ -367,10 +376,12 @@ let prop_logs_converge =
         else Sim.Network.silent_until_ts
       in
       let faults =
-        match churn with
-        | Some (p, t) ->
-            Sim.Fault.crash_then_restart ~crash_at:t ~restart_at:(ts +. 0.1) p
-        | None -> Sim.Fault.none
+        List.fold_left
+          (fun f (p, t, down) ->
+            Sim.Fault.union f
+              (Sim.Fault.crash_then_restart ~crash_at:t
+                 ~restart_at:(t +. down) p))
+          Sim.Fault.none churn
       in
       let cfg = Dgl.Config.make ~n ~delta () in
       let sc =
@@ -533,25 +544,21 @@ let prop_kv_state_matches_model =
         kv_keys
       && Smr.Kv_state.checksum kv = Smr.Kv_state.checksum fresh)
 
-(* --- Phase 1b over a long chosen log ------------------------------------ *)
+(* --- One member's handlers, driven by hand ------------------------------ *)
 
-(* A member restored with 50k chosen instances, a hole at the watermark
-   and a few chosen instances and votes above it answers a 1a with only
-   what lies at or above the watermark: its votes, highest instance
-   first, then the chosen instances above the watermark, highest first
-   (as infinite-ballot votes). *)
-let test_1b_carries_only_above_watermark () =
-  let n = 3 and self = 0 in
-  let cfg = Dgl.Config.make ~n ~delta () in
-  let sent = ref [] in
+(* A context for calling a member's handlers directly, reading [now] as
+   its clock.  It records what the member sends (newest first; a
+   broadcast as [dst = -1]) and the names of the counters it bumps. *)
+let stub_ctx ?(now = 0.) ~n self =
+  let sent = ref [] and counted = ref [] in
   let ctx =
     {
       Sim.Runtime.self;
       n;
       proposal = 0;
-      local_time = (fun () -> 0.);
+      local_time = (fun () -> now);
       send = (fun ~dst msg -> sent := (dst, msg) :: !sent);
-      broadcast = (fun _ -> ());
+      broadcast = (fun msg -> sent := (-1, msg) :: !sent);
       set_timer = (fun ~local_delay:_ ~tag:_ -> ());
       persist = (fun _ -> ());
       decide = (fun _ -> ());
@@ -559,17 +566,34 @@ let test_1b_carries_only_above_watermark () =
       rng = Sim.Prng.create 1L;
       scratch = Sim.Scratch.create ();
       note = (fun _ -> ());
-      count = (fun _ -> ());
-      oracle_time = (fun () -> 0.);
+      count = (fun name -> counted := name :: !counted);
+      oracle_time = (fun () -> now);
     }
   in
+  (ctx, sent, counted)
+
+(* [restore] as the socket replica calls it: no workload, no decide
+   rule. *)
+let restore_bare cfg ctx e =
+  Smr.Multi_paxos.restore cfg ~progress_gate:true ~workload:[]
+    ~total_commands:0 ctx e
+
+(* A member restored with 50k chosen instances, a hole at the watermark
+   and a few chosen instances and votes above it answers a 1a with only
+   what lies at or above the watermark: its votes, highest instance
+   first, then the chosen instances above the watermark, highest first
+   (as infinite-ballot votes). *)
+let test_1b_carries_only_above_watermark () =
+  let n = 3 in
+  let cfg = Dgl.Config.make ~n ~delta () in
+  let ctx, sent, _ = stub_ctx ~n 0 in
   let cmd i = Smr.Command.make ~id:i (Smr.Command.Set i) in
   let chosen i = (i, { Smr.Smr_messages.vbal = max_int; vcmd = cmd i }) in
   let vote i vbal = (i, { Smr.Smr_messages.vbal; vcmd = cmd i }) in
   let watermark = 50_000 in
   let mbal = Consensus.Ballot.of_session ~n ~proc:1 4 in
   let st =
-    Smr.Multi_paxos.restore cfg ctx
+    restore_bare cfg ctx
       {
         Smr.Multi_paxos.e_mbal = mbal;
         e_votes =
@@ -601,6 +625,87 @@ let test_1b_carries_only_above_watermark () =
            votes)
   | _ -> Alcotest.fail "expected exactly one 1b in answer to the 1a"
 
+(* A [Chosen] that names another command for an instance the member
+   already holds is a split log.  The member keeps what it holds, and
+   the conflict shows in the [smr_chosen_conflicts] counter. *)
+let test_conflicting_chosen_is_counted () =
+  let n = 3 in
+  let cfg = Dgl.Config.make ~n ~delta () in
+  let ctx, _, counted = stub_ctx ~n 0 in
+  let held = Smr.Command.make ~id:1 (Smr.Command.Set 1) in
+  let st =
+    restore_bare cfg ctx
+      {
+        Smr.Multi_paxos.e_mbal = Consensus.Ballot.of_session ~n ~proc:1 2;
+        e_votes = [ (0, { Smr.Smr_messages.vbal = max_int; vcmd = held }) ];
+        e_chosen_upto = 1;
+      }
+  in
+  let proto = Smr.Multi_paxos.protocol cfg ~workloads:(Array.make n []) in
+  let chosen st cmd =
+    proto.Sim.Runtime.on_message ctx st ~src:1
+      (Smr.Smr_messages.Chosen { instance = 0; cmd })
+  in
+  let st = chosen st held in
+  Alcotest.(check (list string)) "the held command again" [] !counted;
+  let st = chosen st (Smr.Command.make ~id:2 (Smr.Command.Set 2)) in
+  Alcotest.(check (list string))
+    "another command" [ "smr_chosen_conflicts" ] !counted;
+  Alcotest.(check bool) "the held command stays" true
+    (Option.equal Smr.Command.equal (Some held)
+       (Smr.Multi_paxos.chosen_at st 0))
+
+(* A member that crashes while it leads comes back through [restore] on
+   the essence of its persisted state: right after the restart it holds
+   that and nothing else (not leading, no leader bookkeeping, its due
+   commands pending again).  It still decides, which needs its second
+   command: that one fell due while it was down, so only the pending
+   re-forward can get it chosen. *)
+let test_restart_keeps_only_the_essence () =
+  let n = 5 and victim = 4 and crash_at = 0.12 in
+  let cfg = Dgl.Config.make ~n ~delta () in
+  let workloads = spread_workload ~n ~per_proc:2 ~start:0.1 ~gap:0.05 in
+  let proto = Smr.Multi_paxos.protocol cfg ~workloads in
+  let restarts = ref [] in
+  let proto =
+    {
+      proto with
+      Sim.Runtime.on_restart =
+        (fun ctx ~persisted ->
+          let st = proto.Sim.Runtime.on_restart ctx ~persisted in
+          let now = ctx.Sim.Runtime.local_time () in
+          restarts := (now, persisted, st) :: !restarts;
+          st);
+    }
+  in
+  let restart_at = crash_at +. (10. *. delta) in
+  let sc =
+    Sim.Scenario.make ~name:"smr-restart" ~n ~ts:0. ~delta ~seed:3L
+      ~network:Sim.Network.deterministic_after_ts
+      ~faults:(Sim.Fault.crash_then_restart ~crash_at ~restart_at victim)
+      ~horizon:3.0 ()
+  in
+  let r = Sim.Engine.run sc proto in
+  (match !restarts with
+  | [ (now, Some persisted, st) ] ->
+      Alcotest.(check bool) "led when it crashed" true
+        (Smr.Multi_paxos.leading persisted);
+      Alcotest.(check bool) "not leading after the restart" false
+        (Smr.Multi_paxos.leading st);
+      let ctx, _, _ = stub_ctx ~now ~n victim in
+      let fresh =
+        Smr.Multi_paxos.restore cfg ~progress_gate:true
+          ~workload:workloads.(victim) ~total_commands:(2 * n) ctx
+          (Smr.Multi_paxos.essence persisted)
+      in
+      Alcotest.(check bool) "the state is a fresh restore of the essence" true
+        (st = fresh)
+  | _ -> Alcotest.fail "expected one restart from a persisted state");
+  match r.Sim.Engine.decision_times.(victim) with
+  | Some t ->
+      Alcotest.(check bool) "decides after the restart" true (t > restart_at)
+  | None -> Alcotest.fail "the restarted member never decided"
+
 let suite =
   [
     Alcotest.test_case "command apply" `Quick test_command_apply;
@@ -628,6 +733,10 @@ let suite =
       test_empty_workload_quiet;
     Alcotest.test_case "1b carries only what is above the watermark" `Quick
       test_1b_carries_only_above_watermark;
+    Alcotest.test_case "a conflicting chosen is counted" `Quick
+      test_conflicting_chosen_is_counted;
+    Alcotest.test_case "a restart keeps only the essence" `Quick
+      test_restart_keeps_only_the_essence;
     QCheck_alcotest.to_alcotest prop_logs_converge;
     QCheck_alcotest.to_alcotest prop_kv_state_matches_model;
   ]
