@@ -119,8 +119,11 @@ module Make (P : PROTOCOL) : sig
       armed and a 1a broadcast. *)
   val adopt_ballot : ctx -> P.state -> Ballot.t -> P.state
 
-  (** Start Phase 1 (a jump to the next session with a self-owned
-      ballot) when the session rules enable it. *)
+  (** Start Phase 1: jump to the next session with a self-owned
+      ballot, whether or not the session rules enable it. *)
+  val start_phase1 : ctx -> P.state -> P.state
+
+  (** {!start_phase1} when the session rules enable it. *)
   val maybe_start_phase1 : ctx -> P.state -> P.state
 
   (** Count the transport sender [src] as heard in the current session

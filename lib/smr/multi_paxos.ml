@@ -620,15 +620,17 @@ let restore cfg ~progress_gate ~workload ~total_commands ctx e =
       progress_mark = chosen_upto;
     }
   in
-  let now = Engine.local_time ctx in
-  let st =
-    Array.fold_left
-      (fun st (at, cmd) ->
-        if at > now then st
-        else add_pending { st with next_submit = st.next_submit + 1 } cmd)
-      st st.workload
-  in
+  (* the submission timer re-submits the due commands at once, as at
+     boot; command ids make a resubmission safe *)
   Core.arm_timers ctx st;
+  (* The essence is acceptor state only: what this process proposed at
+     a ballot it owns is lost with the crash.  Leading at that ballot
+     again could propose a second command at an instance whose first
+     2a is still in flight, so it starts a fresh ballot instead. *)
+  let st =
+    if Ballot.owner ~n mbal = Engine.self ctx then Core.start_phase1 ctx st
+    else st
+  in
   (* tell peers where we stand so their digests backfill the tail we
      lost between the last persist and the crash *)
   Engine.broadcast ctx (Smr_messages.Chosen_digest { upto = st.chosen_upto });

@@ -82,9 +82,13 @@ val chosen_at : state -> int -> Command.t option
     A crash keeps exactly what a phase-1b message reports: the highest
     ballot heard, the accepted votes, and the chosen log (folded in as
     infinite-ballot votes, the convention the live protocol uses), with
-    the chosen watermark.  {!essence} extracts it.  Everything else —
-    sessions heard, leader bookkeeping, 2b tallies, the pending queue —
-    is volatile.
+    the chosen watermark.  {!essence} extracts it.  This is acceptor
+    state only; everything else — sessions heard, leader bookkeeping,
+    2b tallies, the pending queue — is volatile.  Since a restarted
+    process does not know what it proposed, it never leads again at a
+    ballot it owns: when the restored ballot is its own, {!restore}
+    starts phase 1 at once at a fresh self-owned ballot of the next
+    session.
 
     {!restore} is the only restart path.  The simulator's
     [on_restart] applies it to the essence of the persisted state, and
@@ -99,10 +103,9 @@ val chosen_at : state -> int -> Command.t option
       passes its workloads' total, the socket replica 0, so it never
       decides;
     - [workload] is this process's submission schedule.  It acts as the
-      client outside the replica: the commands whose time has passed
-      and that the restored log lacks go back to the pending queue,
-      where the [epsilon] tick re-forwards them, and later ones are
-      scheduled as at boot.  Command ids make a resubmission safe. *)
+      client outside the replica: it is submitted as at boot, so the
+      commands whose time has passed go out at once.  Command ids make
+      a resubmission of a chosen command harmless. *)
 
 type essence = {
   e_mbal : Ballot.t;

@@ -546,17 +546,17 @@ let prop_kv_state_matches_model =
 
 (* --- One member's handlers, driven by hand ------------------------------ *)
 
-(* A context for calling a member's handlers directly, reading [now] as
-   its clock.  It records what the member sends (newest first; a
+(* A context for calling a member's handlers directly, reading [clock]
+   as its local time.  It records what the member sends (newest first; a
    broadcast as [dst = -1]) and the names of the counters it bumps. *)
-let stub_ctx ?(now = 0.) ~n self =
+let stub_ctx ?(clock = ref 0.) ~n self =
   let sent = ref [] and counted = ref [] in
   let ctx =
     {
       Sim.Runtime.self;
       n;
       proposal = 0;
-      local_time = (fun () -> now);
+      local_time = (fun () -> !clock);
       send = (fun ~dst msg -> sent := (dst, msg) :: !sent);
       broadcast = (fun msg -> sent := (-1, msg) :: !sent);
       set_timer = (fun ~local_delay:_ ~tag:_ -> ());
@@ -567,7 +567,7 @@ let stub_ctx ?(now = 0.) ~n self =
       scratch = Sim.Scratch.create ();
       note = (fun _ -> ());
       count = (fun name -> counted := name :: !counted);
-      oracle_time = (fun () -> now);
+      oracle_time = (fun () -> !clock);
     }
   in
   (ctx, sent, counted)
@@ -657,10 +657,10 @@ let test_conflicting_chosen_is_counted () =
 
 (* A member that crashes while it leads comes back through [restore] on
    the essence of its persisted state: right after the restart it holds
-   that and nothing else (not leading, no leader bookkeeping, its due
-   commands pending again).  It still decides, which needs its second
-   command: that one fell due while it was down, so only the pending
-   re-forward can get it chosen. *)
+   that and nothing else (not leading, no leader bookkeeping), at a
+   fresh ballot of its own.  It still decides, which needs its second
+   command: that one fell due while it was down, so only the
+   re-submission at restart can get it chosen. *)
 let test_restart_keeps_only_the_essence () =
   let n = 5 and victim = 4 and crash_at = 0.12 in
   let cfg = Dgl.Config.make ~n ~delta () in
@@ -692,7 +692,9 @@ let test_restart_keeps_only_the_essence () =
         (Smr.Multi_paxos.leading persisted);
       Alcotest.(check bool) "not leading after the restart" false
         (Smr.Multi_paxos.leading st);
-      let ctx, _, _ = stub_ctx ~now ~n victim in
+      Alcotest.(check bool) "a fresh ballot" true
+        (Smr.Multi_paxos.mbal st > Smr.Multi_paxos.mbal persisted);
+      let ctx, _, _ = stub_ctx ~clock:(ref now) ~n victim in
       let fresh =
         Smr.Multi_paxos.restore cfg ~progress_gate:true
           ~workload:workloads.(victim) ~total_commands:(2 * n) ctx
@@ -705,6 +707,91 @@ let test_restart_keeps_only_the_essence () =
   | Some t ->
       Alcotest.(check bool) "decides after the restart" true (t > restart_at)
   | None -> Alcotest.fail "the restarted member never decided"
+
+(* A leader that crashes with a 2a in flight comes back knowing its
+   ballot but not what it proposed there.  Member 2 leads at ballot 2
+   and proposes X at instance 0.  Only member 0 votes for it before 2
+   crashes; the 2a to member 1 arrives after the restart, and so does
+   everything member 0 sends to 2.  Then Y is forwarded to 2.  Were 2
+   to lead at ballot 2 again, with a phase 1 answered by 1 and itself,
+   it would propose Y at instance 0 in the ballot that already carries
+   X, and the late 2a would let 0 and 1 choose X while 2 chooses Y. *)
+let test_restarted_leader_never_reuses_its_ballot () =
+  let n = 3 and leader = 2 in
+  let cfg = Dgl.Config.make ~n ~delta () in
+  let proto = Smr.Multi_paxos.protocol cfg ~workloads:(Array.make n []) in
+  let clock = ref 0. in
+  let members = Array.init n (fun p -> stub_ctx ~clock ~n p) in
+  let states =
+    Array.map (fun (ctx, _, _) -> proto.Sim.Runtime.on_boot ctx) members
+  in
+  let queue = Queue.create () and held = ref [] and down = ref false in
+  (* run a handler of [p] and put what it sends on the network, a
+     broadcast as one copy per member *)
+  let run p f =
+    let ctx, sent, _ = members.(p) in
+    states.(p) <- f ctx states.(p);
+    List.iter
+      (fun (dst, msg) ->
+        if dst >= 0 then Queue.add (p, dst, msg) queue
+        else for q = 0 to n - 1 do Queue.add (p, q, msg) queue done)
+      (List.rev !sent);
+    sent := []
+  in
+  let deliver (src, dst, msg) =
+    if not (!down && dst = leader) then
+      run dst (fun ctx st -> proto.Sim.Runtime.on_message ctx st ~src msg)
+  in
+  (* deliver until the network is empty, holding back what [late] picks *)
+  let drain late =
+    while not (Queue.is_empty queue) do
+      let m = Queue.pop queue in
+      if late m then held := m :: !held else deliver m
+    done
+  in
+  let tick p =
+    clock := !clock +. 1.;
+    run p (fun ctx st ->
+        proto.Sim.Runtime.on_timer ctx st ~tag:Dgl.Session.resend_tag)
+  in
+  let forward ~src id =
+    deliver
+      ( src,
+        leader,
+        Smr.Smr_messages.Forward
+          { cmd = Smr.Command.make ~id (Smr.Command.Set id) } )
+  in
+  tick leader;
+  drain (fun _ -> false);
+  Alcotest.(check bool) "2 leads" true (Smr.Multi_paxos.leading states.(leader));
+  forward ~src:0 1;
+  drain (function
+    | _, dst, Smr.Smr_messages.M2a _ -> dst <> 0
+    | _ -> false);
+  (* the crash loses the 2a to the leader itself; the one to 1 is late *)
+  down := true;
+  let persisted = states.(leader) in
+  held := List.filter (fun (_, dst, _) -> dst <> leader) !held;
+  clock := !clock +. 1.;
+  run leader (fun ctx _ ->
+      proto.Sim.Runtime.on_restart ctx ~persisted:(Some persisted));
+  down := false;
+  tick leader;
+  let from_0 (src, dst, _) = src = 0 && dst = leader in
+  drain from_0;
+  forward ~src:1 2;
+  drain from_0;
+  List.iter deliver (List.rev !held);
+  drain (fun _ -> false);
+  let at_0 =
+    Array.map
+      (fun st ->
+        Option.map (fun c -> c.Smr.Command.id) (Smr.Multi_paxos.chosen_at st 0))
+      states
+  in
+  Alcotest.(check bool) "instance 0 is chosen" true (at_0.(0) <> None);
+  Alcotest.(check (array (option int)))
+    "one command at instance 0" (Array.make n at_0.(0)) at_0
 
 let suite =
   [
@@ -737,6 +824,8 @@ let suite =
       test_conflicting_chosen_is_counted;
     Alcotest.test_case "a restart keeps only the essence" `Quick
       test_restart_keeps_only_the_essence;
+    Alcotest.test_case "a restarted leader never reuses its ballot" `Quick
+      test_restarted_leader_never_reuses_its_ballot;
     QCheck_alcotest.to_alcotest prop_logs_converge;
     QCheck_alcotest.to_alcotest prop_kv_state_matches_model;
   ]
